@@ -48,7 +48,6 @@ from .ugw import (
     typed_branching_law,
 )
 from .config_model import (
-    ColorSet,
     ColoredMultigraph,
     Configuration,
     DegreeSequence,

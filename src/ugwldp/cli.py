@@ -5,7 +5,8 @@ prescribed-law trees, alternating bipartite trees), scalar functionals
 (entropies, increments, rate functions, the two-block bound), the three
 statistical experiments, and the oracle cross-check grid.
 
-Exit codes: 0 success, 1 usage error, 2 sampling failure, 3 invalid law.
+Exit codes: 0 success, 1 usage error, 2 sampling failure, 3 invalid law,
+4 an oracle check of `verify` failed.
 Outputs are byte-identical for identical (command, flags, seed).
 """
 

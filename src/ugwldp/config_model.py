@@ -11,10 +11,13 @@ short-cycle-free set, and a lazy neighborhood exploration live here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 Color = tuple  # (i, j), 1-based
@@ -34,32 +37,6 @@ def matching_colors(L):
 
 def bijection_colors(L):
     return [(i, j) for i in range(1, L + 1) for j in range(i + 1, L + 1)]
-
-
-@dataclass(frozen=True)
-class ColorSet:
-    """The L^2 ordered color pairs with their conjugation and partitions."""
-
-    L: int
-
-    @property
-    def colors(self):
-        return all_colors(self.L)
-
-    @property
-    def below(self):
-        return bijection_colors(self.L)
-
-    @property
-    def diagonal(self):
-        return matching_colors(self.L)
-
-    @property
-    def above(self):
-        return [conj(c) for c in self.below]
-
-    def conj(self, c):
-        return conj(c)
 
 
 class InvalidDegreeSequenceError(ValueError):
@@ -82,7 +59,11 @@ class RejectionExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Per-vertex L x L count matrices; row sums drive the half-edge sets."""
+    """Per-vertex L x L count matrices; row sums drive the half-edge sets.
+
+    Per-color totals, nonnegativity and half-edge offsets are derived once,
+    on first use, and reused by every later call on the same sequence.
+    """
 
     L: int
     mats: tuple  # n matrices, each a tuple of L tuples of ints
@@ -106,19 +87,39 @@ class DegreeSequence:
     def D(self, u, c: Color) -> int:
         return self.mats[u][c[0] - 1][c[1] - 1]
 
+    @cached_property
+    def offsets(self):
+        """Color -> prefix sums over vertices: W_c of vertex u starts at offsets[c][u]."""
+        return {
+            c: array(
+                "q",
+                itertools.accumulate(
+                    (mat[c[0] - 1][c[1] - 1] for mat in self.mats), initial=0
+                ),
+            )
+            for c in all_colors(self.L)
+        }
+
+    @cached_property
+    def totals(self):
+        """Color -> S(c), the number of half-edges of that color."""
+        return {c: offs[-1] for c, offs in self.offsets.items()}
+
+    @cached_property
+    def nonnegative(self):
+        return all(x >= 0 for mat in self.mats for row in mat for x in row)
+
     def S(self, c: Color) -> int:
-        return sum(self.D(u, c) for u in range(self.n))
+        return self.totals[c]
 
     def total_half_edges(self):
-        return sum(self.S(c) for c in all_colors(self.L))
+        return sum(self.totals.values())
 
 
 def validate_degree_sequence(D: DegreeSequence) -> bool:
     """Column-sum symmetry plus even diagonal totals."""
-    for u in range(D.n):
-        for row in D.mats[u]:
-            if any(x < 0 for x in row):
-                return False
+    if not D.nonnegative:
+        return False
     for c in bijection_colors(D.L):
         if D.S(c) != D.S(conj(c)):
             return False
@@ -280,7 +281,7 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
     if h < 3:
         return False
     # girth of the underlying simple graph via truncated BFS from every vertex
-    adj = {v: sorted(G.adjacency()[v]) for v in range(G.n)}
+    adj = {v: sorted(nbrs) for v, nbrs in G.adjacency().items()}
     limit = h // 2 + 1
     for s in range(G.n):
         dist = {s: 0}
@@ -330,15 +331,17 @@ def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration
     for c in matching_colors(D.L):
         pool = half_edges(D, c)
         pairs = []
-        # repeatedly match the least unmatched half-edge with a uniform partner
-        while pool:
-            first = pool[0]
-            k = rng.randrange(1, len(pool))
+        # repeatedly match the least unmatched half-edge with a uniform
+        # partner; pool[lo:] holds the unmatched ones
+        lo = 0
+        while lo < len(pool):
+            first = pool[lo]
+            k = lo + rng.randrange(1, len(pool) - lo)
             partner = pool[k]
             pairs.append((first, partner))
             pool[k] = pool[-1]
             pool.pop()
-            pool.pop(0)
+            lo += 1
         matchings[c] = tuple(pairs)
     bijections = {}
     for c in bijection_colors(D.L):
@@ -729,45 +732,51 @@ def explore_neighborhood(
     slots in the fixed (color, slot) order); each reveal draws a uniform
     partner among the not-yet-matched half-edges of the conjugate color.
     The result is distributed as the ball of v in a full uniform sample.
+
+    Cost: O(n) once per DegreeSequence (its cached offsets and totals),
+    then O(ball * L^2) per call, plus one O(log n) bisect per revealed
+    half-edge; nothing of size n is built per call.
     """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
-    pools = {}
-    index = {}
-    for c in all_colors(D.L):
-        hes = half_edges(D, c)
-        pools[c] = hes
-        index.update({he: (c, i) for i, he in enumerate(hes)})
-    matched = {}
+    offsets = D.offsets
+    # The unmatched half-edges of color c form a virtual array of size[c]
+    # entries, initially W_c in half_edges order; a half-edge is named by
+    # its position in that initial order.  Removal swaps the last entry
+    # into the hole (sparse Fisher-Yates): at[c] (position -> half-edge)
+    # and pos[c] (half-edge -> position) record only the moved entries.
+    size = dict(D.totals)
+    at = {c: {} for c in offsets}
+    pos = {c: {} for c in offsets}
+    matched = set()  # (color, half-edge)
 
-    def pool_remove(he):
-        c, i = index[he]
-        pool = pools[c]
-        last = pool[-1]
-        pool[i] = last
-        index[last] = (c, i)
-        pool.pop()
-        del index[he]
+    def pool_remove(c, he):
+        i = pos[c].pop(he, he)
+        last = size[c] - 1
+        moved = at[c].pop(last, last)
+        if moved != he:
+            at[c][i] = moved
+            pos[c][moved] = i
+        size[c] = last
 
-    def draw_partner(he):
-        c = he[0]
+    def draw_partner(c, he):
         target = conj(c)
-        pool = pools[target]
         if c == target:
             # avoid self-pairing
-            my_c, my_i = index[he]
-            k = rng.randrange(len(pool) - 1)
+            my_i = pos[c].get(he, he)
+            k = rng.randrange(size[c] - 1)
             if k >= my_i:
                 k += 1
-            partner = pool[k]
         else:
-            partner = pool[rng.randrange(len(pool))]
-        pool_remove(he)
-        pool_remove(partner)
-        matched[he] = partner
-        matched[partner] = he
-        return partner
+            k = rng.randrange(size[target])
+        partner = at[target].get(k, k)
+        pool_remove(c, he)
+        pool_remove(target, partner)
+        matched.add((c, he))
+        matched.add((target, partner))
+        return bisect.bisect_right(offsets[target], partner) - 1
 
+    colors = all_colors(D.L)
     dist = {v: 0}
     order = [v]
     edges = []
@@ -777,20 +786,17 @@ def explore_neighborhood(
         u = order[qi]
         qi += 1
         du = dist[u]
-        for c in all_colors(D.L):
-            for j in range(1, D.D(u, c) + 1):
-                he = (c, u, j)
-                if he in matched:
+        for c in colors:
+            offs = offsets[c]
+            for he in range(offs[u], offs[u + 1]):
+                if (c, he) in matched:
                     continue
+                w = draw_partner(c, he)
                 if du >= depth:
-                    partner = draw_partner(he)
-                    w = partner[1]
                     if w in dist and dist[w] <= depth:
                         edges.append((u, w, c))
                         is_tree = False
                     continue
-                partner = draw_partner(he)
-                w = partner[1]
                 if w in dist:
                     is_tree = False
                 else:

@@ -12,7 +12,7 @@ sampler, and the consistency checks tying the two together.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -499,9 +499,9 @@ def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> Co
     parents: dict = {}
     types: dict = {}
     n = 1
-    frontier = [(0, None, 0)]  # (vertex, type, depth)
+    frontier = deque([(0, None, 0)])  # (vertex, type, depth)
     while frontier:
-        v, ctype, depth = frontier.pop(0)
+        v, ctype, depth = frontier.popleft()
         if depth >= k:
             continue
         M = _draw(base_items, rng) if ctype is None else _draw(hats[ctype], rng)
@@ -531,9 +531,9 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
     root_type = 1 if rng.random() < float(p1) else 2
     tree = LabeledRootedGraph(root=0)
     n = 1
-    frontier = [(0, root_type, 0, True)]
+    frontier = deque([(0, root_type, 0, True)])
     while frontier:
-        v, tpe, depth, is_root = frontier.pop(0)
+        v, tpe, depth, is_root = frontier.popleft()
         if depth >= k:
             continue
         deg = _draw(laws[tpe] if is_root else hats[tpe], rng)

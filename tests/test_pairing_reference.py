@@ -1,0 +1,248 @@
+"""Pairing samplers and the girth test against straightforward references.
+
+The references below are the materialized-pool forms of the lazy
+exploration and the sequential pairing: they build every half-edge pool
+up front.  The library versions must return the same result and leave the
+random generator in the same state, on the same seed.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ugwldp.config_model import (
+    Configuration,
+    DegreeSequence,
+    ExploredNeighborhood,
+    InvalidDegreeSequenceError,
+    Multigraph,
+    RejectionExhaustedError,
+    all_colors,
+    bijection_colors,
+    colorblind,
+    conj,
+    explore_neighborhood,
+    graph_of,
+    half_edges,
+    has_cycle_leq,
+    matching_colors,
+    sample_configuration,
+    sample_G_Dh,
+    validate_degree_sequence,
+)
+from ugwldp.oracle import _has_short_cycle_brute
+
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def reference_explore(D, v, depth, rng):
+    """Lazy exploration over fully materialized half-edge pools."""
+    if not validate_degree_sequence(D):
+        raise InvalidDegreeSequenceError("degree sequence outside the valid set")
+    pools = {}
+    index = {}
+    for c in all_colors(D.L):
+        hes = half_edges(D, c)
+        pools[c] = hes
+        index.update({he: (c, i) for i, he in enumerate(hes)})
+    matched = {}
+
+    def pool_remove(he):
+        c, i = index[he]
+        pool = pools[c]
+        last = pool[-1]
+        pool[i] = last
+        index[last] = (c, i)
+        pool.pop()
+        del index[he]
+
+    def draw_partner(he):
+        c = he[0]
+        target = conj(c)
+        pool = pools[target]
+        if c == target:
+            my_c, my_i = index[he]
+            k = rng.randrange(len(pool) - 1)
+            if k >= my_i:
+                k += 1
+            partner = pool[k]
+        else:
+            partner = pool[rng.randrange(len(pool))]
+        pool_remove(he)
+        pool_remove(partner)
+        matched[he] = partner
+        matched[partner] = he
+        return partner
+
+    dist = {v: 0}
+    order = [v]
+    edges = []
+    is_tree = True
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        du = dist[u]
+        for c in all_colors(D.L):
+            for j in range(1, D.D(u, c) + 1):
+                he = (c, u, j)
+                if he in matched:
+                    continue
+                if du >= depth:
+                    partner = draw_partner(he)
+                    w = partner[1]
+                    if w in dist and dist[w] <= depth:
+                        edges.append((u, w, c))
+                        is_tree = False
+                    continue
+                partner = draw_partner(he)
+                w = partner[1]
+                if w in dist:
+                    is_tree = False
+                else:
+                    dist[w] = du + 1
+                    order.append(w)
+                edges.append((u, w, c))
+    return ExploredNeighborhood(v, dist, edges, is_tree)
+
+
+def reference_configuration(D, rng):
+    """Sequential pairing that pops the least unmatched half-edge off the front."""
+    if not validate_degree_sequence(D):
+        raise InvalidDegreeSequenceError("degree sequence outside the valid set")
+    matchings = {}
+    for c in matching_colors(D.L):
+        pool = half_edges(D, c)
+        pairs = []
+        while pool:
+            first = pool[0]
+            k = rng.randrange(1, len(pool))
+            partner = pool[k]
+            pairs.append((first, partner))
+            pool[k] = pool[-1]
+            pool.pop()
+            pool.pop(0)
+        matchings[c] = tuple(pairs)
+    bijections = {}
+    for c in bijection_colors(D.L):
+        perm = list(half_edges(D, conj(c)))
+        rng.shuffle(perm)
+        bijections[c] = dict(zip(half_edges(D, c), perm))
+    return Configuration(D, matchings, bijections)
+
+
+@st.composite
+def degree_sequences(draw, max_L=3, max_n=12):
+    """Valid sequences: small random counts, then balanced and made even."""
+    L = draw(st.integers(1, max_L))
+    n = draw(st.integers(1, max_n))
+    flat = draw(st.lists(st.integers(0, 2), min_size=n * L * L, max_size=n * L * L))
+    mats = [[flat[(u * L + i) * L : (u * L + i + 1) * L] for i in range(L)] for u in range(n)]
+    vertex = st.integers(0, n - 1)
+    for i in range(L):
+        for j in range(i + 1, L):
+            gap = sum(m[i][j] for m in mats) - sum(m[j][i] for m in mats)
+            if gap > 0:
+                mats[draw(vertex)][j][i] += gap
+            elif gap < 0:
+                mats[draw(vertex)][i][j] -= gap
+        if sum(m[i][i] for m in mats) % 2:
+            mats[draw(vertex)][i][i] += 1
+    D = DegreeSequence(L, tuple(tuple(tuple(row) for row in m) for m in mats))
+    assert validate_degree_sequence(D)
+    return D
+
+
+@st.composite
+def multigraphs(draw, max_n=7):
+    """Simple edges plus a few extra loops and parallel edges."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    w = {}
+    for u, v in draw(st.sets(st.tuples(vertex, vertex), max_size=12)):
+        if u != v:
+            w[(min(u, v), max(u, v))] = 1
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2)):
+        key = (min(u, v), max(u, v))
+        w[key] = w.get(key, 0) + (2 if u == v else 1)
+    return Multigraph(n, w)
+
+
+class TestAgainstReference:
+    @SETTINGS
+    @given(D=degree_sequences(), data=st.data(), seed=st.integers(0, 2**32))
+    def test_explore_matches_reference(self, D, data, seed):
+        v = data.draw(st.integers(0, D.n - 1))
+        depth = data.draw(st.integers(0, 3))
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = explore_neighborhood(D, v, depth, rng)
+        want = reference_explore(D, v, depth, ref_rng)
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+
+    @SETTINGS
+    @given(D=degree_sequences(), seed=st.integers(0, 2**32))
+    def test_repeated_balls_match_reference(self, D, seed):
+        # one generator across many balls of one sequence, as a caller
+        # exploring several roots does
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for v in range(D.n):
+            assert explore_neighborhood(D, v, 2, rng) == reference_explore(D, v, 2, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @SETTINGS
+    @given(D=degree_sequences(), seed=st.integers(0, 2**32))
+    def test_configuration_matches_reference(self, D, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = sample_configuration(D, rng)
+        want = reference_configuration(D, ref_rng)
+        assert got.matchings == want.matchings
+        assert got.bijections == want.bijections
+        assert rng.getstate() == ref_rng.getstate()
+
+    @SETTINGS
+    @given(D=degree_sequences(max_L=2, max_n=8), h=st.integers(2, 5), seed=st.integers(0, 2**32))
+    def test_short_cycle_free_sampler_matches_reference(self, D, h, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        try:
+            got = sample_G_Dh(D, h, rng, max_attempts=20)
+        except RejectionExhaustedError:
+            got = None
+        want = None
+        for attempt in range(1, 21):
+            G = graph_of(reference_configuration(D, ref_rng))
+            if not _has_short_cycle_brute(colorblind(G), h):
+                want = (G, attempt)
+                break
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+
+    @SETTINGS
+    @given(G=multigraphs(), h=st.integers(1, 6))
+    def test_girth_test_matches_brute_force(self, G, h):
+        assert has_cycle_leq(G, h) == _has_short_cycle_brute(G, h)
+
+
+class TestDerivedTotals:
+    @SETTINGS
+    @given(D=degree_sequences())
+    def test_totals_and_offsets(self, D):
+        for c in all_colors(D.L):
+            assert D.S(c) == sum(D.D(u, c) for u in range(D.n)) == len(half_edges(D, c))
+            offs = D.offsets[c]
+            assert [offs[u + 1] - offs[u] for u in range(D.n)] == [
+                D.D(u, c) for u in range(D.n)
+            ]
+        assert D.total_half_edges() == sum(len(half_edges(D, c)) for c in all_colors(D.L))
+
+    def test_cached_values_leave_equality_alone(self):
+        D = DegreeSequence.from_rows(2, [[1, 1, 1, 0], [1, 0, 0, 2]])
+        E = DegreeSequence.from_rows(2, [[1, 1, 1, 0], [1, 0, 0, 2]])
+        assert validate_degree_sequence(D)
+        assert D == E and hash(D) == hash(E)
+
+    def test_negative_count_invalid(self):
+        D = DegreeSequence.from_rows(1, [[2], [-2], [2]])
+        assert D.S((1, 1)) == 2
+        assert not validate_degree_sequence(D)

@@ -1,10 +1,11 @@
 """Tree-like encoding tests: colors, round trips, exact counting."""
 
+import math
 import random
 
 import pytest
 
-from ugwldp.config_model import colorblind_simple, has_cycle_leq
+from ugwldp.config_model import colorblind_simple, double_factorial, has_cycle_leq
 from ugwldp.oracle import exact_equivalent_count
 from ugwldp.rooted import SimpleGraph, isolated_root, star
 from ugwldp.tree_encoding import (
@@ -13,6 +14,7 @@ from ugwldp.tree_encoding import (
     distinct_orderings,
     encode,
     is_h_treelike,
+    log_matchings,
     neighborhood_vector,
     verify_neighborhood_preservation,
 )
@@ -183,6 +185,13 @@ class TestCounting:
         out = count_equivalent_graphs(C6, 2, mode="log_asymptotic")
         assert out["acceptance_factor_dropped"] is True
         assert isinstance(out["per_vertex_rate"], float)
+
+    def test_log_matchings_closed_form(self):
+        assert log_matchings(0) == 0.0
+        for s in range(2, 401, 2):
+            assert abs(log_matchings(s) - math.log(double_factorial(s - 1))) < 1e-9
+        with pytest.raises(ValueError):
+            log_matchings(3)
 
     def test_psi_multiset_invariance(self):
         from collections import Counter
