@@ -112,7 +112,10 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
+
+
+def _add_threads(p):
+    p.add_argument("--threads", type=int, default=1, help="experiment fan-out")
 
 
 def build_parser():
@@ -193,6 +196,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--samples", type=int, default=2000)
     _add_common(p)
+    _add_threads(p)
 
     p = sub.add_parser("converge", help="local-convergence experiment")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
@@ -200,12 +204,14 @@ def build_parser():
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=2)
     _add_common(p)
+    _add_threads(p)
 
     p = sub.add_parser("concentrate", help="frequency-concentration experiment")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n-list", default="500,2000")
     p.add_argument("--samples", type=int, default=300)
     _add_common(p)
+    _add_threads(p)
 
     p = sub.add_parser("verify", help="oracle cross-check grid")
     p.add_argument("--quick", action="store_true")

@@ -215,9 +215,7 @@ def concentration_envelope_delta(theta: int, L: int, k: int, mean_half_edges: fl
     return 1.0 / ((4 * kappa) ** 2 * mean_half_edges)
 
 
-def concentrate_experiment(
-    d: int, n_list, samples: int, seed: int, threads: int = 1, depth: int = 1
-):
+def concentrate_experiment(d: int, n_list, samples: int, seed: int, threads: int = 1):
     """Frequency concentration of the plain depth-1 star class."""
     rows = []
     for n in n_list:
@@ -248,7 +246,7 @@ def concentrate_experiment(
         freqs = _fan_out(one, samples, seed + n, threads)
         mean = statistics.fmean(freqs)
         sd = statistics.pstdev(freqs)
-        delta = concentration_envelope_delta(d, 1, depth, d)
+        delta = concentration_envelope_delta(d, 1, 1, d)
         grid = [0.002, 0.005, 0.01, 0.02, 0.05]
         tail = []
         for t in grid:

@@ -32,9 +32,15 @@ _FLOAT_MASS_TOL = 1e-12
 
 
 class NeighborhoodLaw:
-    """Finite-support probability measure on depth-h canonical classes."""
+    """Finite-support probability measure on depth-h canonical classes.
 
-    __slots__ = ("depth", "support", "mode")
+    `support` must not be mutated after construction: the hash, and the
+    tables derived from the law (edge intensities, admissibility, branch
+    laws), are computed from it once per law object.  Derived tables are
+    not part of equality, hashing or pickles.
+    """
+
+    __slots__ = ("depth", "support", "mode", "_derived")
 
     def __init__(self, depth, support, mode=RATIONAL, _normalize=False):
         self.depth = depth
@@ -62,6 +68,25 @@ class NeighborhoodLaw:
         else:
             if abs(total - 1) > _FLOAT_MASS_TOL:
                 raise ValueError(f"float law has total mass {total!r}")
+        self._derived = {}
+
+    def __getstate__(self):
+        return None, {"depth": self.depth, "support": self.support, "mode": self.mode}
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._derived = {}
+
+    def _derive(self, key, build):
+        """build(self), computed on first use and kept on this law object.
+
+        A build that raises stores nothing, so it raises again next time.
+        """
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived[key] = build(self)
+        return got
 
     def __eq__(self, other):
         return (
@@ -202,10 +227,15 @@ def edge_intensity_table(P: NeighborhoodLaw) -> EdgeTypeLaw:
     """Unnormalized edge-type intensities e(t, t') of a depth-h law.
 
     e(t, t') is the expected number of root neighbors realizing the ordered
-    pattern (t, t'); the total mass is the mean degree.
+    pattern (t, t'); the total mass is the mean degree.  Built once per law
+    object.
     """
     if P.depth < 1:
         raise ValueError("edge intensities need depth >= 1")
+    return P._derive("edge_intensities", _build_edge_intensity_table)
+
+
+def _build_edge_intensity_table(P):
     acc = {}
     for cls, p in P.items():
         for pair, cnt in edge_type_table(cls, P.depth).items():
@@ -230,7 +260,14 @@ def edge_type_distribution(P: NeighborhoodLaw) -> EdgeTypeLaw:
 
 
 def is_admissible(P: NeighborhoodLaw) -> AdmissibilityReport:
-    """Finite mean degree plus swap symmetry of the edge intensities."""
+    """Finite mean degree plus swap symmetry of the edge intensities.
+
+    Checked once per law object.
+    """
+    return P._derive("admissibility", _build_admissibility)
+
+
+def _build_admissibility(P):
     d = mean_degree(P)
     table = edge_intensity_table(P).as_dict()
     tol = 0 if P.mode == RATIONAL else 1e-9 * max(1.0, float(d))

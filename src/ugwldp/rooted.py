@@ -267,11 +267,6 @@ def _parse_paren(s):
     return tuple(tuple(sorted(nb)) for nb in adj)
 
 
-def _canonical_tree_rep(encoding):
-    """Deterministic labeled representative of a tree encoding."""
-    return _parse_paren(encoding)
-
-
 def _refine_partition(adj_sets, order, dist):
     """Iteratively refined vertex coloring; label-independent ranks.
 
@@ -364,8 +359,8 @@ def canonical_from_adjacency(adj, root, h):
     m = sum(len(nb) for nb in sub.values()) // 2
     if m == n - 1:
         enc = _tree_paren(sub, root)
-        rep = _canonical_tree_rep(enc)
-        return _intern(TREE, h, enc, rep)
+        # Parse the representative only for a class not yet interned.
+        return _INTERN.get((TREE, h, enc)) or _intern(TREE, h, enc, _parse_paren(enc))
     enc, rep = _canonical_general(sub, root, dist)
     return _intern(GENERAL, h, enc, rep)
 

@@ -11,7 +11,9 @@ sampler, and the consistency checks tying the two together.
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +29,11 @@ from .rooted import (
     CanonicalClass,
     KindMismatchError,
     LabeledRootedGraph,
+    _split_class,
     canonicalize,
     children_subtrees,
     declare_depth,
     drop_root_child,
-    instantiate,
-    split_at_edge,
     truncate,
 )
 
@@ -82,10 +83,18 @@ class TypedBranchingLaw:
 
 
 def typed_branching_law(P: NeighborhoodLaw) -> TypedBranchingLaw:
-    """All branch laws of P at once, with exact normalization checks."""
-    h = P.depth
-    if h < 1:
+    """All branch laws of P at once, with exact normalization checks.
+
+    Built once per law object, and kept only once every check has passed:
+    an inadmissible law raises on every call.
+    """
+    if P.depth < 1:
         raise ValueError("branch laws need depth >= 1")
+    return P._derive("branching", _build_branching)
+
+
+def _build_branching(P):
+    h = P.depth
     rep = is_admissible(P)
     if not rep:
         raise ValueError(f"law is not admissible: {rep.violations[:3]}")
@@ -159,7 +168,7 @@ def _extend_block(block, branching, cap, acc, weight):
                 chosen.append((tau, cnt))
             combos.append((chosen, w * pr))
         groups.append(combos)
-    for pick in _product(groups):
+    for pick in itertools.product(*groups):
         chosen_all = []
         pr = weight
         for chosen, w in pick:
@@ -190,16 +199,6 @@ def _multinomial(n, counts):
         out *= comb(rem, c)
         rem -= c
     return out
-
-
-def _product(groups):
-    if not groups:
-        yield ()
-        return
-    head, *tail = groups
-    for item in head:
-        for rest in _product(tail):
-            yield (item,) + rest
 
 
 def _assemble(chosen, depth):
@@ -283,67 +282,68 @@ def edge_law_identity(P: NeighborhoodLaw) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _draw(items, rng: random.Random):
-    """Weighted draw from [(item, weight)] with a deterministic item order."""
-    total = float(sum(w for _, w in items))
-    x = rng.random() * total
-    acc = 0.0
-    for item, w in items:
-        acc += float(w)
-        if x < acc:
-            return item
-    return items[-1][0]
+class _DrawTable:
+    """Weighted draws from [(item, weight)] in a fixed item order.
 
-
-def _graft(tree: LabeledRootedGraph, v: int, new_sub: CanonicalClass):
-    """Replace the subtree hanging at v (away from its parent) by new_sub.
-
-    new_sub's root is identified with v; new vertex ids are fresh.
+    A draw scales one rng.random() by the total weight and returns the
+    first item whose cumulative float weight exceeds it.
     """
-    parent = _parent_of(tree, v)
-    old = _collect_subtree(tree, parent, v)
-    old.discard(v)
-    for x in old:
-        for w in list(tree.adj[x]):
-            tree.adj[w].discard(x)
-        del tree.adj[x]
-    tree.adj[v] = {parent}
-    base = max(tree.adj) + 1
-    rep = new_sub.rep
-    ids = {0: v}
-    for i in range(1, len(rep)):
-        ids[i] = base + i - 1
-    for i, nb in enumerate(rep):
-        for j in nb:
-            if j > i:
-                tree.add_edge(ids[i], ids[j])
+
+    __slots__ = ("items", "cumulative", "total")
+
+    def __init__(self, items):
+        self.items = [item for item, _ in items]
+        self.cumulative = list(itertools.accumulate(float(w) for _, w in items))
+        self.total = float(sum(w for _, w in items))
+
+    def draw(self, rng: random.Random):
+        i = bisect_right(self.cumulative, rng.random() * self.total)
+        return self.items[min(i, len(self.items) - 1)]
 
 
-def _parent_of(tree, v):
-    # BFS parents from the root; trees are small here.
-    seen = {tree.root: None}
-    stack = [tree.root]
-    while stack:
-        x = stack.pop()
-        for w in tree.adj[x]:
-            if w not in seen:
-                seen[w] = x
-                stack.append(w)
-    return seen[v]
+class _Growth:
+    """Sampling tables of one admissible law, kept on the law object.
 
+    Holds a draw table for the root block and one per edge type, and, for
+    each (block, look-back) pair the sampler has reached, the carried
+    types of the block's root children.
+    """
 
-def _collect_subtree(tree, parent, v):
-    keep = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for w in tree.adj[x]:
-            if (x, w) in ((parent, v), (v, parent)):
-                continue
-            if w not in keep:
-                keep.add(w)
-                stack.append(w)
-    return keep
+    def __init__(self, P):
+        self.root = _DrawTable(P.sorted_items())
+        self.branches = {
+            key: _DrawTable(law.sorted_items())
+            for key, law in typed_branching_law(P).table.items()
+        }
+        self.carried = {}
+
+    def branch(self, own, back):
+        got = self.branches.get((own, back))
+        if got is None:
+            raise MissingBranchError(f"no branch law for type {(own, back)}")
+        return got
+
+    def child_types(self, tau, back):
+        """(own, look-back) types of tau's root children, in tau.rep[0] order.
+
+        back is the look-back type of tau's root, hung on the root's parent
+        edge; None for the root block, whose root has no parent.
+        """
+        got = self.carried.get((tau, back))
+        if got is None:
+            adj = {i: set(nb) for i, nb in enumerate(tau.rep)}
+            if back is not None:
+                off = len(tau.rep)
+                for i, nb in enumerate(back.rep):
+                    adj[i + off] = {j + off for j in nb}
+                adj[0].add(off)
+                adj[off].add(0)
+            h = tau.depth
+            got = self.carried[(tau, back)] = [
+                (_split_class(adj, 0, c, h - 1), _split_class(adj, c, 0, h - 1))
+                for c in tau.rep[0]
+            ]
+        return got
 
 
 def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedGraph:
@@ -352,46 +352,39 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     The root block is drawn from P; the tree then grows one level per
     round by drawing, for each frontier vertex, the typed branch law of
     its (subtree pattern, look-back pattern) pair.  Both patterns are
-    recomputed from the partially built tree by edge splitting, never
-    cached.
+    carried from the block the vertex's parent drew: a child's own type is
+    its subtree in that block, and its look-back type is the rest of the
+    block with the parent's look-back type hung above it.  Frontier
+    vertices are visited in their parents' order, then in block order.
+
+    The branch tables are built once per law object; after that a draw
+    costs O(tree size), plus a one-time type computation for each
+    (block, look-back) pair the sampler meets for the first time.
     """
     h = P.depth
     if k < h:
         raise ValueError(f"output depth {k} below law depth {h}")
-    rep = is_admissible(P)
-    if not rep:
+    if not is_admissible(P):
         raise ValueError("sampling requires an admissible law")
-    branching = typed_branching_law(P)
-    block = _draw(P.sorted_items(), rng)
-    tree = instantiate(block)
-    depths = _depths(tree)
-    for r in range(1, k - h + 1):
-        frontier = [v for v, d in depths.items() if d == r]
-        for v in sorted(frontier):
-            parent = _parent_of(tree, v)
-            own = canonicalize(split_at_edge(tree, parent, v), h - 1)
-            back = canonicalize(split_at_edge(tree, v, parent), h - 1)
-            law = branching.law(own, back)
-            tau = _draw(law.sorted_items(), rng)
-            _graft(tree, v, tau)
-        depths = _depths(tree)
-    return tree
-
-
-def _depths(tree):
-    out = {tree.root: 0}
-    frontier = [tree.root]
-    d = 0
-    while frontier:
-        d += 1
+    growth = P._derive("growth", _Growth)
+    tree = LabeledRootedGraph(root=0)
+    frontier = [(0, growth.root.draw(rng), None)]
+    for _ in range(k - h):
         nxt = []
-        for u in frontier:
-            for w in tree.adj[u]:
-                if w not in out:
-                    out[w] = d
-                    nxt.append(w)
+        for v, tau, back in frontier:
+            for own, own_back in growth.child_types(tau, back):
+                c = len(tree.adj)
+                tree.add_edge(v, c)
+                nxt.append((c, growth.branch(own, own_back).draw(rng), own_back))
         frontier = nxt
-    return out
+    for v, tau, _ in frontier:
+        base = len(tree.adj)
+        ids = [v, *range(base, base + len(tau.rep) - 1)]
+        for i, nb in enumerate(tau.rep):
+            for j in nb:
+                if j > i:
+                    tree.add_edge(ids[i], ids[j])
+    return tree
 
 
 def empirical_law(samples, h: int) -> NeighborhoodLaw:
@@ -494,8 +487,8 @@ class ColoredRootedTree:
 def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> ColoredRootedTree:
     """Multi-type tree: root offspring from the base law, then per-color branch laws."""
     colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
-    hats = {c: sorted(colored_branch_law(P, c).items()) for c in colors}
-    base_items = sorted(P.base.items())
+    hats = {c: _DrawTable(sorted(colored_branch_law(P, c).items())) for c in colors}
+    base = _DrawTable(sorted(P.base.items()))
     parents: dict = {}
     types: dict = {}
     n = 1
@@ -504,7 +497,7 @@ def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> Co
         v, ctype, depth = frontier.popleft()
         if depth >= k:
             continue
-        M = _draw(base_items, rng) if ctype is None else _draw(hats[ctype], rng)
+        M = (base if ctype is None else hats[ctype]).draw(rng)
         for c in colors:
             for _ in range(_mat_get(M, c)):
                 parents[n] = v
@@ -526,8 +519,11 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
     if d1 <= 0 or d2 <= 0:
         raise ValueError("both degree laws need positive mean")
     p1 = d2 / (d1 + d2)
-    laws = {1: sorted(P1.items()), 2: sorted(P2.items())}
-    hats = {1: sorted(size_biased(P1).items()), 2: sorted(size_biased(P2).items())}
+    laws = {1: _DrawTable(sorted(P1.items())), 2: _DrawTable(sorted(P2.items()))}
+    hats = {
+        1: _DrawTable(sorted(size_biased(P1).items())),
+        2: _DrawTable(sorted(size_biased(P2).items())),
+    }
     root_type = 1 if rng.random() < float(p1) else 2
     tree = LabeledRootedGraph(root=0)
     n = 1
@@ -536,7 +532,7 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
         v, tpe, depth, is_root = frontier.popleft()
         if depth >= k:
             continue
-        deg = _draw(laws[tpe] if is_root else hats[tpe], rng)
+        deg = (laws[tpe] if is_root else hats[tpe]).draw(rng)
         for _ in range(deg):
             tree.add_edge(v, n)
             frontier.append((n, 3 - tpe, depth + 1, False))

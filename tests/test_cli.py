@@ -129,6 +129,15 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--quick"], ["sample-ugw", "--depth", "2", "--law", "x.json"]]
+    )
+    def test_threads_only_on_experiments(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_invalid_degrees_exit1(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         write_degree_file(path, DegreeSequence.single_color([1]))
