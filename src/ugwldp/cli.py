@@ -114,10 +114,6 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_threads(p):
-    p.add_argument("--threads", type=int, default=1, help="experiment fan-out")
-
-
 def build_parser():
     top = _Parser(prog="ugwldp")
     sub = top.add_subparsers(dest="command", required=True)
@@ -196,7 +192,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--samples", type=int, default=2000)
     _add_common(p)
-    _add_threads(p)
 
     p = sub.add_parser("converge", help="local-convergence experiment")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
@@ -204,14 +199,12 @@ def build_parser():
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=2)
     _add_common(p)
-    _add_threads(p)
 
     p = sub.add_parser("concentrate", help="frequency-concentration experiment")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n-list", default="500,2000")
     p.add_argument("--samples", type=int, default=300)
     _add_common(p)
-    _add_threads(p)
 
     p = sub.add_parser("verify", help="oracle cross-check grid")
     p.add_argument("--quick", action="store_true")
@@ -339,21 +332,19 @@ def _cmd_entropy(args):
 
 def _cmd_experiment(args):
     if args.command == "cycles":
-        rows = exp.cycles_experiment(args.d, args.n, args.samples, args.seed, args.threads)
+        rows = exp.cycles_experiment(args.d, args.n, args.samples, args.seed)
         _emit(args, {"rows": rows})
         return 0
     if args.command == "converge":
         n_list = [int(x) for x in args.n_list.split(",")]
         rows = exp.converge_experiment(
-            args.degree_law, n_list, args.samples, args.depth, args.seed, args.threads
+            args.degree_law, n_list, args.samples, args.depth, args.seed
         )
         _emit(args, {"rows": rows})
         return 0
     if args.command == "concentrate":
         n_list = [int(x) for x in args.n_list.split(",")]
-        rows = exp.concentrate_experiment(
-            args.d, n_list, args.samples, args.seed, args.threads
-        )
+        rows = exp.concentrate_experiment(args.d, n_list, args.samples, args.seed)
         _emit(args, {"rows": rows})
         return 0
     raise AssertionError(args.command)

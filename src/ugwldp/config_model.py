@@ -234,13 +234,6 @@ class Multigraph:
             adj[v][u] = m
         return adj
 
-    def edge_count(self):
-        """Edges counting multiplicity, loops counted once each."""
-        total = 0
-        for (u, v), m in self.w.items():
-            total += m // 2 if u == v else m
-        return total
-
 
 def colorblind(G: ColoredMultigraph) -> Multigraph:
     out = {}

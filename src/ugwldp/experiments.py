@@ -4,8 +4,7 @@ Three experiments back the quantitative claims: short-cycle counts
 against their limiting intensities, local convergence of neighborhood
 laws toward the prescribed-law tree, and switch-Lipschitz concentration
 of neighborhood frequencies.  All runs are deterministic in (parameters,
-seed); fan-out across threads partitions the sample index range and
-reduces in index order.
+seed): sample i runs on its own derived seed, in index order.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .config_model import (
@@ -85,16 +83,12 @@ def regular_intensity(d: int, ell: int) -> float:
     return (d - 1) ** ell / (2 * ell)
 
 
-def _fan_out(worker, samples, seed, threads):
-    """Deterministic fan-out: one derived seed per sample, ordered reduce."""
-    seeds = [seed * 1_000_003 + i for i in range(samples)]
-    if threads <= 1:
-        return [worker(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, seeds))
+def _fan_out(worker, samples, seed):
+    """One derived seed per sample; results in sample order."""
+    return [worker(seed * 1_000_003 + i) for i in range(samples)]
 
 
-def cycles_experiment(d: int, n: int, samples: int, seed: int, threads: int = 1):
+def cycles_experiment(d: int, n: int, samples: int, seed: int):
     """Short-cycle counts and simpleness rate of the d-regular pairing model."""
     D = DegreeSequence.single_color([d] * n)
 
@@ -105,7 +99,7 @@ def cycles_experiment(d: int, n: int, samples: int, seed: int, threads: int = 1)
         counts["simple"] = 0 if has_cycle_leq(bar, 2) else 1
         return counts
 
-    rows = _fan_out(one, samples, seed, threads)
+    rows = _fan_out(one, samples, seed)
     out = []
     for ell in (1, 2, 3, 4):
         values = [r[ell] for r in rows]
@@ -171,7 +165,6 @@ def converge_experiment(
     samples: int,
     depth: int,
     seed: int,
-    threads: int = 1,
     girth_bound: int = 2,
 ):
     """Distance from the mean empirical law to the tree-marginal target."""
@@ -188,7 +181,7 @@ def converge_experiment(
             G, _ = sample_G_Dh(D, girth_bound, rng)
             return empirical_distribution(colorblind_simple(G), depth)
 
-        laws = _fan_out(one, samples, seed + n, threads)
+        laws = _fan_out(one, samples, seed + n)
         mean_support: dict = {}
         for lw in laws:
             for cls, p in lw.items():
@@ -215,7 +208,7 @@ def concentration_envelope_delta(theta: int, L: int, k: int, mean_half_edges: fl
     return 1.0 / ((4 * kappa) ** 2 * mean_half_edges)
 
 
-def concentrate_experiment(d: int, n_list, samples: int, seed: int, threads: int = 1):
+def concentrate_experiment(d: int, n_list, samples: int, seed: int):
     """Frequency concentration of the plain depth-1 star class."""
     rows = []
     for n in n_list:
@@ -243,7 +236,7 @@ def concentrate_experiment(d: int, n_list, samples: int, seed: int, threads: int
                 hits += 1
             return hits / n
 
-        freqs = _fan_out(one, samples, seed + n, threads)
+        freqs = _fan_out(one, samples, seed + n)
         mean = statistics.fmean(freqs)
         sd = statistics.pstdev(freqs)
         delta = concentration_envelope_delta(d, 1, 1, d)

@@ -86,18 +86,12 @@ def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
 
 def exact_cm_law(D: DegreeSequence, limit: int = 10**6):
     """Exact law of the projected configuration, keyed by graph."""
-    total = 0
-    counts = {}
-    for sigma in enumerate_configurations(D):
-        total += 1
-        if total > limit:
-            raise ValueError("configuration space beyond the oracle limit")
-        G = graph_of(sigma)
-        counts[G] = counts.get(G, 0) + 1
+    counts, total = exact_fiber_sizes(D, limit)
     return {G: Fraction(c, total) for G, c in counts.items()}
 
 
 def exact_fiber_sizes(D: DegreeSequence, limit: int = 10**6):
+    """Configurations per projected graph, and the total configuration count."""
     total = 0
     counts = {}
     for sigma in enumerate_configurations(D):

@@ -16,6 +16,12 @@ Two encodings are used:
   consistent with a distance-plus-refinement partition.  Exponential in
   the worst case but only ever applied to small neighborhoods.
 
+Balls and the two sides of an edge are all read by one bounded BFS,
+:func:`_ball`.  Given a `cut` neighbour of the root it treats that edge as
+absent, so one side of an edge (a root child's subtree, a tree minus a
+root child, an edge type) costs O(size of the ball), whatever the size of
+the component.
+
 Every class records the depth at which it was truncated.  Operations that
 read structure beyond that depth are rejected instead of silently using
 the truncated object.
@@ -204,8 +210,12 @@ def _rebuild_class(kind, depth, wire):
 # ---------------------------------------------------------------------------
 
 
-def _ball(adj, root, h):
-    """BFS distances for the vertices within distance h of the root."""
+def _ball(adj, root, h, cut=None):
+    """BFS distances for the vertices within distance h of the root.
+
+    With `cut` given, the edge {root, cut} is treated as absent.  Skipping
+    it from the root suffices: the root is in `dist` before cut is expanded.
+    """
     dist = {root: 0}
     frontier = [root]
     d = 0
@@ -214,15 +224,11 @@ def _ball(adj, root, h):
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w not in dist:
+                if w not in dist and (u != root or w != cut):
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def _induced_edges(adj, keep):
-    return [(u, v) for u in keep for v in adj[u] if v in keep and u < v]
 
 
 def _tree_paren(adj_sets, root):
@@ -348,13 +354,24 @@ def _decode_general(encoding):
     return tuple(tuple(sorted(nb)) for nb in adj)
 
 
-def canonical_from_adjacency(adj, root, h):
-    """Canonical class of the depth-h truncation of (adj, root)."""
+def canonical_from_adjacency(adj, root, h, cut=None):
+    """Canonical class of the depth-h truncation of (adj, root).
+
+    With `cut` given, a neighbour of root, the edge {root, cut} is treated
+    as absent: the result is the class of root's side of that edge,
+    truncated at depth h.  Either way the cost is O(size of the ball).
+    Raises EdgeAbsentError when cut is not adjacent to root.
+    """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    dist = _ball(adj, root, h)
+    if cut is not None and cut not in adj[root]:
+        raise EdgeAbsentError(f"{{{root}, {cut}}} is not an edge")
+    dist = _ball(adj, root, h, cut)
     keep = dist.keys()
     sub = {v: {u for u in adj[v] if u in keep} for v in keep}
+    if cut in sub:
+        sub[root].discard(cut)
+        sub[cut].discard(root)
     n = len(keep)
     m = sum(len(nb) for nb in sub.values()) // 2
     if m == n - 1:
@@ -450,41 +467,13 @@ def split_at_edge(g: LabeledRootedGraph, u: int, v: int) -> LabeledRootedGraph:
     """The component of v after removing edge {u, v}, rooted at v."""
     if not g.has_edge(u, v):
         raise EdgeAbsentError(f"{{{u}, {v}}} is not an edge")
-    keep = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for w in g.adj[x]:
-            if (x, w) in ((u, v), (v, u)):
-                continue
-            if w not in keep:
-                keep.add(w)
-                stack.append(w)
+    keep = _ball(g.adj, v, len(g.adj), cut=u)
     out = LabeledRootedGraph(root=v, vertices=keep)
     for x in keep:
         for w in g.adj[x]:
             if w in keep and x < w and (x, w) not in ((u, v), (v, u)):
                 out.add_edge(x, w)
     return out
-
-
-def _split_class(adj, a, b, h):
-    """Canonical depth-h class of the component of b in adj minus edge {a,b}."""
-    keep = {b}
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if (x, w) in ((a, b), (b, a)):
-                continue
-            if w not in keep:
-                keep.add(w)
-                stack.append(w)
-    sub = {
-        x: {w for w in adj[x] if w in keep and (x, w) not in ((a, b), (b, a))}
-        for x in keep
-    }
-    return canonical_from_adjacency(sub, b, h)
 
 
 def join_at_root(tau: CanonicalClass, t_prime: CanonicalClass) -> CanonicalClass:
@@ -521,7 +510,7 @@ def children_subtrees(g: CanonicalClass) -> list[CanonicalClass]:
     if g.kind != TREE:
         raise KindMismatchError("children_subtrees requires a tree class")
     adj = {i: set(nb) for i, nb in enumerate(g.rep)}
-    return [_split_class(adj, 0, v, g.depth - 1) for v in g.rep[0]]
+    return [canonical_from_adjacency(adj, v, g.depth - 1, cut=0) for v in g.rep[0]]
 
 
 def drop_root_child(g: CanonicalClass, subtree: CanonicalClass) -> CanonicalClass:
@@ -533,25 +522,9 @@ def drop_root_child(g: CanonicalClass, subtree: CanonicalClass) -> CanonicalClas
         raise KindMismatchError("drop_root_child requires a tree class")
     adj = {i: set(nb) for i, nb in enumerate(g.rep)}
     for v in g.rep[0]:
-        if _split_class(adj, 0, v, g.depth - 1) is subtree:
-            keep = set(adj) - _subtree_vertices(adj, 0, v)
-            sub = {x: {w for w in adj[x] if w in keep} for x in keep}
-            return canonical_from_adjacency(sub, 0, g.depth)
+        if canonical_from_adjacency(adj, v, g.depth - 1, cut=0) is subtree:
+            return canonical_from_adjacency(adj, 0, g.depth, cut=v)
     raise ValueError("no root child carries the requested subtree")
-
-
-def _subtree_vertices(adj, parent, child):
-    keep = {child}
-    stack = [child]
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if (x, w) in ((parent, child), (child, parent)):
-                continue
-            if w not in keep:
-                keep.add(w)
-                stack.append(w)
-    return keep
 
 
 def edge_type_table(g: CanonicalClass, h: int) -> dict:
@@ -571,8 +544,8 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
     adj = {i: set(nb) for i, nb in enumerate(g.rep)}
     out: Counter = Counter()
     for v in g.rep[0]:
-        far = _split_class(adj, 0, v, h - 1)
-        near = _split_class(adj, v, 0, h - 1)
+        far = canonical_from_adjacency(adj, v, h - 1, cut=0)
+        near = canonical_from_adjacency(adj, 0, h - 1, cut=v)
         out[(far, near)] += 1
     return dict(out)
 

@@ -29,7 +29,7 @@ from .config_model import (
     sample_G_Dh,
 )
 from .oracle import enumerate_configurations
-from .rooted import SimpleGraph, canonical_from_adjacency, _split_class
+from .rooted import SimpleGraph, canonical_from_adjacency
 
 
 class NotTreeLikeError(ValueError):
@@ -47,9 +47,6 @@ class EncodingContext:
     @property
     def L(self):
         return len(self.classes)
-
-    def color_of(self, t, t_prime):
-        return (self.index[t], self.index[t_prime])
 
     def to_json(self):
         return {
@@ -79,15 +76,16 @@ def encode(G: SimpleGraph, h: int):
 
     Returns (colored multigraph, context, degree sequence).  The colorblind
     projection of the output recovers G exactly, and the output has no
-    cycle of length <= 2h+1.
+    cycle of length <= 2h+1.  Each edge side is read from its depth-(h-1)
+    ball only, so the cost is O(m * ball size), not O(m * component size).
     """
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
     adj = G.adjacency()
     splits = {}
     for u, v in G.edges:
-        splits[(u, v)] = _split_class(adj, u, v, h - 1)
-        splits[(v, u)] = _split_class(adj, v, u, h - 1)
+        splits[(u, v)] = canonical_from_adjacency(adj, v, h - 1, cut=u)
+        splits[(v, u)] = canonical_from_adjacency(adj, u, h - 1, cut=v)
     classes = tuple(sorted(set(splits.values()), key=lambda c: c.wire()))
     index = {c: i + 1 for i, c in enumerate(classes)}
     ctx = EncodingContext(h, classes, index)

@@ -29,11 +29,12 @@ from .rooted import (
     CanonicalClass,
     KindMismatchError,
     LabeledRootedGraph,
-    _split_class,
+    canonical_from_adjacency,
     canonicalize,
     children_subtrees,
     declare_depth,
     drop_root_child,
+    edge_type_table,
     truncate,
 )
 
@@ -135,17 +136,13 @@ def branch_law(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
 def _child_types(block: CanonicalClass):
     """Distinct (subtree, look-back) types among the root children of a block.
 
-    Returns [(s, s_complement, multiplicity)].  Children with the same
+    Returns [(s, s_complement, multiplicity)] from the block's edge-type
+    table, sorted by the subtree's wire form.  Children with the same
     subtree class automatically share the same complement.
     """
-    h = block.depth
-    subs = children_subtrees(block)
-    counts = Counter(subs)
-    out = []
-    for s, n_a in sorted(counts.items(), key=lambda kv: kv[0].wire()):
-        t_minus = drop_root_child(block, s)
-        out.append((s, truncate(t_minus, h - 1), n_a))
-    return out
+    table = edge_type_table(block, block.depth)
+    ordered = sorted(table.items(), key=lambda kv: kv[0][0].wire())
+    return [(s, s_comp, n_a) for (s, s_comp), n_a in ordered]
 
 
 def _extend_block(block, branching, cap, acc, weight):
@@ -340,7 +337,10 @@ class _Growth:
                 adj[off].add(0)
             h = tau.depth
             got = self.carried[(tau, back)] = [
-                (_split_class(adj, 0, c, h - 1), _split_class(adj, c, 0, h - 1))
+                (
+                    canonical_from_adjacency(adj, c, h - 1, cut=0),
+                    canonical_from_adjacency(adj, 0, h - 1, cut=c),
+                )
                 for c in tau.rep[0]
             ]
         return got
@@ -469,13 +469,6 @@ class ColoredRootedTree:
         for v, p in self.parents.items():
             out[p].append(v)
         return out
-
-    def depth_counts(self):
-        depths = {self.root: 0}
-        order = sorted(self.parents, key=lambda v: v)
-        for v in order:
-            depths[v] = depths[self.parents[v]] + 1
-        return Counter(depths.values())
 
     def colorblind(self) -> LabeledRootedGraph:
         g = LabeledRootedGraph(root=self.root, vertices=range(self.n))

@@ -130,9 +130,15 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize(
-        "argv", [["verify", "--quick"], ["sample-ugw", "--depth", "2", "--law", "x.json"]]
+        "argv",
+        [
+            ["verify", "--quick"],
+            ["sample-ugw", "--depth", "2", "--law", "x.json"],
+            ["cycles", "--n", "20", "--samples", "2"],
+        ],
     )
     def test_threads_only_on_experiments(self, capsys, argv):
+        # No command takes --threads: the experiments run serially.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--threads", "2"])
         assert exc.value.code == 1

@@ -33,11 +33,6 @@ class TestCycleMeans:
                 row = by_len[ell]
                 assert abs(row["mean"] - row["target"]) <= 3 * row["stderr"], (n, row)
 
-    def test_threaded_fanout_deterministic(self):
-        a = cycles_experiment(d=3, n=80, samples=40, seed=7, threads=1)
-        b = cycles_experiment(d=3, n=80, samples=40, seed=7, threads=4)
-        assert a == b
-
 
 class TestConditionalUniformity:
     def test_constant_probability_on_short_cycle_free_set(self):
