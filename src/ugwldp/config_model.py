@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
+from .rooted import SimpleGraph, _ball, canonical_labeling
+
 Color = tuple  # (i, j), 1-based
 
 
@@ -48,13 +50,9 @@ class DegreeMismatchError(ValueError):
 
 
 class RejectionExhaustedError(RuntimeError):
-    def __init__(self, attempts, rate):
-        super().__init__(
-            f"no short-cycle-free sample in {attempts} attempts"
-            f" (estimated acceptance rate <= {rate:.2e})"
-        )
+    def __init__(self, attempts):
+        super().__init__(f"no short-cycle-free sample in {attempts} attempts")
         self.attempts = attempts
-        self.estimated_rate = rate
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,6 @@ def colorblind(G: ColoredMultigraph) -> Multigraph:
 
 def colorblind_simple(G: ColoredMultigraph):
     """Colorblind projection as a SimpleGraph; raises on loops or multi-edges."""
-    from .rooted import SimpleGraph
-
     bar = colorblind(G)
     edges = []
     for (u, v), m in bar.w.items():
@@ -417,7 +413,7 @@ def sample_G_Dh(
         G = graph_of(sample_configuration(D, rng))
         if not has_cycle_leq(colorblind(G), h):
             return G, attempt
-    raise RejectionExhaustedError(cap, 1.0 / cap)
+    raise RejectionExhaustedError(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -460,45 +456,26 @@ def _b_factor(H: ColoredMultigraph) -> int:
     return out
 
 
+def degree_factorials(D: DegreeSequence) -> int:
+    """Product of D(u, c)! over vertices u and colors c: the slot orderings."""
+    out = 1
+    for mat in D.mats:
+        for row in mat:
+            for x in row:
+                out *= math.factorial(x)
+    return out
+
+
 def fiber_size(D: DegreeSequence, H: ColoredMultigraph) -> int:
-    """Number of configurations mapping to H: per-color product formulas."""
+    """Number of configurations mapping to H: the slot orderings over b(H)."""
     if degree_sequence_of(H) != D:
         raise DegreeMismatchError("graph degrees do not match the sequence")
-    out = 1
-    for c in matching_colors(D.L):
-        num = 1
-        for u in range(D.n):
-            num *= math.factorial(D.D(u, c))
-        den = 1
-        for u in range(D.n):
-            loops = H.omega(c, u, u) // 2
-            den *= math.factorial(loops) * 2**loops
-            for v in range(u + 1, D.n):
-                den *= math.factorial(H.omega(c, u, v))
-        assert num % den == 0
-        out *= num // den
-    for c in bijection_colors(D.L):
-        num = 1
-        for u in range(D.n):
-            num *= math.factorial(D.D(u, c)) * math.factorial(D.D(u, conj(c)))
-        den = 1
-        for u in range(D.n):
-            for v in range(D.n):
-                den *= math.factorial(H.omega(c, u, v))
-        assert num % den == 0
-        out *= num // den
-    return out
+    return degree_factorials(D) // _b_factor(H)
 
 
 def cm_probability(D: DegreeSequence, H: ColoredMultigraph) -> Fraction:
     """Probability that the uniform configuration projects to H."""
-    if degree_sequence_of(H) != D:
-        raise DegreeMismatchError("graph degrees do not match the sequence")
-    num = 1
-    for c in all_colors(D.L):
-        for u in range(D.n):
-            num *= math.factorial(D.D(u, c))
-    return Fraction(num, _b_factor(H) * config_space_size(D))
+    return Fraction(fiber_size(D, H), config_space_size(D))
 
 
 def excess(H: ColoredMultigraph) -> int:
@@ -507,29 +484,25 @@ def excess(H: ColoredMultigraph) -> int:
     return total_deg // 2 - H.n
 
 
+def _colored_canon(H: ColoredMultigraph, root=None):
+    """canonical_labeling of H: loops and the root in the vertex colors.
+
+    A vertex's color is (is the root, its sorted loop entries (c, m)); the
+    label of the arc (u, v) is its sorted entries (c, m) of (c, u, v).
+    """
+    loops = [[] for _ in range(H.n)]
+    arcs = {}
+    for (c, u, v), m in H.w.items():
+        (loops[u] if u == v else arcs.setdefault((u, v), [])).append((c, m))
+    colors = [(u == root, tuple(sorted(lp))) for u, lp in enumerate(loops)]
+    return canonical_labeling(
+        H.n, colors, {a: tuple(sorted(e)) for a, e in arcs.items()}
+    )
+
+
 def automorphism_count(H: ColoredMultigraph) -> int:
-    """Vertex permutations preserving every color weight; brute force."""
-    if H.n > 8:
-        raise ValueError("automorphism count is brute force; n <= 8 only")
-    D = degree_sequence_of(H)
-    groups = {}
-    for u in range(H.n):
-        groups.setdefault(D.mats[u], []).append(u)
-    count = 0
-    blocks = sorted(groups.values())
-    for perms in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        pi = {}
-        for block, perm in zip(blocks, perms):
-            for src, dst in zip(block, perm):
-                pi[src] = dst
-        ok = True
-        for (c, u, v), m in H.w.items():
-            if H.omega(c, pi[u], pi[v]) != m:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    """Vertex permutations preserving every color weight."""
+    return _colored_canon(H)[2]
 
 
 def _dc_of(H: ColoredMultigraph):
@@ -558,16 +531,16 @@ def _falling_pairs(S, s):
 def subgraph_count_expectation(
     H: ColoredMultigraph, degrees: DegreeSequence | None = None, limit: dict | None = None
 ):
-    """Expected number of embedded copies of a small motif.
+    """Expected number of embedded copies of a motif.
 
     Exactly one of `degrees` (finite-sequence mode, exact rational) or
     `limit` (limit-law mode, the n-free intensity prefactor scaling as
     n^-excess) must be given.  `limit` maps L x L matrices to weights.
+    The finite-sequence mode sums over all n!/(n-k)! placements of the
+    motif's k vertices.
     """
     if (degrees is None) == (limit is None):
         raise ValueError("give exactly one of degrees= or limit=")
-    if H.n > 8:
-        raise ValueError("motif too large for brute-force symmetry counting")
     a = automorphism_count(H)
     b = _b_factor(H)
     dH = _dc_of(H)
@@ -618,23 +591,13 @@ def cycle_family(L: int, h: int):
     """Distinct colored motifs whose colorblind projection is a short cycle.
 
     Loops have length 1 and parallel pairs length 2.  Deduplicated by
-    brute-force isomorphism; intended for small L and h.
+    the canonical certificate of each motif.
     """
     out = []
     seen = set()
 
     def add(H):
-        key = min(
-            tuple(
-                sorted(
-                    ((c, pi[u], pi[v]), m) for (c, u, v), m in H.w.items()
-                )
-            )
-            for pi in (
-                dict(zip(range(H.n), perm))
-                for perm in itertools.permutations(range(H.n))
-            )
-        )
+        key = (H.n, _colored_canon(H)[0])
         if key not in seen:
             seen.add(key)
             out.append(H)
@@ -693,27 +656,13 @@ class ExploredNeighborhood:
     is_tree: bool
 
     def signature(self):
-        """Canonical key of the rooted colored ball (root-fixing relabelings).
-
-        Brute-force minimization; only for small balls.
-        """
-        verts = sorted(self.vertices)
-        if len(verts) > 9:
-            raise ValueError("ball signature is brute force; too many vertices")
-        others = [v for v in verts if v != self.root]
-        best = None
-        for perm in itertools.permutations(range(1, len(verts))):
-            lab = {self.root: 0}
-            lab.update(zip(others, perm))
-            key = tuple(
-                sorted(
-                    min((c, lab[u], lab[v]), (conj(c), lab[v], lab[u]))
-                    for u, v, c in self.edges
-                )
-            )
-            if best is None or key < best:
-                best = key
-        return (len(verts), best)
+        """Canonical key of the rooted colored ball (root-fixing relabelings)."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        L = max((max(c) for _u, _v, c in self.edges), default=1)
+        H = ColoredMultigraph(L, len(index))
+        for u, v, c in self.edges:
+            H.add_edge(c, index[u], index[v])
+        return (H.n, _colored_canon(H, index[self.root])[0])
 
 
 def explore_neighborhood(
@@ -805,19 +754,7 @@ def ball_of(G: ColoredMultigraph, v: int, depth: int) -> ExploredNeighborhood:
     Produces the same structure as :func:`explore_neighborhood` so the two
     can be compared by signature.
     """
-    bar = colorblind(G).adjacency()
-    dist = {v: 0}
-    frontier = [v]
-    d = 0
-    while frontier and d < depth:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in sorted(bar[u]):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    dist = _ball(colorblind(G).adjacency(), v, depth)
     edges = []
     for (c, a, b), m in sorted(G.w.items()):
         if a not in dist or b not in dist:

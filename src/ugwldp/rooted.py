@@ -11,10 +11,11 @@ Two encodings are used:
 * rooted trees: the classic recursive parenthesis string, where a node's
   encoding is ``"(" + <children encodings, sorted> + ")"``.  Linear time,
   unique, and printable (``"()"`` is the isolated root).
-* general rooted graphs (neighborhoods containing cycles): a byte string
-  obtained by minimizing the adjacency matrix over all vertex labelings
-  consistent with a distance-plus-refinement partition.  Exponential in
-  the worst case but only ever applied to small neighborhoods.
+* general rooted graphs (neighborhoods containing cycles): the vertex
+  count and the adjacency bits under the order that
+  :func:`canonical_labeling`, an individualization-refinement search with
+  the distance to the root as vertex color, picks.  Its cost is set by the
+  symmetry of the ball, not by a factorial of its size.
 
 Balls and the two sides of an edge are all read by one bounded BFS,
 :func:`_ball`.  Given a `cut` neighbour of the root it treats that edge as
@@ -29,7 +30,6 @@ the truncated object.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -45,12 +45,6 @@ class KindMismatchError(TypeError):
 
 TREE = "tree"
 GENERAL = "general"
-
-# Safety valve for the general-graph canonical form: the number of candidate
-# labelings after partition refinement.  Neighborhoods handled by this code
-# path are tiny; anything past this bound is a misuse, not a workload.
-_MAX_LABELINGS = 2_000_000
-
 
 class LabeledRootedGraph:
     """A finite rooted graph with integer vertex labels (simple, undirected).
@@ -273,73 +267,124 @@ def _parse_paren(s):
     return tuple(tuple(sorted(nb)) for nb in adj)
 
 
-def _refine_partition(adj_sets, order, dist):
-    """Iteratively refined vertex coloring; label-independent ranks.
+def canonical_labeling(n, colors, arcs):
+    """Canonical labeling of a vertex-colored graph with labeled arcs.
 
-    Starts from (distance-to-root, degree) and sharpens each vertex's color
-    with the sorted multiset of its neighbors' colors until stable.
+    The vertices are 0..n-1 and colors[v] is the color of v.  `arcs` maps
+    each arc (u, v), u != v, to its label; an undirected edge is given as
+    both of its arcs, and a loop is folded into its vertex's color.  All
+    colors must be mutually sortable, and so must all labels.
+
+    Individualization-refinement search (McKay & Piperno, "Practical graph
+    isomorphism II", J. Symb. Comput. 60, 2014).  A partition is refined
+    by each vertex's multiset of (arc label, neighbour cell) until it is
+    equitable.  A search node individualizes each vertex of its first
+    non-singleton cell in turn, skipping a vertex that lies in one orbit
+    with an explored one under the automorphisms found so far that fix the
+    node's prefix.  A leaf whose certificate equals the first or the best
+    leaf's gives an automorphism and a back-jump to where the two paths
+    part.
+
+    Returns (certificate, order, automorphisms).  order[i] is the vertex
+    placed at position i by the leaf with the least certificate, and
+    `certificate` is (vertex colors, sorted (i, j, label) arcs) under that
+    order: two inputs get equal certificates exactly when some bijection
+    maps one onto the other preserving colors and labels.  `automorphisms`
+    is the number of such self-maps, the product of the orbit sizes along
+    the first path.
+
+    Cost: a refinement is at most n rounds of O((n + len(arcs)) log n).
+    A graph with little symmetry is settled by refinement and a few
+    leaves; the number of leaves grows with the symmetry, about cubically
+    in the size of a class of twin vertices.
     """
-    colors = {v: (dist[v], len(adj_sets[v])) for v in order}
-    ncells = len(set(colors.values()))
-    while True:
-        sig = {
-            v: (colors[v], tuple(sorted(colors[u] for u in adj_sets[v])))
-            for v in order
-        }
-        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        colors = {v: ranks[sig[v]] for v in order}
-        k = len(set(colors.values()))
-        if k == ncells:
-            return colors
-        ncells = k
+    # (label, cell) pairs sort as the integers label rank * n + cell.
+    label_rank = {lab: i * n for i, lab in enumerate(sorted(set(arcs.values())))}
+    nbrs = [[] for _ in range(n)]
+    for (u, v), label in arcs.items():
+        nbrs[u].append((v, label_rank[label]))
 
+    def refine(cell):
+        while True:
+            # A vertex alone in its cell cannot split it, so it needs no signature.
+            sizes = Counter(cell)
+            sig = [
+                (c, tuple(sorted([lab + cell[w] for w, lab in nbrs[v]])))
+                if sizes[c] > 1
+                else (c, ())
+                for v, c in enumerate(cell)
+            ]
+            rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+            cell = [rank[s] for s in sig]
+            if len(rank) == len(sizes):
+                return cell
 
-def _canonical_general(adj_sets, root, dist):
-    """Minimum adjacency bytes over labelings consistent with refinement.
+    gens = []  # automorphisms found, as vertex maps
+    leaves = []  # [first leaf, best leaf], each (certificate, order, path)
 
-    Returns (encoding_bytes, rep_adj).  The root is always labeled 0 since
-    it is alone in its distance cell.
-    """
-    order = sorted(adj_sets, key=lambda v: (dist[v], v))
-    colors = _refine_partition(adj_sets, order, dist)
-    cells: dict[int, list[int]] = {}
-    for v in order:
-        cells.setdefault(colors[v], []).append(v)
-    cell_list = [cells[c] for c in sorted(cells)]
+    def orbit(points, prefix):
+        """The orbit of points under the found automorphisms fixing prefix."""
+        fixing = [g for g in gens if all(g[x] == x for x in prefix)]
+        seen = set(points)
+        stack = list(points)
+        while stack:
+            x = stack.pop()
+            for g in fixing:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    stack.append(g[x])
+        return seen
 
-    total = 1
-    for cell in cell_list:
-        for i in range(2, len(cell) + 1):
-            total *= i
-        if total > _MAX_LABELINGS:
-            raise ValueError("general canonical form: neighborhood too symmetric/large")
+    def leaf(cell, path):
+        order = [0] * n
+        for v, i in enumerate(cell):
+            order[i] = v
+        cert = (
+            tuple(colors[v] for v in order),
+            tuple(sorted((cell[u], cell[v], lab) for (u, v), lab in arcs.items())),
+        )
+        if not leaves:
+            leaves[:] = [(cert, order, path)] * 2
+            return None
+        for ref_cert, ref_order, ref_path in leaves:
+            if cert == ref_cert:
+                g = [0] * n
+                for v, w in zip(order, ref_order):
+                    g[v] = w
+                gens.append(g)
+                d = 0
+                while path[d] == ref_path[d]:
+                    d += 1
+                return d
+        if cert < leaves[1][0]:
+            leaves[1] = (cert, order, path)
+        return None
 
-    n = len(order)
-    best_bits = None
-    best_layout = None
-    for perm_combo in itertools.product(
-        *[itertools.permutations(cell) for cell in cell_list]
-    ):
-        layout = [v for cell in perm_combo for v in cell]
-        pos = {v: i for i, v in enumerate(layout)}
-        bits = 0
-        for i, v in enumerate(layout):
-            for u in adj_sets[v]:
-                j = pos[u]
-                if j > i:
-                    bits |= 1 << (i * n + j)
-        if best_bits is None or bits < best_bits:
-            best_bits = bits
-            best_layout = layout
+    def search(cell, path):
+        """Explore the subtree; a level < len(path) means jump back to it."""
+        sizes = Counter(cell)
+        target = min((c for c, k in sizes.items() if k > 1), default=None)
+        if target is None:
+            return leaf(cell, path)
+        done = []
+        for v in range(n):
+            if cell[v] != target or done and v in orbit(done, path):
+                continue
+            done.append(v)
+            child = [2 * c + 1 for c in cell]
+            child[v] -= 1
+            jump = search(refine(child), path + (v,))
+            if jump is not None and jump < len(path):
+                return jump
+        return None
 
-    assert best_layout is not None
-    pos = {v: i for i, v in enumerate(best_layout)}
-    rep = tuple(
-        tuple(sorted(pos[u] for u in adj_sets[v])) for v in best_layout
-    )
-    nbytes = (n * n + 7) // 8
-    encoding = n.to_bytes(2, "little") + best_bits.to_bytes(max(nbytes, 1), "little")
-    return encoding, rep
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    search(refine([rank[c] for c in colors]), ())
+    first = leaves[0][2]
+    automorphisms = 1
+    for j, v in enumerate(first):
+        automorphisms *= len(orbit([v], first[:j]))
+    return leaves[1][0], leaves[1][1], automorphisms
 
 
 def _decode_general(encoding):
@@ -359,8 +404,9 @@ def canonical_from_adjacency(adj, root, h, cut=None):
 
     With `cut` given, a neighbour of root, the edge {root, cut} is treated
     as absent: the result is the class of root's side of that edge,
-    truncated at depth h.  Either way the cost is O(size of the ball).
-    Raises EdgeAbsentError when cut is not adjacent to root.
+    truncated at depth h.  The traversal costs O(size of the ball); a ball
+    with a cycle adds the cost of :func:`canonical_labeling`.  Raises
+    EdgeAbsentError when cut is not adjacent to root.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
@@ -378,7 +424,20 @@ def canonical_from_adjacency(adj, root, h, cut=None):
         enc = _tree_paren(sub, root)
         # Parse the representative only for a class not yet interned.
         return _INTERN.get((TREE, h, enc)) or _intern(TREE, h, enc, _parse_paren(enc))
-    enc, rep = _canonical_general(sub, root, dist)
+    verts = list(keep)
+    index = {v: i for i, v in enumerate(verts)}
+    arcs = {(index[v], index[u]): 1 for v in verts for u in sub[v]}
+    _, order, _ = canonical_labeling(n, [dist[v] for v in verts], arcs)
+    # The root is the only vertex at distance 0, so it stays at position 0.
+    layout = [verts[i] for i in order]
+    pos = {v: i for i, v in enumerate(layout)}
+    bits = 0
+    for v in verts:
+        for u in sub[v]:
+            if pos[v] < pos[u]:
+                bits |= 1 << (pos[v] * n + pos[u])
+    rep = tuple(tuple(sorted(pos[u] for u in sub[v])) for v in layout)
+    enc = n.to_bytes(2, "little") + bits.to_bytes(max((n * n + 7) // 8, 1), "little")
     return _intern(GENERAL, h, enc, rep)
 
 

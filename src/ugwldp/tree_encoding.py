@@ -23,6 +23,7 @@ from .config_model import (
     colorblind,
     colorblind_simple,
     config_space_size,
+    degree_factorials,
     graph_of,
     has_cycle_leq,
     from_simple,
@@ -137,11 +138,7 @@ def count_short_cycle_free(D: DegreeSequence, h: int) -> int:
     for sigma in enumerate_configurations(D):
         if not has_cycle_leq(colorblind(graph_of(sigma)), h):
             accepted += 1
-    fiber = 1
-    for u in range(D.n):
-        for i in range(D.L):
-            for j in range(D.L):
-                fiber *= math.factorial(D.mats[u][i][j])
+    fiber = degree_factorials(D)
     assert accepted % fiber == 0
     return accepted // fiber
 
