@@ -312,38 +312,60 @@ class Configuration:
     bijections: dict  # c in C_< -> dict half-edge -> half-edge of conj color
 
 
-def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration:
-    """Uniform configuration: sequential uniform pairing per color."""
+def _pools(D: DegreeSequence):
+    """Color -> W_c as a tuple, for :func:`_pair_draws` to copy."""
+    return {c: tuple(half_edges(D, c)) for c in all_colors(D.L)}
+
+
+def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
+    """The pairs of a uniform configuration, yielded as they are drawn.
+
+    Each diagonal color c is a sequential matching: the least unmatched
+    half-edge of W_c gets a uniform partner among the rest.  Each color c
+    of C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
+    performs, with the same draws; position i is final once step i is
+    done, and is then yielded as the partner of W_c[i].  `pools` is
+    :func:`_pools` of D.
+    """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
-    matchings = {}
     for c in matching_colors(D.L):
-        pool = half_edges(D, c)
-        pairs = []
-        # repeatedly match the least unmatched half-edge with a uniform
-        # partner; pool[lo:] holds the unmatched ones
+        pool = list(pools[c])
+        # pool[lo:] holds the unmatched half-edges
         lo = 0
         while lo < len(pool):
-            first = pool[lo]
             k = lo + rng.randrange(1, len(pool) - lo)
-            partner = pool[k]
-            pairs.append((first, partner))
+            yield pool[lo], pool[k]
             pool[k] = pool[-1]
             pool.pop()
             lo += 1
-        matchings[c] = tuple(pairs)
-    bijections = {}
     for c in bijection_colors(D.L):
-        left = half_edges(D, c)
-        right = half_edges(D, conj(c))
-        if len(left) != len(right):
-            raise InvalidDegreeSequenceError(
-                f"half-edge sets of color {c} and conjugate differ in size"
-            )
-        perm = list(right)
-        rng.shuffle(perm)
-        bijections[c] = dict(zip(left, perm))
-    return Configuration(D, matchings, bijections)
+        left = pools[c]
+        perm = list(pools[conj(c)])
+        for i in reversed(range(1, len(perm))):
+            j = rng.randrange(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+            yield left[i], perm[i]
+        if perm:
+            yield left[0], perm[0]
+
+
+def _configuration(D: DegreeSequence, pairs) -> Configuration:
+    """Group drawn pairs by color; bijections are keyed in W_c order."""
+    matchings = {c: [] for c in matching_colors(D.L)}
+    bijections = {c: [] for c in bijection_colors(D.L)}
+    for a, b in pairs:
+        (matchings if a[0] in matchings else bijections)[a[0]].append((a, b))
+    return Configuration(
+        D,
+        {c: tuple(p) for c, p in matchings.items()},
+        {c: dict(sorted(p)) for c, p in bijections.items()},
+    )
+
+
+def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration:
+    """Uniform configuration: sequential uniform pairing per color."""
+    return _configuration(D, _pair_draws(D, _pools(D), rng))
 
 
 def graph_of(sigma: Configuration) -> ColoredMultigraph:
@@ -405,14 +427,32 @@ def sample_G_Dh(
 
     Accepts once the colorblind projection has no cycle of length <= h.
     Returns (graph, attempts).
+
+    An attempt draws its pairs in :func:`sample_configuration` order and
+    stops at the first loop, or at the first pair of vertices joined twice
+    over all colors: both are cycles of length <= 2 <= h, so the attempt
+    would be rejected whatever the remaining draws.  The law of the
+    accepted graph is therefore the one of full attempts, but the random
+    stream differs from drawing every attempt in full.  A completed
+    attempt is simple, and has_cycle_leq then looks for longer cycles.
     """
     if h < 2:
         raise ValueError("short-cycle-free sampling needs h >= 2")
     cap = max_attempts if max_attempts is not None else 100_000
+    pools = _pools(D)
     for attempt in range(1, cap + 1):
-        G = graph_of(sample_configuration(D, rng))
-        if not has_cycle_leq(colorblind(G), h):
-            return G, attempt
+        joined = set()
+        pairs = []
+        for a, b in _pair_draws(D, pools, rng):
+            u, v = a[1], b[1]
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in joined:
+                break
+            joined.add(key)
+            pairs.append((a, b))
+        else:
+            if not has_cycle_leq(Multigraph(D.n, dict.fromkeys(joined, 1)), h):
+                return graph_of(_configuration(D, pairs)), attempt
     raise RejectionExhaustedError(cap)
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rooted import (
     CanonicalClass,
     SimpleGraph,
-    canonical_from_adjacency,
+    ball_classes,
     declare_depth,
     edge_type_table,
     parse_class,
@@ -206,14 +207,15 @@ class AdmissibilityReport:
 
 
 def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
-    """Uniform-root law of depth-h neighborhood classes of a finite graph."""
+    """Uniform-root law of depth-h neighborhood classes of a finite graph.
+
+    The classes come from :func:`rooted.ball_classes`: O(h * m * d log d)
+    for the tree balls, d the largest degree, plus a canonical labeling
+    for each ball that holds a cycle.
+    """
     if G.n == 0:
         raise ValueError("empirical distribution of an empty vertex set")
-    adj = G.adjacency()
-    counts = {}
-    for v in range(G.n):
-        cls = canonical_from_adjacency(adj, v, h)
-        counts[cls] = counts.get(cls, 0) + 1
+    counts = Counter(ball_classes(G.adjacency(), h).values())
     return NeighborhoodLaw(
         h, {cls: Fraction(c, G.n) for cls, c in counts.items()}
     )

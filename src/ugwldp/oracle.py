@@ -10,6 +10,7 @@ configuration-to-graph map; they are allowed to be exponentially slow.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .config_model import (
@@ -23,10 +24,11 @@ from .config_model import (
     half_edges,
     matching_colors,
 )
-from .neighborhood import NeighborhoodLaw, empirical_distribution
+from .neighborhood import NeighborhoodLaw
 from .rooted import (
     LabeledRootedGraph,
     SimpleGraph,
+    canonical_from_adjacency,
     canonicalize,
     children_subtrees,
     declare_depth,
@@ -135,16 +137,18 @@ def exact_acceptance_fraction(D: DegreeSequence, h: int, limit: int = 10**6) -> 
     return Fraction(good, total)
 
 
+def _ball_law(G: SimpleGraph, h: int) -> Counter:
+    """Multiset of depth-h classes, one canonicalization per vertex."""
+    adj = G.adjacency()
+    return Counter(canonical_from_adjacency(adj, v, h) for v in range(G.n))
+
+
 def exact_equivalent_count(G: SimpleGraph, h: int) -> int:
     """Graphs on [n] with the same edge count and depth-h law, by full scan."""
     if G.n > 7:
         raise ValueError("equivalent-graph scan is capped at n <= 7")
-    target = empirical_distribution(G, h)
-    count = 0
-    for H in enumerate_graphs(G.n, G.m):
-        if empirical_distribution(H, h) == target:
-            count += 1
-    return count
+    target = _ball_law(G, h)
+    return sum(1 for H in enumerate_graphs(G.n, G.m) if _ball_law(H, h) == target)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ Balls and the two sides of an edge are all read by one bounded BFS,
 :func:`_ball`.  Given a `cut` neighbour of the root it treats that edge as
 absent, so one side of an edge (a root child's subtree, a tree minus a
 root child, an edge type) costs O(size of the ball), whatever the size of
-the component.
+the component.  The classes of every vertex of a graph, or of both sides
+of every edge, come from one table of messages on directed edges instead
+(:func:`ball_classes`, :func:`split_classes`): each distinct tree is
+encoded once, and only balls that hold a cycle are canonicalized one by
+one.
 
 Every class records the depth at which it was truncated.  Operations that
 read structure beyond that depth are rejected instead of silently using
@@ -387,6 +391,11 @@ def canonical_labeling(n, colors, arcs):
     return leaves[1][0], leaves[1][1], automorphisms
 
 
+def _tree_class(h, enc):
+    """The interned tree class; the representative is parsed only for a new one."""
+    return _INTERN.get((TREE, h, enc)) or _intern(TREE, h, enc, _parse_paren(enc))
+
+
 def _decode_general(encoding):
     n = int.from_bytes(encoding[:2], "little")
     bits = int.from_bytes(encoding[2:], "little")
@@ -421,9 +430,7 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     n = len(keep)
     m = sum(len(nb) for nb in sub.values()) // 2
     if m == n - 1:
-        enc = _tree_paren(sub, root)
-        # Parse the representative only for a class not yet interned.
-        return _INTERN.get((TREE, h, enc)) or _intern(TREE, h, enc, _parse_paren(enc))
+        return _tree_class(h, _tree_paren(sub, root))
     verts = list(keep)
     index = {v: i for i, v in enumerate(verts)}
     arcs = {(index[v], index[u]): 1 for v in verts for u in sub[v]}
@@ -439,6 +446,158 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     rep = tuple(tuple(sorted(pos[u] for u in sub[v])) for v in layout)
     enc = n.to_bytes(2, "little") + bits.to_bytes(max((n * n + 7) // 8, 1), "little")
     return _intern(GENERAL, h, enc, rep)
+
+
+# ---------------------------------------------------------------------------
+# Classes of every vertex and every edge side from one message table
+# ---------------------------------------------------------------------------
+
+
+class _TreeIds:
+    """Unlabeled rooted trees as integer ids.
+
+    Id 0 is the single vertex; every id stands for the sorted tuple of the
+    ids of its root subtrees.  Equal trees get equal ids at any depth.
+    """
+
+    def __init__(self):
+        self.table = {(): 0}
+        self.keys = [()]
+        self.drops = {}
+        self.parens = {}
+
+    def id(self, key):
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = len(self.keys)
+            self.keys.append(key)
+        return got
+
+    def without(self, key):
+        """Map each id c in the sorted tuple key to the id of key less one c."""
+        got = self.drops.get(key)
+        if got is None:
+            got = self.drops[key] = {
+                c: self.id(key[:pos] + key[pos + 1 :]) for pos, c in enumerate(key)
+            }
+        return got
+
+    def paren(self, i):
+        """The :func:`_tree_paren` string, built once per id."""
+        got = self.parens.get(i)
+        if got is None:
+            subs = sorted(self.paren(c) for c in self.keys[i])
+            got = self.parens[i] = "(" + "".join(subs) + ")"
+        return got
+
+    def cls(self, i, depth):
+        return _tree_class(depth, self.paren(i))
+
+
+def _messages(adj, k, trees):
+    """Depth-k messages on every directed edge of adj, in flat lists.
+
+    Returns (verts, start, to, msg).  The edges out of verts[i] are the
+    e with start[i] <= e < start[i + 1]; edge e leads to verts[to[e]], and
+    msg[e] is the id of the side of verts[to[e]] without that edge,
+    unfolded into a tree to depth k.  msg_0 is the single vertex, and
+    msg_k(u -> v) has the msg_{k-1}(v -> w) over w != u as its root
+    subtrees: the tree-isomorphism recursion of Aho, Hopcroft & Ullman
+    (1974) run as colour refinement.  Where the side is a tree to depth k
+    the unfolding is the side itself.
+    """
+    verts = list(adj)
+    index = {v: i for i, v in enumerate(verts)}
+    start = [0]
+    to = []
+    for v in verts:
+        to.extend(index[w] for w in adj[v])
+        start.append(len(to))
+    del index
+    # back[e]: the reverse of edge e
+    back = [
+        to.index(i, start[j], start[j + 1])
+        for i in range(len(verts))
+        for j in to[start[i] : start[i + 1]]
+    ]
+    msg = [0] * len(to)
+    for _ in range(k):
+        new = [0] * len(to)
+        for i in range(len(verts)):
+            lo, hi = start[i], start[i + 1]
+            drop = trees.without(tuple(sorted(msg[lo:hi])))
+            for e in range(lo, hi):
+                new[back[e]] = drop[msg[e]]
+        msg = new
+    return verts, start, to, msg
+
+
+def _ball_is_tree(adj, root, h):
+    """Whether the induced depth-h ball of root is a tree, by a bounded BFS."""
+    parent = {root: None}
+    frontier = [root]
+    for _ in range(h):
+        nxt = []
+        for u in frontier:
+            p = parent[u]
+            for w in adj[u]:
+                if w != p:
+                    if w in parent:
+                        return False
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    # an edge from the last layer back into the ball closes a cycle too
+    for u in frontier:
+        p = parent[u]
+        for w in adj[u]:
+            if w != p and w in parent:
+                return False
+    return True
+
+
+def ball_classes(adj, h):
+    """Depth-h class of every vertex of adj, as a dict vertex -> class.
+
+    Each value `is` canonical_from_adjacency(adj, v, h).  Where B_h(v) is
+    a tree, its class has the depth-(h-1) messages of :func:`_messages`
+    into v as root subtrees, and each distinct class is encoded once.  A
+    bounded BFS per vertex finds the balls that hold a cycle, and only
+    those go through canonical_from_adjacency.  Cost O(h * m * d log d)
+    for the whole graph, d the largest degree, plus the BFS of every ball
+    and the canonical labeling of the cyclic ones.
+    """
+    if h < 0:
+        raise ValueError("depth must be nonnegative")
+    trees = _TreeIds()
+    verts, start, _, msg = _messages(adj, h - 1, trees)
+    out = {}
+    for i, v in enumerate(verts):
+        if not _ball_is_tree(adj, v, h):
+            out[v] = canonical_from_adjacency(adj, v, h)
+        else:
+            key = tuple(sorted(msg[start[i] : start[i + 1]])) if h else ()
+            out[v] = trees.cls(trees.id(key), h)
+    return out
+
+
+def split_classes(adj, k):
+    """Depth-k class of both sides of every edge, as a dict (u, v) -> class.
+
+    The value at (u, v) is canonical_from_adjacency(adj, v, k, cut=u), read
+    off the depth-k messages of :func:`_messages` in O(k * m * d log d).
+    Exact when every such side is a tree to depth k, which holds when adj
+    has no cycle of length <= 2k + 3.
+    """
+    if k < 0:
+        raise ValueError("depth must be nonnegative")
+    trees = _TreeIds()
+    verts, start, to, msg = _messages(adj, k, trees)
+    return {
+        (verts[i], verts[to[e]]): trees.cls(msg[e], k)
+        for i in range(len(verts))
+        for e in range(start[i], start[i + 1])
+    }
 
 
 def canonicalize(g: LabeledRootedGraph, h: int) -> CanonicalClass:

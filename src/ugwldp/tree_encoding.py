@@ -30,7 +30,7 @@ from .config_model import (
     sample_G_Dh,
 )
 from .oracle import enumerate_configurations
-from .rooted import SimpleGraph, canonical_from_adjacency
+from .rooted import SimpleGraph, ball_classes, split_classes
 
 
 class NotTreeLikeError(ValueError):
@@ -62,9 +62,13 @@ class EncodingContext:
 
 
 def neighborhood_vector(G: SimpleGraph, h: int):
-    """Depth-h class of every vertex, in vertex order."""
-    adj = G.adjacency()
-    return [canonical_from_adjacency(adj, v, h) for v in range(G.n)]
+    """Depth-h class of every vertex, in vertex order.
+
+    Read from :func:`rooted.ball_classes`: O(h * m * d log d), d the
+    largest degree, plus a canonical labeling per ball with a cycle.
+    """
+    classes = ball_classes(G.adjacency(), h)
+    return [classes[v] for v in range(G.n)]
 
 
 def is_h_treelike(G: SimpleGraph, h: int) -> bool:
@@ -77,16 +81,13 @@ def encode(G: SimpleGraph, h: int):
 
     Returns (colored multigraph, context, degree sequence).  The colorblind
     projection of the output recovers G exactly, and the output has no
-    cycle of length <= 2h+1.  Each edge side is read from its depth-(h-1)
-    ball only, so the cost is O(m * ball size), not O(m * component size).
+    cycle of length <= 2h+1.  The edge sides are the depth-(h-1) messages
+    of :func:`rooted.split_classes`, O(h * m * d log d) for the whole
+    graph, d the largest degree, after the O(n * ball) girth test.
     """
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
-    adj = G.adjacency()
-    splits = {}
-    for u, v in G.edges:
-        splits[(u, v)] = canonical_from_adjacency(adj, v, h - 1, cut=u)
-        splits[(v, u)] = canonical_from_adjacency(adj, u, h - 1, cut=v)
+    splits = split_classes(G.adjacency(), h - 1)
     classes = tuple(sorted(set(splits.values()), key=lambda c: c.wire()))
     index = {c: i + 1 for i, c in enumerate(classes)}
     ctx = EncodingContext(h, classes, index)
@@ -158,10 +159,12 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
 
     exact mode multiplies the count of degree-sequence reorderings by the
     number of short-cycle-free colored multigraphs, enumerated outright
-    (tiny instances only).  log_asymptotic mode returns the per-vertex
-    exponential rate of the configuration-count formula, dropping the
-    O(1) acceptance factor (reported in metadata), minus the (m/n) log n
-    label term.
+    (tiny instances only).  log_asymptotic mode takes the log of the same
+    product with every colored multigraph counted, as configurations over
+    slot orderings: it drops only the log of the short-cycle-free
+    fraction, which stays O(1) as n grows with bounded degrees (flagged in
+    the result).  It returns that log over n, minus the (m/n) log n label
+    term, as per_vertex_rate.
     """
     _, _, D = encode(G, h)
     if mode == "exact":
@@ -174,7 +177,10 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
         m = G.m
         from .config_model import bijection_colors, matching_colors
 
-        log_count = 0.0
+        # log distinct_orderings(D), without the factorials
+        log_count = math.lgamma(n + 1)
+        for c in Counter(D.mats).values():
+            log_count -= math.lgamma(c + 1)
         for c in bijection_colors(D.L):
             log_count += math.lgamma(D.S(c) + 1)
         for c in matching_colors(D.L):

@@ -204,6 +204,42 @@ class TestRejectionSampler:
         se = math.sqrt(float(alpha) * (1 - float(alpha)) / N)
         assert abs(hits / N - float(alpha)) < 4 * se + 1e-9
 
+    @pytest.mark.parametrize(
+        "D, seed",
+        [
+            (DegreeSequence.single_color([2, 2, 2, 2, 2]), 21),
+            (DegreeSequence.single_color([1, 1, 2, 2, 2, 2]), 22),
+            (
+                DegreeSequence.from_rows(
+                    2,
+                    [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1],
+                     [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+                ),
+                23,
+            ),
+        ],
+    )
+    def test_accepted_law_is_uniform_on_short_cycle_free_set(self, D, seed):
+        # aborting an attempt at its first loop or double edge must leave
+        # the law of the accepted graph alone
+        assert config_space_size(D) <= 5000
+        weights = {
+            H: cm_probability(D, H)
+            for H in exact_cm_law(D)
+            if not has_cycle_leq(colorblind(H), 2)
+        }
+        assert len(set(weights.values())) == 1
+        total = sum(weights.values())
+        exact = {H: w / total for H, w in weights.items()}
+        rng = random.Random(seed)
+        N = 3000
+        from collections import Counter
+
+        freq = Counter(sample_G_Dh(D, 2, rng)[0] for _ in range(N))
+        assert set(freq) <= set(exact)
+        tv = sum(abs(Fraction(freq[H], N) - p) for H, p in exact.items()) / 2
+        assert tv < 3 * math.sqrt(len(exact) / N)
+
     def test_output_has_no_short_cycle(self):
         D = DegreeSequence.single_color([3] * 12)
         rng = random.Random(9)

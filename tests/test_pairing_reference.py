@@ -1,8 +1,8 @@
 """Pairing samplers and the girth test against straightforward references.
 
 The references below are the materialized-pool forms of the lazy
-exploration and the sequential pairing: they build every half-edge pool
-up front.  The library versions must return the same result and leave the
+exploration, the sequential pairing and one rejection attempt: they build
+every half-edge pool up front.  The library versions must return the same result and leave the
 random generator in the same state, on the same seed.
 """
 
@@ -132,6 +132,55 @@ def reference_configuration(D, rng):
     return Configuration(D, matchings, bijections)
 
 
+def reference_attempt(D, rng):
+    """One rejection attempt over materialized pools, in sample_configuration order.
+
+    Draws like reference_configuration, with random.shuffle's steps spelled
+    out for the bijections, and returns None at the first pair that makes
+    a loop or joins two vertices already joined, over all colors.
+    """
+    if not validate_degree_sequence(D):
+        raise InvalidDegreeSequenceError("degree sequence outside the valid set")
+    joined = set()
+
+    def defect(a, b):
+        pair = frozenset((a[1], b[1]))
+        if len(pair) == 1 or pair in joined:
+            return True
+        joined.add(pair)
+        return False
+
+    matchings = {}
+    for c in matching_colors(D.L):
+        pool = half_edges(D, c)
+        pairs = []
+        while pool:
+            first = pool[0]
+            k = rng.randrange(1, len(pool))
+            partner = pool[k]
+            if defect(first, partner):
+                return None
+            pairs.append((first, partner))
+            pool[k] = pool[-1]
+            pool.pop()
+            pool.pop(0)
+        matchings[c] = tuple(pairs)
+    bijections = {}
+    for c in bijection_colors(D.L):
+        left = half_edges(D, c)
+        perm = half_edges(D, conj(c))
+        # random.shuffle swaps position i with a uniform j <= i, i falling;
+        # position i is final after its swap
+        for i in reversed(range(len(perm))):
+            if i:
+                j = rng.randrange(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            if defect(left[i], perm[i]):
+                return None
+        bijections[c] = dict(zip(left, perm))
+    return Configuration(D, matchings, bijections)
+
+
 @st.composite
 def degree_sequences(draw, max_L=3, max_n=12):
     """Valid sequences: small random counts, then balanced and made even."""
@@ -211,7 +260,10 @@ class TestAgainstReference:
             got = None
         want = None
         for attempt in range(1, 21):
-            G = graph_of(reference_configuration(D, ref_rng))
+            sigma = reference_attempt(D, ref_rng)
+            if sigma is None:
+                continue
+            G = graph_of(sigma)
             if not _has_short_cycle_brute(colorblind(G), h):
                 want = (G, attempt)
                 break

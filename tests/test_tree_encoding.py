@@ -186,6 +186,28 @@ class TestCounting:
         assert out["acceptance_factor_dropped"] is True
         assert isinstance(out["per_vertex_rate"], float)
 
+    def test_log_mode_is_log_of_exact_factors(self):
+        # the log mode is (1/n) log(orderings * configurations / slot
+        # orderings) minus the label term: only the acceptance is dropped
+        from ugwldp.config_model import config_space_size, degree_factorials
+
+        cases = [
+            (PATH3, 1),
+            (SimpleGraph.from_edges(4, [(0, 1), (2, 3)]), 1),
+            (SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2),
+            (C6, 2),
+            (SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 1),
+            (nine_vertex_unicyclic(), 3),
+        ]
+        for G, h in cases:
+            _, _, D = encode(G, h)
+            out = count_equivalent_graphs(G, h, mode="log_asymptotic")
+            got = out["per_vertex_rate"] * G.n + G.m * math.log(G.n)
+            want = math.log(distinct_orderings(D) * config_space_size(D)) - math.log(
+                degree_factorials(D)
+            )
+            assert abs(got - want) < 1e-9, (G, h)
+
     def test_log_matchings_closed_form(self):
         assert log_matchings(0) == 0.0
         for s in range(2, 401, 2):
