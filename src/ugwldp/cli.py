@@ -250,7 +250,6 @@ def _cmd_sample(args):
                 "L": D.L,
                 "seed": args.seed,
                 "attempts": attempts,
-                "acceptance_estimate": 1.0 / attempts,
                 "no_cycle_up_to": h,
             },
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .rooted import SimpleGraph, _ball, canonical_labeling
+from .rooted import SimpleGraph, _ball, _short_cycle_at, canonical_labeling
 
 Color = tuple  # (i, j), 1-based
 
@@ -269,28 +269,9 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
                 return True
     if h < 3:
         return False
-    # girth of the underlying simple graph via truncated BFS from every vertex
+    # girth of the underlying simple graph: a bounded BFS from every vertex
     adj = {v: sorted(nbrs) for v, nbrs in G.adjacency().items()}
-    limit = h // 2 + 1
-    for s in range(G.n):
-        dist = {s: 0}
-        parent = {s: None}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if dist[u] >= limit:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w:
-                        if dist[u] + dist[w] + 1 <= h:
-                            return True
-            frontier = nxt
-    return False
+    return any(_short_cycle_at(adj, s, h) for s in range(G.n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .neighborhood import (
     mean_degree,
     truncate_law,
 )
+from .rooted import edge_type_table
 from .ugw import marginal_ugw
 
 INF = float("inf")
@@ -97,8 +98,6 @@ def _mean(P):
 
 def _log_factorial_term(P: NeighborhoodLaw) -> float:
     """Expected sum over edge types of log(count!) at the root."""
-    from .rooted import edge_type_table
-
     total = 0.0
     for cls, p in P.items():
         s = sum(math.lgamma(c + 1) for c in edge_type_table(cls, P.depth).values())

@@ -19,6 +19,7 @@ from .config_model import (
     Multigraph,
     bijection_colors,
     colorblind,
+    config_space_size,
     conj,
     graph_of,
     half_edges,
@@ -62,8 +63,6 @@ def _all_matchings(points):
 
 def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
     """Every configuration of D exactly once (guarded by the space size)."""
-    from .config_model import config_space_size
-
     if config_space_size(D) > limit:
         raise ValueError("configuration space beyond the oracle limit")
     match_groups = []

@@ -10,22 +10,27 @@ Two encodings are used:
 
 * rooted trees: the classic recursive parenthesis string, where a node's
   encoding is ``"(" + <children encodings, sorted> + ")"``.  Linear time,
-  unique, and printable (``"()"`` is the isolated root).
+  unique, and printable (``"()"`` is the isolated root).  A tree class is
+  thus the multiset of its root subtrees: :attr:`CanonicalClass.children`
+  reads them off the top-level groups of the string, and :func:`_join`
+  builds a class from them.  Every operation on tree classes (subtrees,
+  dropping or adding a root child, truncation, edge types) is tuple
+  algebra on those two, in O(size of the tree) with no traversal.
 * general rooted graphs (neighborhoods containing cycles): the vertex
   count and the adjacency bits under the order that
   :func:`canonical_labeling`, an individualization-refinement search with
   the distance to the root as vertex color, picks.  Its cost is set by the
   symmetry of the ball, not by a factorial of its size.
 
-Balls and the two sides of an edge are all read by one bounded BFS,
-:func:`_ball`.  Given a `cut` neighbour of the root it treats that edge as
-absent, so one side of an edge (a root child's subtree, a tree minus a
-root child, an edge type) costs O(size of the ball), whatever the size of
-the component.  The classes of every vertex of a graph, or of both sides
-of every edge, come from one table of messages on directed edges instead
-(:func:`ball_classes`, :func:`split_classes`): each distinct tree is
-encoded once, and only balls that hold a cycle are canonicalized one by
-one.
+Labeled graphs come in through :func:`canonical_from_adjacency`, which
+reads a ball, or one side of an edge, by one bounded BFS, :func:`_ball`.
+Given a `cut` neighbour of the root it treats that edge as absent, so one
+side of an edge costs O(size of the ball), whatever the size of the
+component.  The classes of every vertex of a graph, or of both sides of
+every edge, come from one table of tree-class messages on directed edges
+instead (:func:`ball_classes`, :func:`split_classes`): each message joins
+the messages one step further out, and only balls that hold a cycle are
+canonicalized one by one.
 
 Every class records the depth at which it was truncated.  Operations that
 read structure beyond that depth are rejected instead of silently using
@@ -156,7 +161,7 @@ class CanonicalClass:
     the root at 0.
     """
 
-    __slots__ = ("kind", "depth", "encoding", "id", "rep")
+    __slots__ = ("kind", "depth", "encoding", "id", "rep", "_children")
 
     def __init__(self, kind, depth, encoding, cid, rep):
         self.kind = kind
@@ -164,10 +169,34 @@ class CanonicalClass:
         self.encoding = encoding
         self.id = cid
         self.rep = rep
+        self._children = None
 
     @property
     def n_vertices(self):
         return len(self.rep)
+
+    @property
+    def children(self):
+        """A tree class's root subtrees, declared at depth - 1, in rep[0] order.
+
+        They are the top-level groups of the parenthesis encoding, parsed
+        on first use.
+        """
+        if self.kind != TREE:
+            raise KindMismatchError("root subtrees need a tree class")
+        got = self._children
+        if got is None:
+            enc = self.encoding
+            kids = []
+            level = 0
+            begin = 1
+            for i in range(1, len(enc) - 1):
+                level += 1 if enc[i] == "(" else -1
+                if level == 0:
+                    kids.append(_tree_class(self.depth - 1, enc[begin : i + 1]))
+                    begin = i + 1
+            got = self._children = tuple(kids)
+        return got
 
     def wire(self):
         """Serialized form: parenthesis string for trees, "G<d>:<hex>" else."""
@@ -396,6 +425,18 @@ def _tree_class(h, enc):
     return _INTERN.get((TREE, h, enc)) or _intern(TREE, h, enc, _parse_paren(enc))
 
 
+def _join(depth, kids):
+    """The depth-`depth` tree class whose root subtrees are the tree classes kids.
+
+    Each kid is truncated at depth - 1; the encodings are sorted, so the
+    order of kids does not matter.
+    """
+    if depth == 0:
+        return _tree_class(0, "()")
+    subs = sorted(truncate(k, depth - 1).encoding for k in kids)
+    return _tree_class(depth, "(" + "".join(subs) + ")")
+
+
 def _decode_general(encoding):
     n = int.from_bytes(encoding[:2], "little")
     bits = int.from_bytes(encoding[2:], "little")
@@ -453,58 +494,18 @@ def canonical_from_adjacency(adj, root, h, cut=None):
 # ---------------------------------------------------------------------------
 
 
-class _TreeIds:
-    """Unlabeled rooted trees as integer ids.
-
-    Id 0 is the single vertex; every id stands for the sorted tuple of the
-    ids of its root subtrees.  Equal trees get equal ids at any depth.
-    """
-
-    def __init__(self):
-        self.table = {(): 0}
-        self.keys = [()]
-        self.drops = {}
-        self.parens = {}
-
-    def id(self, key):
-        got = self.table.get(key)
-        if got is None:
-            got = self.table[key] = len(self.keys)
-            self.keys.append(key)
-        return got
-
-    def without(self, key):
-        """Map each id c in the sorted tuple key to the id of key less one c."""
-        got = self.drops.get(key)
-        if got is None:
-            got = self.drops[key] = {
-                c: self.id(key[:pos] + key[pos + 1 :]) for pos, c in enumerate(key)
-            }
-        return got
-
-    def paren(self, i):
-        """The :func:`_tree_paren` string, built once per id."""
-        got = self.parens.get(i)
-        if got is None:
-            subs = sorted(self.paren(c) for c in self.keys[i])
-            got = self.parens[i] = "(" + "".join(subs) + ")"
-        return got
-
-    def cls(self, i, depth):
-        return _tree_class(depth, self.paren(i))
-
-
-def _messages(adj, k, trees):
+def _messages(adj, k):
     """Depth-k messages on every directed edge of adj, in flat lists.
 
     Returns (verts, start, to, msg).  The edges out of verts[i] are the
     e with start[i] <= e < start[i + 1]; edge e leads to verts[to[e]], and
-    msg[e] is the id of the side of verts[to[e]] without that edge,
-    unfolded into a tree to depth k.  msg_0 is the single vertex, and
-    msg_k(u -> v) has the msg_{k-1}(v -> w) over w != u as its root
+    msg[e] is the tree class of the side of verts[to[e]] without that
+    edge, unfolded into a tree to depth k.  msg_0 is the single vertex,
+    and msg_k(u -> v) joins the msg_{k-1}(v -> w) over w != u as root
     subtrees: the tree-isomorphism recursion of Aho, Hopcroft & Ullman
     (1974) run as colour refinement.  Where the side is a tree to depth k
-    the unfolding is the side itself.
+    the unfolding is the side itself.  Each round joins once per distinct
+    multiset of messages into a vertex and per message dropped from it.
     """
     verts = list(adj)
     index = {v: i for i, v in enumerate(verts)}
@@ -520,81 +521,101 @@ def _messages(adj, k, trees):
         for i in range(len(verts))
         for j in to[start[i] : start[i + 1]]
     ]
-    msg = [0] * len(to)
-    for _ in range(k):
-        new = [0] * len(to)
+    msg = [_tree_class(0, "()")] * len(to)
+    for depth in range(1, k + 1):
+        drops = {}
+        new = [None] * len(to)
         for i in range(len(verts)):
             lo, hi = start[i], start[i + 1]
-            drop = trees.without(tuple(sorted(msg[lo:hi])))
+            key = tuple(sorted([c.id for c in msg[lo:hi]]))
+            drop = drops.get(key)
+            if drop is None:
+                kids = msg[lo:hi]
+                drop = drops[key] = {
+                    c: _join(depth, kids[:p] + kids[p + 1 :]) for p, c in enumerate(kids)
+                }
             for e in range(lo, hi):
                 new[back[e]] = drop[msg[e]]
         msg = new
     return verts, start, to, msg
 
 
-def _ball_is_tree(adj, root, h):
-    """Whether the induced depth-h ball of root is a tree, by a bounded BFS."""
+def _short_cycle_at(adj, root, g):
+    """Whether a BFS from root, keeping parents only, sees a cycle of length <= g.
+
+    While layer d (the vertices at distance d) is expanded, a seen
+    neighbour other than the parent lies within distance d + 1 and closes
+    a cycle of length <= 2d + 2 through paths from the root; within
+    distance d, once no vertices are added, <= 2d + 1.  So the layers with
+    2d + 2 <= g add vertices, and the next one only looks for seen
+    neighbours.  Every cycle of length <= g through root is found, and the
+    induced depth-h ball of root is a tree exactly when g = 2h + 1 finds
+    none.  Cost O(size of the ball of radius g // 2).
+    """
     parent = {root: None}
     frontier = [root]
-    for _ in range(h):
+    d = 0
+    while frontier and 2 * d + 1 <= g:
+        grow = 2 * d + 2 <= g
         nxt = []
         for u in frontier:
             p = parent[u]
             for w in adj[u]:
                 if w != p:
                     if w in parent:
-                        return False
-                    parent[w] = u
-                    nxt.append(w)
+                        return True
+                    if grow:
+                        parent[w] = u
+                        nxt.append(w)
         frontier = nxt
-    # an edge from the last layer back into the ball closes a cycle too
-    for u in frontier:
-        p = parent[u]
-        for w in adj[u]:
-            if w != p and w in parent:
-                return False
-    return True
+        d += 1
+    return False
 
 
 def ball_classes(adj, h):
     """Depth-h class of every vertex of adj, as a dict vertex -> class.
 
     Each value `is` canonical_from_adjacency(adj, v, h).  Where B_h(v) is
-    a tree, its class has the depth-(h-1) messages of :func:`_messages`
-    into v as root subtrees, and each distinct class is encoded once.  A
-    bounded BFS per vertex finds the balls that hold a cycle, and only
+    a tree, its class joins the depth-(h-1) messages of :func:`_messages`
+    into v, once per distinct multiset.  A bounded BFS per vertex
+    (:func:`_short_cycle_at`) finds the balls that hold a cycle, and only
     those go through canonical_from_adjacency.  Cost O(h * m * d log d)
-    for the whole graph, d the largest degree, plus the BFS of every ball
-    and the canonical labeling of the cyclic ones.
+    for the whole graph, d the largest degree, plus the BFS of every ball,
+    the size of each distinct class, and the canonical labeling of the
+    cyclic balls.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    trees = _TreeIds()
-    verts, start, _, msg = _messages(adj, h - 1, trees)
+    verts, start, _, msg = _messages(adj, h - 1)
+    joined = {}
     out = {}
     for i, v in enumerate(verts):
-        if not _ball_is_tree(adj, v, h):
+        if _short_cycle_at(adj, v, 2 * h + 1):
             out[v] = canonical_from_adjacency(adj, v, h)
-        else:
-            key = tuple(sorted(msg[start[i] : start[i + 1]])) if h else ()
-            out[v] = trees.cls(trees.id(key), h)
+            continue
+        kids = msg[start[i] : start[i + 1]]
+        key = tuple(sorted([c.id for c in kids]))
+        got = joined.get(key)
+        if got is None:
+            got = joined[key] = _join(h, kids)
+        out[v] = got
     return out
 
 
 def split_classes(adj, k):
     """Depth-k class of both sides of every edge, as a dict (u, v) -> class.
 
-    The value at (u, v) is canonical_from_adjacency(adj, v, k, cut=u), read
-    off the depth-k messages of :func:`_messages` in O(k * m * d log d).
-    Exact when every such side is a tree to depth k, which holds when adj
-    has no cycle of length <= 2k + 3.
+    The value at (u, v) is canonical_from_adjacency(adj, v, k, cut=u): the
+    depth-k message of :func:`_messages` on that edge, O(k * m * d log d)
+    for the whole graph plus the size of each distinct class.  Exact when
+    every such side is a tree to depth k, which holds when adj has no
+    cycle of length <= 2k + 3.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    trees = _TreeIds()
-    verts, start, to, msg = _messages(adj, k, trees)
+    verts, start, to, msg = _messages(adj, k)
     return {
-        (verts[i], verts[to[e]]): trees.cls(msg[e], k)
+        (verts[i], verts[to[e]]): msg[e]
         for i in range(len(verts))
         for e in range(start[i], start[i + 1])
     }
@@ -620,7 +641,8 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
         d = radius if depth is None else depth
         if d < radius:
             raise ValueError(f"declared depth {d} below radius {radius}")
-        return _intern(TREE, d, wire, rep)
+        # Re-encode: hand-written subtrees need not be in sorted order.
+        return _tree_class(d, _tree_paren({i: set(nb) for i, nb in enumerate(rep)}, 0))
     if wire.startswith("G"):
         head, _, hexpart = wire.partition(":")
         d = int(head[1:])
@@ -667,6 +689,8 @@ def truncate(g: CanonicalClass, h: int) -> CanonicalClass:
         raise ValueError("depth must be nonnegative")
     if h >= g.depth:
         return g
+    if g.kind == TREE:
+        return _join(h, g.children)
     adj = {i: set(nb) for i, nb in enumerate(g.rep)}
     return canonical_from_adjacency(adj, 0, h)
 
@@ -705,15 +729,7 @@ def join_at_root(tau: CanonicalClass, t_prime: CanonicalClass) -> CanonicalClass
     h = tau.depth
     if t_prime.depth > h - 1:
         raise ValueError(f"child depth {t_prime.depth} exceeds {h - 1}")
-    base = instantiate(tau)
-    offset = len(tau.rep)
-    for v, nb in enumerate(t_prime.rep):
-        for u in nb:
-            if u > v:
-                base.add_edge(v + offset, u + offset)
-    base._ensure(offset)
-    base.add_edge(0, offset)
-    return canonicalize(base, h)
+    return _join(h, tau.children + (t_prime,))
 
 
 def root_degree(g: CanonicalClass) -> int:
@@ -723,12 +739,10 @@ def root_degree(g: CanonicalClass) -> int:
 def children_subtrees(g: CanonicalClass) -> list[CanonicalClass]:
     """For a tree class: the subtree class hanging at each root child.
 
-    Each subtree is declared at depth(g) - 1 (its natural bound).
+    Each subtree is declared at depth(g) - 1 (its natural bound), in
+    g.rep[0] order.  Read off the parenthesis encoding once per class.
     """
-    if g.kind != TREE:
-        raise KindMismatchError("children_subtrees requires a tree class")
-    adj = {i: set(nb) for i, nb in enumerate(g.rep)}
-    return [canonical_from_adjacency(adj, v, g.depth - 1, cut=0) for v in g.rep[0]]
+    return list(g.children)
 
 
 def drop_root_child(g: CanonicalClass, subtree: CanonicalClass) -> CanonicalClass:
@@ -736,13 +750,26 @@ def drop_root_child(g: CanonicalClass, subtree: CanonicalClass) -> CanonicalClas
 
     Result declared at depth(g).  Raises if no such child exists.
     """
-    if g.kind != TREE:
-        raise KindMismatchError("drop_root_child requires a tree class")
-    adj = {i: set(nb) for i, nb in enumerate(g.rep)}
-    for v in g.rep[0]:
-        if canonical_from_adjacency(adj, v, g.depth - 1, cut=0) is subtree:
-            return canonical_from_adjacency(adj, 0, g.depth, cut=v)
+    kids = g.children
+    for i, c in enumerate(kids):
+        if c is subtree:
+            return _join(g.depth, kids[:i] + kids[i + 1 :])
     raise ValueError("no root child carries the requested subtree")
+
+
+def root_sides(g: CanonicalClass, h: int, above=()) -> list:
+    """Both sides of each root edge of the tree class g, at depth h - 1.
+
+    Returns [(t, t')] in g.rep[0] order: t is the root child's subtree and
+    t' the root's side without that child, with the tree classes `above`
+    hung on the root as further children (a look-back type, say).  Tuple
+    algebra on the root subtrees, O(size of g), with no traversal.
+    """
+    kids = g.children
+    return [
+        (truncate(c, h - 1), _join(h - 1, kids[:i] + kids[i + 1 :] + above))
+        for i, c in enumerate(kids)
+    ]
 
 
 def edge_type_table(g: CanonicalClass, h: int) -> dict:
@@ -751,7 +778,8 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
     Maps (t, t') -> number of root neighbors v whose outward component
     (rooted at v) truncates to t and whose inward component (rooted at the
     root) truncates to t', both at depth h-1.  Summing the table gives the
-    root degree.
+    root degree.  A tree class is read by :func:`root_sides` in O(size of
+    g); a class with a cycle by two cut BFS per root edge.
     """
     if h < 1:
         raise ValueError("edge types need h >= 1")
@@ -759,6 +787,8 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
         raise ValueError(
             f"class truncated at depth {g.depth} cannot answer depth-{h} edge types"
         )
+    if g.kind == TREE:
+        return dict(Counter(root_sides(g, h)))
     adj = {i: set(nb) for i, nb in enumerate(g.rep)}
     out: Counter = Counter()
     for v in g.rep[0]:
@@ -784,8 +814,8 @@ def star(k: int, depth: int = 1) -> CanonicalClass:
         raise ValueError("k must be nonnegative")
     if depth < 1 and k > 0:
         raise ValueError("a star with children needs depth >= 1")
-    return _intern(TREE, depth, "(" + "()" * k + ")", _parse_paren("(" + "()" * k + ")"))
+    return _tree_class(depth, "(" + "()" * k + ")")
 
 
 def isolated_root(depth: int = 0) -> CanonicalClass:
-    return star(0, depth) if depth >= 1 else _intern(TREE, 0, "()", _parse_paren("()"))
+    return star(0, depth)

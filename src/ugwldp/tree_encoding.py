@@ -20,13 +20,16 @@ from dataclasses import dataclass
 from .config_model import (
     ColoredMultigraph,
     DegreeSequence,
+    bijection_colors,
     colorblind,
     colorblind_simple,
     config_space_size,
     degree_factorials,
+    degree_sequence_of,
+    from_simple,
     graph_of,
     has_cycle_leq,
-    from_simple,
+    matching_colors,
     sample_G_Dh,
 )
 from .oracle import enumerate_configurations
@@ -95,8 +98,6 @@ def encode(G: SimpleGraph, h: int):
     for u, v in G.edges:
         color = (index[splits[(u, v)]], index[splits[(v, u)]])
         out.add_edge(color, u, v)
-    from .config_model import degree_sequence_of
-
     return out, ctx, degree_sequence_of(out)
 
 
@@ -175,8 +176,6 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
     if mode == "log_asymptotic":
         n = G.n
         m = G.m
-        from .config_model import bijection_colors, matching_colors
-
         # log distinct_orderings(D), without the factorials
         log_count = math.lgamma(n + 1)
         for c in Counter(D.mats).values():

@@ -29,12 +29,13 @@ from .rooted import (
     CanonicalClass,
     KindMismatchError,
     LabeledRootedGraph,
-    canonical_from_adjacency,
+    _join,
     canonicalize,
     children_subtrees,
     declare_depth,
     drop_root_child,
     edge_type_table,
+    root_sides,
     truncate,
 )
 
@@ -105,7 +106,7 @@ def _build_branching(P):
             raise KindMismatchError("branching laws are defined for tree laws")
         subs = children_subtrees(S)
         seen = set()
-        for v, sub in zip(S.rep[0], subs):
+        for sub in subs:
             if sub in seen:
                 continue
             seen.add(sub)
@@ -199,20 +200,8 @@ def _multinomial(n, counts):
 
 
 def _assemble(chosen, depth):
-    """Tree class from a multiset of child-subtree classes."""
-    g = LabeledRootedGraph(root=0)
-    next_id = 1
-    for sub, cnt in chosen:
-        for _ in range(cnt):
-            offset = next_id
-            for v, nb in enumerate(sub.rep):
-                for u in nb:
-                    if u > v:
-                        g.add_edge(v + offset, u + offset)
-            g._ensure(offset)
-            g.add_edge(0, offset)
-            next_id += len(sub.rep)
-    return canonicalize(g, depth)
+    """Tree class from a multiset [(child-subtree class, count)]."""
+    return _join(depth, [sub for sub, cnt in chosen for _ in range(cnt)])
 
 
 def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> NeighborhoodLaw:
@@ -328,21 +317,8 @@ class _Growth:
         """
         got = self.carried.get((tau, back))
         if got is None:
-            adj = {i: set(nb) for i, nb in enumerate(tau.rep)}
-            if back is not None:
-                off = len(tau.rep)
-                for i, nb in enumerate(back.rep):
-                    adj[i + off] = {j + off for j in nb}
-                adj[0].add(off)
-                adj[off].add(0)
-            h = tau.depth
-            got = self.carried[(tau, back)] = [
-                (
-                    canonical_from_adjacency(adj, c, h - 1, cut=0),
-                    canonical_from_adjacency(adj, 0, h - 1, cut=c),
-                )
-                for c in tau.rep[0]
-            ]
+            above = () if back is None else (back,)
+            got = self.carried[(tau, back)] = root_sides(tau, tau.depth, above)
         return got
 
 

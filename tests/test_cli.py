@@ -95,6 +95,15 @@ class TestSampling:
             str(gpath),
         )
         assert code == 0
+        # One draw's attempt count is reported as such, not as a rate.
+        assert set(json.loads(out)) == {
+            "schema",
+            "n",
+            "L",
+            "seed",
+            "attempts",
+            "no_cycle_up_to",
+        }
         G = read_colored_graph(gpath)
         assert not has_cycle_leq(colorblind(G), 2)
 

@@ -145,6 +145,13 @@ class TestCanonicalize:
             c = canonicalize(g, 4)
             assert parse_class(c.wire(), 4) is c
 
+    def test_unsorted_tree_string_parses_to_its_class(self):
+        # "(())" sorts before "()", so the canonical string lists it first.
+        got = parse_class("(()(()))", 2)
+        assert got is parse_class("((())())", 2)
+        assert got.wire() == "((())())"
+        assert got is join_at_root(star(1, 2), star(1, 1))
+
 
 class TestTruncate:
     def test_depth2_path_to_single_child(self):
