@@ -53,6 +53,7 @@ from .config_model import (
     DegreeSequence,
     cm_probability,
     colorblind,
+    colorblind_of,
     config_space_size,
     degree_sequence_of,
     excess,

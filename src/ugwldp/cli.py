@@ -25,6 +25,7 @@ from . import experiments as exp
 from .config_model import (
     RejectionExhaustedError,
     colorblind,
+    colorblind_of,
     graph_of,
     read_degree_file,
     sample_configuration,
@@ -228,11 +229,11 @@ def _cmd_sample(args):
     rng = random.Random(args.seed)
     if args.command == "sample-cm":
         D = read_degree_file(args.degrees)
-        G = graph_of(sample_configuration(D, rng))
+        sigma = sample_configuration(D, rng)
         if args.graph_out:
-            write_colored_graph(args.graph_out, G)
+            write_colored_graph(args.graph_out, graph_of(sigma))
         if args.colorblind_out:
-            write_colorblind(args.colorblind_out, colorblind(G))
+            write_colorblind(args.colorblind_out, colorblind_of(sigma))
         _emit(args, {"n": D.n, "L": D.L, "seed": args.seed, "attempts": 1})
         return 0
     if args.command == "sample-gdh":

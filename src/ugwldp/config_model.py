@@ -214,17 +214,9 @@ class Multigraph:
     def weight(self, u, v):
         return self.w.get((min(u, v), max(u, v)), 0)
 
-    def degree(self, v):
-        total = 0
-        for (a, b), m in self.w.items():
-            if a == v:
-                total += m
-            if b == v and a != b:
-                total += m
-        return total
-
     def adjacency(self):
-        adj = {v: {} for v in range(self.n)}
+        """adj[v] maps each neighbor of v to the edge multiplicity; loops are left out."""
+        adj = [{} for _ in range(self.n)]
         for (u, v), m in self.w.items():
             if u == v:
                 continue
@@ -270,7 +262,7 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
     if h < 3:
         return False
     # girth of the underlying simple graph: a bounded BFS from every vertex
-    adj = {v: sorted(nbrs) for v, nbrs in G.adjacency().items()}
+    adj = [sorted(nbrs) for nbrs in G.adjacency()]
     return any(_short_cycle_at(adj, s, h) for s in range(G.n))
 
 
@@ -281,7 +273,8 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
 
 def half_edges(D: DegreeSequence, c: Color):
     """W_c in the fixed order (vertex ascending, slot ascending)."""
-    return [(c, i, j) for i in range(D.n) for j in range(1, D.D(i, c) + 1)]
+    a, b = c[0] - 1, c[1] - 1
+    return [(c, i, j) for i, mat in enumerate(D.mats) for j in range(1, mat[a][b] + 1)]
 
 
 @dataclass
@@ -369,6 +362,23 @@ def graph_of(sigma: Configuration) -> ColoredMultigraph:
                 G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
                 G.w[(cb, v, u)] = G.w.get((cb, v, u), 0) + 1
     return G
+
+
+def colorblind_of(sigma: Configuration) -> Multigraph:
+    """colorblind(graph_of(sigma)), in one pass over the pairs of sigma.
+
+    Colors are forgotten: a loop adds 2 to (u, u), any other pair adds 1
+    to (min, max).  The weights equal the two-step projection's, entry for
+    entry; only the dict's insertion order may differ.
+    """
+    w: dict = {}
+    pairs = itertools.chain(
+        *sigma.matchings.values(), *(bij.items() for bij in sigma.bijections.values())
+    )
+    for (_, u, _), (_, v, _) in pairs:
+        key = (u, v) if u <= v else (v, u)
+        w[key] = w.get(key, 0) + (2 if u == v else 1)
+    return Multigraph(sigma.D.n, w)
 
 
 def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .config_model import (
     DegreeSequence,
-    colorblind,
+    colorblind_of,
     colorblind_simple,
-    graph_of,
     sample_G_Dh,
     sample_configuration,
 )
@@ -26,61 +25,48 @@ from .neighborhood import NeighborhoodLaw, empirical_distribution, tv_distance
 from .ugw import marginal_ugw
 
 
-def count_loops(bar) -> int:
-    return sum(m // 2 for (u, v), m in bar.w.items() if u == v)
+def cycle_counts(bar) -> dict:
+    """Cycles of length 1..4 of a multigraph, as {length: count}.
 
-
-def count_parallel_pairs(bar) -> int:
-    return sum(m * (m - 1) // 2 for (u, v), m in bar.w.items() if u != v)
-
-
-def count_triangles(adj) -> int:
-    """Triangles of a multigraph, from its Multigraph.adjacency()."""
-    total = 0
-    for x in adj:
-        nbrs = sorted(w for w in adj[x] if w > x)
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                muw = adj[u].get(w, 0)
-                if muw:
-                    total += adj[x][u] * adj[x][w] * muw
-    return total
-
-
-def count_four_cycles(adj) -> int:
-    """4-cycles of a multigraph, from its Multigraph.adjacency()."""
-    acc: dict = {}
-    for x in adj:
-        nbrs = sorted(adj[x])
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                m = adj[x][u] * adj[x][w]
-                s, sq = acc.get((u, w), (0, 0))
-                acc[(u, w)] = (s + m, sq + m * m)
-    total = 0
-    for s, sq in acc.values():
-        total += s * s - sq
-    assert total % 4 == 0
-    return total // 4
-
-
-def cycle_counts(bar, max_len=4) -> dict:
-    out = {}
-    if max_len >= 1:
-        out[1] = count_loops(bar)
-    if max_len >= 2:
-        out[2] = count_parallel_pairs(bar)
-    if max_len >= 3:
-        adj = bar.adjacency()
-        out[3] = count_triangles(adj)
-    if max_len >= 4:
-        out[4] = count_four_cycles(adj)
-    return out
+    A cycle counts once per choice of edges, so it weighs the product of
+    its edges' multiplicities: an edge of multiplicity m holds C(m, 2)
+    2-cycles, and each loop is a 1-cycle.  Triangles are counted from
+    their least vertex x over x < u < w.  A 4-cycle is counted from its
+    least vertex x: the 2-paths x-u-w with u, w > x are grouped by their
+    far end w, and each new path of weight p pairs with the running
+    weight s of the earlier ones, adding s * p.  Cost O(sum of deg^2).
+    """
+    loops = parallel = triangles = squares = 0
+    adj = bar.adjacency()
+    for x, ax in enumerate(adj):
+        loops += bar.w.get((x, x), 0) // 2
+        far: dict = {}  # w -> summed weight of the 2-paths x-u-w so far
+        for u, mxu in ax.items():
+            if u < x:
+                continue
+            parallel += mxu * (mxu - 1) // 2
+            for w, muw in adj[u].items():
+                if w <= x:
+                    continue
+                p = mxu * muw
+                if w > u and w in ax:
+                    triangles += p * ax[w]
+                s = far.get(w, 0)
+                squares += s * p
+                far[w] = s + p
+    return {1: loops, 2: parallel, 3: triangles, 4: squares}
 
 
 def regular_intensity(d: int, ell: int) -> float:
     """Limiting mean number of length-ell cycles in the d-regular model."""
     return (d - 1) ** ell / (2 * ell)
+
+
+def _require_positive(**params):
+    """Raise ValueError naming the first parameter below 1."""
+    for name, value in params.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _fan_out(worker, samples, seed):
@@ -89,14 +75,21 @@ def _fan_out(worker, samples, seed):
 
 
 def cycles_experiment(d: int, n: int, samples: int, seed: int):
-    """Short-cycle counts and simpleness rate of the d-regular pairing model."""
+    """Short-cycle counts and simpleness rate of the d-regular pairing model.
+
+    Each sample is one pairing on n vertices, projected by colorblind_of
+    and counted by cycle_counts.  Rows 1..4 give each length's mean, its
+    standard error and the limiting mean (d-1)^l / (2l); the last row gives
+    the share of simple samples against exp(-l1 - l2).  Raises ValueError
+    naming d, n or samples if it is below 1.
+    """
+    _require_positive(d=d, n=n, samples=samples)
     D = DegreeSequence.single_color([d] * n)
 
     def one(s):
         rng = random.Random(s)
-        bar = colorblind(graph_of(sample_configuration(D, rng)))
-        counts = cycle_counts(bar, 4)
-        # no loop and no parallel pair: has_cycle_leq(bar, 2) is False
+        counts = cycle_counts(colorblind_of(sample_configuration(D, rng)))
+        # simple: no loop and no parallel pair, so no cycle of length <= 2
         counts["simple"] = int(counts[1] + counts[2] == 0)
         return counts
 
@@ -211,6 +204,7 @@ def concentration_envelope_delta(theta: int, L: int, k: int, mean_half_edges: fl
 
 def concentrate_experiment(d: int, n_list, samples: int, seed: int):
     """Frequency concentration of the plain depth-1 star class."""
+    _require_positive(d=d, samples=samples, **{f"n_list[{i}]": n for i, n in enumerate(n_list)})
     rows = []
     for n in n_list:
         D = DegreeSequence.single_color([d] * n)
@@ -219,17 +213,13 @@ def concentrate_experiment(d: int, n_list, samples: int, seed: int):
             # frequency of the plain d-star ball: d distinct simple edges,
             # no loops anywhere in the ball, no edges among the neighbors
             rng = random.Random(s)
-            bar = colorblind(graph_of(sample_configuration(D, rng)))
+            bar = colorblind_of(sample_configuration(D, rng))
             adj = bar.adjacency()
-            loops = {u for (u, v), m in bar.w.items() if u == v and m > 0}
             hits = 0
-            for v in range(n):
-                if v in loops:
+            for v, nbrs in enumerate(adj):
+                if (v, v) in bar.w or len(nbrs) != d or any(m != 1 for m in nbrs.values()):
                     continue
-                nbrs = adj[v]
-                if len(nbrs) != d or any(m != 1 for m in nbrs.values()):
-                    continue
-                if any(u in loops for u in nbrs):
+                if any((u, u) in bar.w for u in nbrs):
                     continue
                 ns = sorted(nbrs)
                 if any(w in adj[u] for i, u in enumerate(ns) for w in ns[i + 1 :]):

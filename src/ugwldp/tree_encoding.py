@@ -21,13 +21,12 @@ from .config_model import (
     ColoredMultigraph,
     DegreeSequence,
     bijection_colors,
-    colorblind,
+    colorblind_of,
     colorblind_simple,
     config_space_size,
     degree_factorials,
     degree_sequence_of,
     from_simple,
-    graph_of,
     has_cycle_leq,
     matching_colors,
     sample_G_Dh,
@@ -138,7 +137,7 @@ def count_short_cycle_free(D: DegreeSequence, h: int) -> int:
         raise ValueError("needs h >= 2 so accepted graphs are simple")
     accepted = 0
     for sigma in enumerate_configurations(D):
-        if not has_cycle_leq(colorblind(graph_of(sigma)), h):
+        if not has_cycle_leq(colorblind_of(sigma), h):
             accepted += 1
     fiber = degree_factorials(D)
     assert accepted % fiber == 0

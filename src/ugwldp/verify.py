@@ -210,8 +210,7 @@ def check_acceptance_fraction(quick=False):
         space = cm.config_space_size(D)
         accepted = 0
         for sigma in enumerate_configurations(D):
-            bar = cm.colorblind(cm.graph_of(sigma))
-            if not cm.has_cycle_leq(bar, 2):
+            if not cm.has_cycle_leq(cm.colorblind_of(sigma), 2):
                 accepted += 1
         if Fraction(accepted, space) != alpha:
             return False, "cycle detectors disagree"

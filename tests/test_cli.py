@@ -159,6 +159,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "sample-cm", "--degrees", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["cycles", "--d", "0", "--n", "10", "--samples", "2"], "d"),
+            (["cycles", "--n", "0", "--samples", "2"], "n"),
+            (["cycles", "--n", "10", "--samples", "0"], "samples"),
+            (["concentrate", "--d", "0", "--n-list", "10", "--samples", "2"], "d"),
+            (["concentrate", "--n-list", "10,0", "--samples", "2"], "n_list[1]"),
+            (["concentrate", "--n-list", "10", "--samples", "0"], "samples"),
+        ],
+    )
+    def test_experiment_parameter_below_one_exit1(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {name} must be >= 1, got 0\n"
+
     def test_rejection_exhaustion_exit2(self, capsys, tiny_cycle_degrees):
         code, _, err = run(
             capsys,
