@@ -109,10 +109,14 @@ def _fmt_value(x):
     return x
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+def _add_output(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_seeded(p):
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    _add_output(p)
 
 
 def build_parser():
@@ -123,7 +127,7 @@ def build_parser():
     p.add_argument("--degrees", required=True)
     p.add_argument("--graph-out", default=None)
     p.add_argument("--colorblind-out", default=None)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("sample-gdh", help="sample with no short cycles")
     p.add_argument("--degrees", required=True)
@@ -131,85 +135,84 @@ def build_parser():
     p.add_argument("--max-attempts", type=int, default=None)
     p.add_argument("--graph-out", default=None)
     p.add_argument("--colorblind-out", default=None)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("sample-ugw", help="sample the prescribed-law tree")
     p.add_argument("--law", required=True, help="law file (JSON)")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--tree-out", default=None)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("sample-bipartite", help="sample the alternating two-law tree")
     p.add_argument("--p1", required=True, type=_degree_law_arg)
     p.add_argument("--p2", required=True, type=_degree_law_arg)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--tree-out", default=None)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("jh", help="tree-ensemble entropy of a depth-h law")
     p.add_argument("--law", required=True)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("sigma-ugw1", help="depth-1 tree-ensemble entropy")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("delta", help="entropy increment between marginal depths")
     p.add_argument("--law", required=True, help="deeper law file")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rate-degrees", help="rate under the fixed-degree ensemble")
     p.add_argument("--law", required=True)
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rate-edges", help="rate under the fixed-edge ensemble")
     p.add_argument("--law", required=True)
     p.add_argument("--d", required=True, type=float)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rate-binomial", help="rate under the binomial ensemble")
     p.add_argument("--law", required=True)
     p.add_argument("--lam", required=True, type=float)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rate-degree-er", help="degree rate, binomial ensemble")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
     p.add_argument("--lam", required=True, type=float)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rate-degree-fixed", help="degree rate, fixed-edge ensemble")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
     p.add_argument("--d", required=True, type=float)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("disc-bound", help="two-block entropy upper bound")
     p.add_argument("--p1", required=True, type=_degree_law_arg)
     p.add_argument("--p2", required=True, type=_degree_law_arg)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("cycles", help="short-cycle statistics experiment")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--samples", type=int, default=2000)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("converge", help="local-convergence experiment")
     p.add_argument("--degree-law", required=True, type=_degree_law_arg)
     p.add_argument("--n-list", default="200,800,3200")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=2)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("concentrate", help="frequency-concentration experiment")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n-list", default="500,2000")
     p.add_argument("--samples", type=int, default=300)
-    _add_common(p)
+    _add_seeded(p)
 
     p = sub.add_parser("verify", help="oracle cross-check grid")
     p.add_argument("--quick", action="store_true")
-    _add_common(p)
 
     return top
 

@@ -29,6 +29,17 @@ def conj(c: Color) -> Color:
     return (c[1], c[0])
 
 
+class _Conjugates(dict):
+    """Color -> its conjugate, one tuple per color, shared by every weight key."""
+
+    def __missing__(self, c):
+        self[c] = cb = (c[1], c[0])
+        return cb
+
+
+_CONJ = _Conjugates()
+
+
 def all_colors(L):
     return [(i, j) for i in range(1, L + 1) for j in range(1, L + 1)]
 
@@ -153,10 +164,8 @@ class ColoredMultigraph:
     """Vertex set {0..n-1} with per-color weight maps.
 
     The weight dict stores every nonzero entry (c, u, v) -> count and
-    maintains w[c][u][v] == w[conj c][v][u].  Diagonal entries of
-    matching colors are even (two per loop); a diagonal entry of an
-    off-diagonal color counts loops of that color pair once on each of
-    the two conjugate keys.
+    maintains w[c][u][v] == w[conj c][v][u]: :meth:`add_edge` is the one
+    rule that writes it, and :meth:`edges` reads it back.
     """
 
     __slots__ = ("L", "n", "w")
@@ -170,17 +179,33 @@ class ColoredMultigraph:
         return self.w.get((c, u, v), 0)
 
     def add_edge(self, c, u, v):
-        """Insert one directed edge (u, v) of color c plus its conjugate twin."""
-        cb = conj(c)
-        if u == v:
-            if c == cb:
-                self.w[(c, u, u)] = self.w.get((c, u, u), 0) + 2
-            else:
-                self.w[(c, u, u)] = self.w.get((c, u, u), 0) + 1
-                self.w[(cb, u, u)] = self.w.get((cb, u, u), 0) + 1
-        else:
-            self.w[(c, u, v)] = self.w.get((c, u, v), 0) + 1
-            self.w[(cb, v, u)] = self.w.get((cb, v, u), 0) + 1
+        """Add one edge (u, v) of color c: 1 at (c, u, v) and 1 at its twin (conj c, v, u).
+
+        A loop of a diagonal color is its own twin and so counts 2; a loop
+        of an off-diagonal color counts once on each of its two keys.
+        """
+        w = self.w
+        key = (c, u, v)
+        w[key] = w.get(key, 0) + 1
+        key = (_CONJ[c], v, u)
+        w[key] = w.get(key, 0) + 1
+
+    def edges(self):
+        """One (c, u, v) per edge, in sorted key order: add_edge over them rebuilds w.
+
+        A key below its twin (conj c, v, u) stands for m edges, a key equal
+        to its twin (a diagonal-color loop) for m // 2, and a key above its
+        twin for none, since the twin carries them.
+        """
+        out = []
+        for key, m in sorted(self.w.items()):
+            c, u, v = key
+            twin = ((c[1], c[0]), v, u)
+            if key < twin:
+                out += [key] * m
+            elif key == twin:
+                out += [key] * (m // 2)
+        return out
 
     def key(self):
         return (self.L, self.n, tuple(sorted(self.w.items())))
@@ -262,7 +287,7 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
     if h < 3:
         return False
     # girth of the underlying simple graph: a bounded BFS from every vertex
-    adj = [sorted(nbrs) for nbrs in G.adjacency()]
+    adj = G.adjacency()
     return any(_short_cycle_at(adj, s, h) for s in range(G.n))
 
 
@@ -279,11 +304,16 @@ def half_edges(D: DegreeSequence, c: Color):
 
 @dataclass
 class Configuration:
-    """Per-color pairings: matchings on diagonal colors, bijections across conjugates."""
+    """A pairing of every half-edge of D: color -> tuple of (half-edge, half-edge) pairs.
+
+    Colors come in C_= order, then C_< order.  A diagonal color c holds a
+    perfect matching of W_c, in drawn order; a color c of C_< holds every
+    half-edge of W_c, in W_c order, with its partner in W_conj(c).  Each
+    pair is one edge of :func:`graph_of`.
+    """
 
     D: DegreeSequence
-    matchings: dict  # c in C_= -> tuple of half-edge pairs
-    bijections: dict  # c in C_< -> dict half-edge -> half-edge of conj color
+    pairs: dict
 
 
 def _pools(D: DegreeSequence):
@@ -324,16 +354,13 @@ def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
             yield left[0], perm[0]
 
 
-def _configuration(D: DegreeSequence, pairs) -> Configuration:
-    """Group drawn pairs by color; bijections are keyed in W_c order."""
-    matchings = {c: [] for c in matching_colors(D.L)}
-    bijections = {c: [] for c in bijection_colors(D.L)}
-    for a, b in pairs:
-        (matchings if a[0] in matchings else bijections)[a[0]].append((a, b))
+def _configuration(D: DegreeSequence, drawn) -> Configuration:
+    """Group drawn pairs by color; a color of C_< is put in W_c order."""
+    pairs = {c: [] for c in matching_colors(D.L) + bijection_colors(D.L)}
+    for a, b in drawn:
+        pairs[a[0]].append((a, b))
     return Configuration(
-        D,
-        {c: tuple(p) for c, p in matchings.items()},
-        {c: dict(sorted(p)) for c, p in bijections.items()},
+        D, {c: tuple(p if c[0] == c[1] else sorted(p)) for c, p in pairs.items()}
     )
 
 
@@ -343,24 +370,13 @@ def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration
 
 
 def graph_of(sigma: Configuration) -> ColoredMultigraph:
+    """The colored multigraph of sigma: one add_edge(c, u, v) per pair, in pair order."""
     D = sigma.D
     G = ColoredMultigraph(D.L, D.n)
-    for c, pairs in sigma.matchings.items():
-        for (c1, u, _), (c2, v, _) in pairs:
-            if u == v:
-                G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 2
-            else:
-                G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
-                G.w[(c, v, u)] = G.w.get((c, v, u), 0) + 1
-    for c, bij in sigma.bijections.items():
-        cb = conj(c)
-        for (c1, u, _), (c2, v, _) in bij.items():
-            if u == v:
-                G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 1
-                G.w[(cb, u, u)] = G.w.get((cb, u, u), 0) + 1
-            else:
-                G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
-                G.w[(cb, v, u)] = G.w.get((cb, v, u), 0) + 1
+    add = G.add_edge
+    for c, pairs in sigma.pairs.items():
+        for (_, u, _), (_, v, _) in pairs:
+            add(c, u, v)
     return G
 
 
@@ -372,43 +388,32 @@ def colorblind_of(sigma: Configuration) -> Multigraph:
     entry; only the dict's insertion order may differ.
     """
     w: dict = {}
-    pairs = itertools.chain(
-        *sigma.matchings.values(), *(bij.items() for bij in sigma.bijections.values())
-    )
-    for (_, u, _), (_, v, _) in pairs:
+    for (_, u, _), (_, v, _) in itertools.chain(*sigma.pairs.values()):
         key = (u, v) if u <= v else (v, u)
         w[key] = w.get(key, 0) + (2 if u == v else 1)
     return Multigraph(sigma.D.n, w)
 
 
 def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:
-    """One uniform switch: swap the partners of two pairs of one color."""
-    candidates = [c for c in matching_colors(sigma.D.L) if len(sigma.matchings[c]) >= 2]
-    candidates += [
-        c for c in bijection_colors(sigma.D.L) if len(sigma.bijections[c]) >= 2
-    ]
+    """One uniform switch: two pairs (a, b), (x, y) of one color exchange partners.
+
+    The color is uniform among those with two pairs or more, and the two
+    pair indices are rng.sample(range(len), 2).  They become (a, y) and
+    (x, b).  In a matching the ends of a pair are exchangeable, so one more
+    draw, rng.random() < 0.5, gives (a, x) and (b, y) instead of (a, y)
+    and (b, x); b leads its new pair.
+    """
+    candidates = [c for c, p in sigma.pairs.items() if len(p) >= 2]
     if not candidates:
         return sigma
     c = candidates[rng.randrange(len(candidates))]
-    matchings = dict(sigma.matchings)
-    bijections = dict(sigma.bijections)
-    if c in matchings:
-        pairs = list(matchings[c])
-        i, j = rng.sample(range(len(pairs)), 2)
-        (a, b), (x, y) = pairs[i], pairs[j]
-        if rng.random() < 0.5:
-            pairs[i], pairs[j] = (a, x), (b, y)
-        else:
-            pairs[i], pairs[j] = (a, y), (b, x)
-        matchings[c] = tuple(pairs)
-    else:
-        bij = dict(bijections[c])
-        keys = sorted(bij)
-        i, j = rng.sample(range(len(keys)), 2)
-        k1, k2 = keys[i], keys[j]
-        bij[k1], bij[k2] = bij[k2], bij[k1]
-        bijections[c] = bij
-    return Configuration(sigma.D, matchings, bijections)
+    pairs = list(sigma.pairs[c])
+    i, j = rng.sample(range(len(pairs)), 2)
+    (a, b), (x, y) = pairs[i], pairs[j]
+    if c[0] == c[1]:
+        x, y, b = (b, x, y) if rng.random() < 0.5 else (b, y, x)
+    pairs[i], pairs[j] = (a, y), (x, b)
+    return Configuration(sigma.D, {**sigma.pairs, c: tuple(pairs)})
 
 
 def sample_G_Dh(
@@ -536,13 +541,6 @@ def automorphism_count(H: ColoredMultigraph) -> int:
     return _colored_canon(H)[2]
 
 
-def _dc_of(H: ColoredMultigraph):
-    d = {}
-    for (c, u, _v), m in H.w.items():
-        d[(c, u)] = d.get((c, u), 0) + m
-    return d
-
-
 def _falling(x, k):
     out = 1
     for i in range(k):
@@ -552,7 +550,8 @@ def _falling(x, k):
 
 def _falling_pairs(S, s):
     """Product (S-1)(S-3)...: one factor per half-edge pair consumed."""
-    assert s % 2 == 0
+    if s % 2:
+        raise ValueError(f"a matching consumes half-edges in pairs, got an odd count {s}")
     out = 1
     for i in range(1, s // 2 + 1):
         out *= S - 2 * i + 1
@@ -574,7 +573,7 @@ def subgraph_count_expectation(
         raise ValueError("give exactly one of degrees= or limit=")
     a = automorphism_count(H)
     b = _b_factor(H)
-    dH = _dc_of(H)
+    dH = degree_sequence_of(H)
     k = H.n
     if degrees is not None:
         D = degrees
@@ -583,7 +582,7 @@ def subgraph_count_expectation(
             term = Fraction(1)
             for i in range(k):
                 for c in all_colors(D.L):
-                    need = dH.get((c, i), 0)
+                    need = dH.D(i, c)
                     if need:
                         term *= _falling(D.D(tau[i], c), need)
                 if term == 0:
@@ -591,11 +590,9 @@ def subgraph_count_expectation(
             total += term
         den = a * b
         for c in bijection_colors(D.L):
-            sc = sum(dH.get((c, i), 0) for i in range(k))
-            den *= _falling(D.S(c), sc)
+            den *= _falling(D.S(c), dH.S(c))
         for c in matching_colors(D.L):
-            sc = sum(dH.get((c, i), 0) for i in range(k))
-            den *= _falling_pairs(D.S(c), sc)
+            den *= _falling_pairs(D.S(c), dH.S(c))
         return total / den
     L = H.L
     num = 1.0
@@ -604,14 +601,14 @@ def subgraph_count_expectation(
         for M, p in limit.items():
             term = float(p)
             for c in all_colors(L):
-                need = dH.get((c, i), 0)
+                need = dH.D(i, c)
                 if need:
                     term *= _falling(M[c[0] - 1][c[1] - 1], need)
             factor += term
         num *= factor
     den = float(a * b)
     for c in all_colors(L):
-        sc = sum(dH.get((c, i), 0) for i in range(k))
+        sc = dH.S(c)
         if sc:
             ed = sum(float(p) * M[c[0] - 1][c[1] - 1] for M, p in limit.items())
             den *= ed ** (sc / 2)
@@ -786,23 +783,8 @@ def ball_of(G: ColoredMultigraph, v: int, depth: int) -> ExploredNeighborhood:
     can be compared by signature.
     """
     dist = _ball(colorblind(G).adjacency(), v, depth)
-    edges = []
-    for (c, a, b), m in sorted(G.w.items()):
-        if a not in dist or b not in dist:
-            continue
-        if a == b:
-            if c != min(c, conj(c)):
-                continue  # the conjugate entry carries the same loops
-            count = m // 2 if c == conj(c) else m
-            edges.extend((a, a, c) for _ in range(count))
-        else:
-            # one entry per undirected edge: keep the (c, a, b) orientation
-            # with the lexicographically smaller key
-            if (c, a, b) <= (conj(c), b, a):
-                edges.extend((a, b, c) for _ in range(m))
-    n_ball = len(dist)
-    simple_edges = len(edges)
-    is_tree = simple_edges == n_ball - 1 and all(u != w for u, w, _ in edges)
+    edges = [(a, b, c) for c, a, b in G.edges() if a in dist and b in dist]
+    is_tree = len(edges) == len(dist) - 1 and all(u != w for u, w, _ in edges)
     return ExploredNeighborhood(v, dist, edges, is_tree)
 
 

@@ -65,24 +65,16 @@ def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
     """Every configuration of D exactly once (guarded by the space size)."""
     if config_space_size(D) > limit:
         raise ValueError("configuration space beyond the oracle limit")
-    match_groups = []
-    for c in matching_colors(D.L):
-        match_groups.append((c, list(_all_matchings(tuple(half_edges(D, c))))))
-    bij_groups = []
+    colors = matching_colors(D.L) + bijection_colors(D.L)
+    choices = [list(_all_matchings(tuple(half_edges(D, c)))) for c in matching_colors(D.L)]
     for c in bijection_colors(D.L):
         left = half_edges(D, c)
         right = half_edges(D, conj(c))
         if len(left) != len(right):
             raise ValueError("unbalanced conjugate colors")
-        maps = [dict(zip(left, perm)) for perm in itertools.permutations(right)]
-        bij_groups.append((c, maps))
-    match_choices = [g[1] for g in match_groups]
-    bij_choices = [g[1] for g in bij_groups]
-    for mcombo in itertools.product(*match_choices):
-        matchings = {c: pairs for (c, _), pairs in zip(match_groups, mcombo)}
-        for bcombo in itertools.product(*bij_choices):
-            bijections = {c: bij for (c, _), bij in zip(bij_groups, bcombo)}
-            yield Configuration(D, dict(matchings), dict(bijections))
+        choices.append([tuple(zip(left, perm)) for perm in itertools.permutations(right)])
+    for combo in itertools.product(*choices):
+        yield Configuration(D, dict(zip(colors, combo)))
 
 
 def exact_cm_law(D: DegreeSequence, limit: int = 10**6):

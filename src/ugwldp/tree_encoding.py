@@ -140,7 +140,10 @@ def count_short_cycle_free(D: DegreeSequence, h: int) -> int:
         if not has_cycle_leq(colorblind_of(sigma), h):
             accepted += 1
     fiber = degree_factorials(D)
-    assert accepted % fiber == 0
+    if accepted % fiber:
+        raise RuntimeError(
+            f"{accepted} accepted configurations are not a multiple of the fiber size {fiber}"
+        )
     return accepted // fiber
 
 

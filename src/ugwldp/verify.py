@@ -159,7 +159,8 @@ def check_marginals(quick=False):
     if quick:
         pool = pool[:5]
     for P, h, k in pool:
-        assert P.depth == h
+        if P.depth != h:
+            return False, f"law pool entry of depth {P.depth} listed at h={h}"
         if not is_admissible(P):
             return False, "law pool contains a non-admissible law"
         if marginal_ugw(P, k) != brute_ugw_marginal(P, k):

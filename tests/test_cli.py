@@ -153,6 +153,24 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["jh", "--law", "x.json", "--seed", "1"], "--seed"),
+            (["delta", "--law", "x.json", "--seed", "1"], "--seed"),
+            (["verify", "--quick", "--seed", "1"], "--seed"),
+            (["verify", "--quick", "--out", "x"], "--out"),
+            (["verify", "--quick", "--format", "csv"], "--format"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exit1(self, capsys, argv, flag):
+        # Entropy commands draw no random numbers, and verify prints its
+        # own PASS/FAIL lines: a flag they would ignore is refused.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
     def test_invalid_degrees_exit1(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         write_degree_file(path, DegreeSequence.single_color([1]))

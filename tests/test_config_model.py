@@ -34,6 +34,7 @@ from ugwldp.config_model import (
     subgraph_count_expectation,
     validate_degree_sequence,
     write_degree_file,
+    read_colored_graph,
     read_degree_file,
 )
 from ugwldp.oracle import (
@@ -354,6 +355,15 @@ class TestMotifs:
                 want += Fraction(counter(colorblind(H)) * c, total)
             got = subgraph_count_expectation(motif, degrees=D)
             assert got == want
+
+    def test_odd_matching_color_total_raises(self, tmp_path):
+        # a graph file may list (c, u, v) without its twin (c, v, u); the
+        # motif then has one (1,1) half-edge, which no matching can pair
+        path = tmp_path / "H.txt"
+        path.write_text("1 2\n0 1 1 1 1\n", encoding="utf-8")
+        H = read_colored_graph(path)
+        with pytest.raises(ValueError, match="odd count 1"):
+            subgraph_count_expectation(H, degrees=DegreeSequence.single_color([2, 2, 2]))
 
     def test_cycle_family_single_color(self):
         fam1 = cycle_family(1, 1)

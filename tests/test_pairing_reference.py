@@ -1,9 +1,16 @@
-"""Pairing samplers and the girth test against straightforward references.
+"""Pairing samplers, the pair-to-weight rule and the girth test against references.
 
 The references below are the materialized-pool forms of the lazy
 exploration, the sequential pairing and one rejection attempt: they build
 every half-edge pool up front.  The library versions must return the same result and leave the
 random generator in the same state, on the same seed.
+
+A second set keeps a configuration as two containers, a tuple of pairs per
+diagonal color and a dict half-edge -> partner per color of C_<, with the
+weight rule written out per case in add_edge, graph_of and ball_of, and a
+switch per container.  The one-dict Configuration, ColoredMultigraph.add_edge
+and ColoredMultigraph.edges must give the same weights, in the same insertion
+order, the same balls, and the same switched pairs and generator state.
 """
 
 import random
@@ -12,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugwldp.config_model import (
+    ColoredMultigraph,
     Configuration,
     DegreeSequence,
     ExploredNeighborhood,
@@ -19,6 +27,8 @@ from ugwldp.config_model import (
     Multigraph,
     RejectionExhaustedError,
     all_colors,
+    apply_switch,
+    ball_of,
     bijection_colors,
     colorblind,
     conj,
@@ -32,6 +42,7 @@ from ugwldp.config_model import (
     validate_degree_sequence,
 )
 from ugwldp.oracle import _has_short_cycle_brute
+from ugwldp.rooted import _ball
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -111,7 +122,7 @@ def reference_configuration(D, rng):
     """Sequential pairing that pops the least unmatched half-edge off the front."""
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
-    matchings = {}
+    out = {}
     for c in matching_colors(D.L):
         pool = half_edges(D, c)
         pairs = []
@@ -123,13 +134,12 @@ def reference_configuration(D, rng):
             pool[k] = pool[-1]
             pool.pop()
             pool.pop(0)
-        matchings[c] = tuple(pairs)
-    bijections = {}
+        out[c] = tuple(pairs)
     for c in bijection_colors(D.L):
         perm = list(half_edges(D, conj(c)))
         rng.shuffle(perm)
-        bijections[c] = dict(zip(half_edges(D, c), perm))
-    return Configuration(D, matchings, bijections)
+        out[c] = tuple(zip(half_edges(D, c), perm))
+    return Configuration(D, out)
 
 
 def reference_attempt(D, rng):
@@ -150,7 +160,7 @@ def reference_attempt(D, rng):
         joined.add(pair)
         return False
 
-    matchings = {}
+    out = {}
     for c in matching_colors(D.L):
         pool = half_edges(D, c)
         pairs = []
@@ -164,8 +174,7 @@ def reference_attempt(D, rng):
             pool[k] = pool[-1]
             pool.pop()
             pool.pop(0)
-        matchings[c] = tuple(pairs)
-    bijections = {}
+        out[c] = tuple(pairs)
     for c in bijection_colors(D.L):
         left = half_edges(D, c)
         perm = half_edges(D, conj(c))
@@ -177,8 +186,100 @@ def reference_attempt(D, rng):
                 perm[i], perm[j] = perm[j], perm[i]
             if defect(left[i], perm[i]):
                 return None
-        bijections[c] = dict(zip(left, perm))
-    return Configuration(D, matchings, bijections)
+        out[c] = tuple(zip(left, perm))
+    return Configuration(D, out)
+
+
+def split_containers(sigma):
+    """(matchings, bijections): tuples of pairs, and dicts half-edge -> partner."""
+    matchings = {c: sigma.pairs[c] for c in matching_colors(sigma.D.L)}
+    bijections = {c: dict(sigma.pairs[c]) for c in bijection_colors(sigma.D.L)}
+    return matchings, bijections
+
+
+def reference_add_edge(G, c, u, v):
+    """The weight rule written out for loops and non-loops of both color kinds."""
+    cb = conj(c)
+    if u == v:
+        if c == cb:
+            G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 2
+        else:
+            G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 1
+            G.w[(cb, u, u)] = G.w.get((cb, u, u), 0) + 1
+    else:
+        G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
+        G.w[(cb, v, u)] = G.w.get((cb, v, u), 0) + 1
+
+
+def reference_graph_of(sigma):
+    matchings, bijections = split_containers(sigma)
+    D = sigma.D
+    G = ColoredMultigraph(D.L, D.n)
+    for c, pairs in matchings.items():
+        for (c1, u, _), (c2, v, _) in pairs:
+            if u == v:
+                G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 2
+            else:
+                G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
+                G.w[(c, v, u)] = G.w.get((c, v, u), 0) + 1
+    for c, bij in bijections.items():
+        cb = conj(c)
+        for (c1, u, _), (c2, v, _) in bij.items():
+            if u == v:
+                G.w[(c, u, u)] = G.w.get((c, u, u), 0) + 1
+                G.w[(cb, u, u)] = G.w.get((cb, u, u), 0) + 1
+            else:
+                G.w[(c, u, v)] = G.w.get((c, u, v), 0) + 1
+                G.w[(cb, v, u)] = G.w.get((cb, v, u), 0) + 1
+    return G
+
+
+def reference_apply_switch(sigma, rng):
+    """One switch on the two containers; returned as a one-dict Configuration."""
+    matchings, bijections = split_containers(sigma)
+    candidates = [c for c in matching_colors(sigma.D.L) if len(matchings[c]) >= 2]
+    candidates += [c for c in bijection_colors(sigma.D.L) if len(bijections[c]) >= 2]
+    if not candidates:
+        return sigma
+    c = candidates[rng.randrange(len(candidates))]
+    if c in matchings:
+        pairs = list(matchings[c])
+        i, j = rng.sample(range(len(pairs)), 2)
+        (a, b), (x, y) = pairs[i], pairs[j]
+        if rng.random() < 0.5:
+            pairs[i], pairs[j] = (a, x), (b, y)
+        else:
+            pairs[i], pairs[j] = (a, y), (b, x)
+        matchings[c] = tuple(pairs)
+    else:
+        bij = dict(bijections[c])
+        keys = sorted(bij)
+        i, j = rng.sample(range(len(keys)), 2)
+        k1, k2 = keys[i], keys[j]
+        bij[k1], bij[k2] = bij[k2], bij[k1]
+        bijections[c] = bij
+    pairs = dict(matchings)
+    pairs.update((c, tuple(bij.items())) for c, bij in bijections.items())
+    return Configuration(sigma.D, pairs)
+
+
+def reference_ball_of(G, v, depth):
+    """Induced ball, one edge per pair of twin weight entries, inverted by hand."""
+    dist = _ball(colorblind(G).adjacency(), v, depth)
+    edges = []
+    for (c, a, b), m in sorted(G.w.items()):
+        if a not in dist or b not in dist:
+            continue
+        if a == b:
+            if c != min(c, conj(c)):
+                continue  # the conjugate entry carries the same loops
+            count = m // 2 if c == conj(c) else m
+            edges.extend((a, a, c) for _ in range(count))
+        else:
+            if (c, a, b) <= (conj(c), b, a):
+                edges.extend((a, b, c) for _ in range(m))
+    is_tree = len(edges) == len(dist) - 1 and all(u != w for u, w, _ in edges)
+    return ExploredNeighborhood(v, dist, edges, is_tree)
 
 
 @st.composite
@@ -246,8 +347,7 @@ class TestAgainstReference:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = sample_configuration(D, rng)
         want = reference_configuration(D, ref_rng)
-        assert got.matchings == want.matchings
-        assert got.bijections == want.bijections
+        assert got.pairs == want.pairs
         assert rng.getstate() == ref_rng.getstate()
 
     @SETTINGS
@@ -274,6 +374,90 @@ class TestAgainstReference:
     @given(G=multigraphs(), h=st.integers(1, 6))
     def test_girth_test_matches_brute_force(self, G, h):
         assert has_cycle_leq(G, h) == _has_short_cycle_brute(G, h)
+
+
+class TestConfigurationAgainstReference:
+    """Small sequences (n <= 5, L <= 3), so loops of both color kinds are common."""
+
+    @SETTINGS
+    @given(D=degree_sequences(max_n=5), seed=st.integers(0, 2**32))
+    def test_graph_of_matches_reference(self, D, seed):
+        sigma = sample_configuration(D, random.Random(seed))
+        assert list(sigma.pairs) == matching_colors(D.L) + bijection_colors(D.L)
+        got, want = graph_of(sigma), reference_graph_of(sigma)
+        assert (got.L, got.n) == (want.L, want.n)
+        assert list(got.w.items()) == list(want.w.items())
+
+    @SETTINGS
+    @given(D=degree_sequences(max_n=5), seed=st.integers(0, 2**32))
+    def test_edges_rebuild_weights(self, D, seed):
+        sigma = sample_configuration(D, random.Random(seed))
+        G = graph_of(sigma)
+        edges = G.edges()
+        assert edges == sorted(edges)
+        assert len(edges) == sum(len(p) for p in sigma.pairs.values())
+        rebuilt = ColoredMultigraph(G.L, G.n)
+        for c, u, v in edges:
+            rebuilt.add_edge(c, u, v)
+        assert rebuilt.w == G.w
+
+    @SETTINGS
+    @given(D=degree_sequences(max_n=5), seed=st.integers(0, 2**32))
+    def test_weight_keys_share_one_color_object_per_color(self, D, seed):
+        # at most the configuration's color object and one shared conjugate
+        # per color; a fresh color tuple per weight key grows a graph by a third
+        G = graph_of(sample_configuration(D, random.Random(seed)))
+        colors = {c for c, _, _ in G.w}
+        assert len({id(c) for c, _, _ in G.w}) <= 2 * len(colors)
+
+    @SETTINGS
+    @given(
+        L=st.integers(1, 3),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_add_edge_matches_reference(self, L, n, data):
+        color = st.tuples(st.integers(1, L), st.integers(1, L))
+        vertex = st.integers(0, n - 1)
+        got, want = ColoredMultigraph(L, n), ColoredMultigraph(L, n)
+        for c, u, v in data.draw(st.lists(st.tuples(color, vertex, vertex), max_size=12)):
+            got.add_edge(c, u, v)
+            reference_add_edge(want, c, u, v)
+        assert list(got.w.items()) == list(want.w.items())
+
+    @SETTINGS
+    @given(D=degree_sequences(max_n=5), seed=st.integers(0, 2**32))
+    def test_ball_of_matches_reference(self, D, seed):
+        G = graph_of(sample_configuration(D, random.Random(seed)))
+        for v in range(D.n):
+            for depth in range(4):
+                assert ball_of(G, v, depth) == reference_ball_of(G, v, depth)
+
+    @SETTINGS
+    @given(D=degree_sequences(max_n=5), seed=st.integers(0, 2**32))
+    def test_repeated_switches_match_reference(self, D, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = want = sample_configuration(D, random.Random(seed + 1))
+        for _ in range(6):
+            got = apply_switch(got, rng)
+            want = reference_apply_switch(want, ref_rng)
+            assert got.pairs == want.pairs
+            assert list(graph_of(got).w.items()) == list(reference_graph_of(want).w.items())
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_loops_of_both_color_kinds(self):
+        # vertex 0: its two (1,1) half-edges pair into a loop, and its (1,2)
+        # and (2,1) half-edges can only pair with each other, another loop
+        D = DegreeSequence.from_rows(2, [[2, 1, 1, 0]])
+        sigma = sample_configuration(D, random.Random(0))
+        G = graph_of(sigma)
+        assert G.w == reference_graph_of(sigma).w == {
+            ((1, 1), 0, 0): 2,
+            ((1, 2), 0, 0): 1,
+            ((2, 1), 0, 0): 1,
+        }
+        assert G.edges() == [((1, 1), 0, 0), ((1, 2), 0, 0)]
+        assert ball_of(G, 0, 1) == reference_ball_of(G, 0, 1)
 
 
 class TestDerivedTotals:
