@@ -22,7 +22,6 @@ from .rooted import (
     truncate,
 )
 from .neighborhood import (
-    EdgeTypeLaw,
     NeighborhoodLaw,
     edge_intensity,
     edge_intensity_table,
@@ -31,6 +30,7 @@ from .neighborhood import (
     is_admissible,
     mean_degree,
     poisson_law,
+    root_edge_types,
     truncate_law,
     tv_distance,
 )

@@ -49,22 +49,34 @@ class InvalidLawExit(Exception):
     pass
 
 
-def _load_law(path, admissible=False) -> NeighborhoodLaw:
+def _load_law(path) -> NeighborhoodLaw:
+    """The admissible law in a law file; InvalidLawExit (exit 3) otherwise."""
     try:
         law = NeighborhoodLaw.load(path)
     except Exception as exc:
         raise InvalidLawExit(f"cannot read law file {path}: {exc}") from exc
-    if admissible and not is_admissible(law):
+    if not is_admissible(law):
         raise InvalidLawExit(f"law in {path} is not admissible")
     return law
 
 
 def _parse_degree_law(text) -> dict:
-    """Literal degree law "k:p,k:p" with rational or float weights."""
+    """Literal degree law "k:p,k:p" with rational or float weights.
+
+    Degrees are distinct and nonnegative, weights nonnegative, and the
+    total mass 1: exactly, or within 1e-12 when any weight is a float.
+    """
     out = {}
     for part in text.split(","):
         k, _, p = part.partition(":")
-        out[int(k)] = Fraction(p) if "/" in p or "." not in p else float(p)
+        k, p = int(k), Fraction(p) if "/" in p or "." not in p else float(p)
+        if k < 0 or k in out or p < 0:
+            raise ValueError(f"{part!r}: degrees must be distinct and >= 0, weights >= 0")
+        out[k] = p
+    total = sum(out.values())
+    tol = 0 if all(isinstance(p, Fraction) for p in out.values()) else 1e-12
+    if abs(total - 1) > tol:
+        raise ValueError(f"degree law has total mass {total}, not 1")
     return out
 
 
@@ -259,7 +271,7 @@ def _cmd_sample(args):
         )
         return 0
     if args.command == "sample-ugw":
-        law = _load_law(args.law, admissible=True)
+        law = _load_law(args.law)
         tree = sample_ugw(law, args.depth, rng)
         edges = _write_tree(args, tree)
         _emit(
@@ -288,49 +300,28 @@ def _cmd_sample(args):
     raise AssertionError(args.command)
 
 
+# Commands that print one scalar {"value": ...}.
+_SCALARS = {
+    "sigma-ugw1": lambda a: ent.sigma_ugw1(a.degree_law),
+    "rate-degrees": lambda a: ent.rate_fixed_degrees(_load_law(a.law), a.degree_law),
+    "rate-edges": lambda a: ent.rate_fixed_edges(_load_law(a.law), a.d),
+    "rate-binomial": lambda a: ent.rate_binomial(_load_law(a.law), a.lam),
+    "rate-degree-er": lambda a: ent.rate_degree_er(a.degree_law, a.lam),
+    "rate-degree-fixed": lambda a: ent.rate_degree_fixed(a.degree_law, a.d),
+    "disc-bound": lambda a: ent.discontinuity_bound(a.p1, a.p2),
+}
+
+
 def _cmd_entropy(args):
     if args.command == "jh":
-        law = _load_law(args.law, admissible=True)
-        terms = ent.ugw_entropy_terms(law)
+        terms = ent.ugw_entropy_terms(_load_law(args.law))
         _emit(args, {"value": _fmt_value(terms["value"]), "terms": terms})
-        return 0
-    if args.command == "sigma-ugw1":
-        value = ent.sigma_ugw1(args.degree_law)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "delta":
-        law = _load_law(args.law, admissible=True)
-        incs = ent.entropy_increments(law)
-        _emit(args, {"increments": incs, "depth": law.depth})
-        return 0
-    if args.command == "rate-degrees":
-        law = _load_law(args.law, admissible=True)
-        value = ent.rate_fixed_degrees(law, args.degree_law)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "rate-edges":
-        law = _load_law(args.law, admissible=True)
-        value = ent.rate_fixed_edges(law, args.d)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "rate-binomial":
-        law = _load_law(args.law, admissible=True)
-        value = ent.rate_binomial(law, args.lam)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "rate-degree-er":
-        value = ent.rate_degree_er(args.degree_law, args.lam)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "rate-degree-fixed":
-        value = ent.rate_degree_fixed(args.degree_law, args.d)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    if args.command == "disc-bound":
-        value = ent.discontinuity_bound(args.p1, args.p2)
-        _emit(args, {"value": _fmt_value(value)})
-        return 0
-    raise AssertionError(args.command)
+    elif args.command == "delta":
+        law = _load_law(args.law)
+        _emit(args, {"increments": ent.entropy_increments(law), "depth": law.depth})
+    else:
+        _emit(args, {"value": _fmt_value(_SCALARS[args.command](args))})
+    return 0
 
 
 def _cmd_experiment(args):
@@ -358,17 +349,7 @@ def main(argv=None) -> int:
     try:
         if args.command.startswith("sample-"):
             return _cmd_sample(args)
-        if args.command in (
-            "jh",
-            "sigma-ugw1",
-            "delta",
-            "rate-degrees",
-            "rate-edges",
-            "rate-binomial",
-            "rate-degree-er",
-            "rate-degree-fixed",
-            "disc-bound",
-        ):
+        if args.command in ("jh", "delta", *_SCALARS):
             return _cmd_entropy(args)
         if args.command in ("cycles", "converge", "concentrate"):
             return _cmd_experiment(args)

@@ -79,6 +79,12 @@ class DegreeSequence:
 
     @staticmethod
     def from_rows(L, rows):
+        """One row of exactly L * L ints per vertex: its matrix, row by row."""
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
+        for u, row in enumerate(rows):
+            if len(row) != L * L:
+                raise ValueError(f"row {u} has {len(row)} entries, expected {L * L}")
         mats = tuple(
             tuple(tuple(int(x) for x in row[i * L : (i + 1) * L]) for i in range(L))
             for row in rows
@@ -802,12 +808,12 @@ def write_degree_file(path, D: DegreeSequence):
 
 
 def read_degree_file(path) -> DegreeSequence:
+    """Header "L n", then exactly n nonblank rows of L * L ints; else ValueError."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        L, n = int(header[0]), int(header[1])
-        rows = []
-        for _ in range(n):
-            rows.append([int(x) for x in fh.readline().split()])
+        L, n = (int(x) for x in fh.readline().split())
+        rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+    if len(rows) != n:
+        raise ValueError(f"{path}: header gives {n} rows, the file has {len(rows)}")
     return DegreeSequence.from_rows(L, rows)
 
 
@@ -819,16 +825,30 @@ def write_colored_graph(path, G: ColoredMultigraph):
 
 
 def read_colored_graph(path) -> ColoredMultigraph:
+    """Header "L n", then one line "u v i j m" per weight w[(i, j), u, v] = m.
+
+    Raises ValueError unless each line has u, v in 0..n-1, i, j in 1..L,
+    m >= 1 and a new key, and w[c, u, v] == w[conj c, v, u] throughout.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        L, n = int(header[0]), int(header[1])
+        L, n = (int(x) for x in fh.readline().split())
         w = {}
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
             u, v, i, j, m = (int(x) for x in parts)
-            w[((i, j), u, v)] = m
+            key = ((i, j), u, v)
+            if not (0 <= u < n and 0 <= v < n and 1 <= i <= L and 1 <= j <= L):
+                raise ValueError(
+                    f"{path}: {line.strip()!r}: vertices are 0..{n - 1}, colors 1..{L}"
+                )
+            if m <= 0 or key in w:
+                raise ValueError(f"{path}: {line.strip()!r}: weight below 1 or a repeated key")
+            w[key] = m
+    bad = [key for key, m in w.items() if w.get((_CONJ[key[0]], key[2], key[1])) != m]
+    if bad:
+        raise ValueError(f"{path}: w{bad[0]} differs from its twin w[conj c, v, u]")
     return ColoredMultigraph(L, n, w)
 
 

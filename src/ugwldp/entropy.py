@@ -16,13 +16,15 @@ import math
 from fractions import Fraction
 
 from .neighborhood import (
+    _FLOAT_MASS_TOL,
+    RATIONAL,
     NeighborhoodLaw,
     edge_type_distribution,
     is_admissible,
     mean_degree,
+    root_edge_types,
     truncate_law,
 )
-from .rooted import edge_type_table
 from .ugw import marginal_ugw
 
 INF = float("inf")
@@ -48,16 +50,14 @@ def _xlogx(p) -> float:
 
 def shannon(P) -> float:
     """Shannon entropy of a law given as a NeighborhoodLaw or a mapping."""
-    items = P.items() if hasattr(P, "items") else P
-    return -sum(_xlogx(p) for _, p in items) + 0.0
+    return -sum(_xlogx(p) for _, p in P.items()) + 0.0
 
 
 def relative_entropy(P, Q) -> float:
     """KL divergence between two finite-support laws on the same key space."""
-    p_map = dict(P.items() if hasattr(P, "items") else P)
-    q_map = dict(Q.items() if hasattr(Q, "items") else Q)
+    q_map = dict(Q.items())
     out = 0.0
-    for key, p in p_map.items():
+    for key, p in P.items():
         if p == 0:
             continue
         q = q_map.get(key, 0)
@@ -98,9 +98,10 @@ def _mean(P):
 
 def _log_factorial_term(P: NeighborhoodLaw) -> float:
     """Expected sum over edge types of log(count!) at the root."""
+    types = root_edge_types(P)
     total = 0.0
     for cls, p in P.items():
-        s = sum(math.lgamma(c + 1) for c in edge_type_table(cls, P.depth).values())
+        s = sum(math.lgamma(c + 1) for c in types[cls].values())
         total += float(p) * s
     return total
 
@@ -114,7 +115,7 @@ def ugw_entropy_terms(P: NeighborhoodLaw) -> dict:
     if d <= 0:
         raise ValueError("entropy needs positive mean degree")
     H_P = shannon(P)
-    H_pi = shannon(edge_type_distribution(P).as_dict())
+    H_pi = shannon(edge_type_distribution(P))
     log_fact = _log_factorial_term(P)
     s_d = entropy_constant(d)
     value = -s_d + H_P - (d / 2) * H_pi - log_fact
@@ -160,7 +161,12 @@ def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -
         return relative_entropy_poisson(deg, float(_mean(deg)))
     if rho_km1.depth != k - 1:
         raise ValueError("laws must sit at consecutive depths")
-    if truncate_law(rho_k, k - 1) != rho_km1:
+    # exact for rational laws; float laws reached along different
+    # truncation paths differ in their last bits
+    cut = truncate_law(rho_k, k - 1)
+    tol = 0 if cut.mode == rho_km1.mode == RATIONAL else _FLOAT_MASS_TOL
+    keys = cut.support.keys() | rho_km1.support.keys()
+    if any(abs(cut.support.get(c, 0) - rho_km1.support.get(c, 0)) > tol for c in keys):
         raise ValueError("shallower law is not the truncation of the deeper one")
     if not is_admissible(rho_km1) or not is_admissible(rho_k):
         raise ValueError("increments need admissible marginals")
@@ -168,20 +174,24 @@ def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -
     d = float(mean_degree(rho_k))
     kl_laws = relative_entropy(rho_k, rho_star)
     kl_pi = relative_entropy(
-        edge_type_distribution(rho_k).as_dict(),
-        edge_type_distribution(rho_star).as_dict(),
+        edge_type_distribution(rho_k), edge_type_distribution(rho_star)
     )
     return kl_laws - (d / 2) * kl_pi
 
 
 def entropy_increments(P: NeighborhoodLaw) -> list:
-    """All increments of the marginal tower of P down from depth 1."""
-    out = []
-    marginals = [truncate_law(P, k) for k in range(1, P.depth + 1)]
-    out.append(entropy_increment(None, marginals[0]))
-    for k in range(2, P.depth + 1):
-        out.append(entropy_increment(marginals[k - 2], marginals[k - 1]))
-    return out
+    """Increments [delta_1, ..., delta_h] of the marginal tower of P.
+
+    Each marginal is the truncation of the next deeper one, computed once.
+    A depth-0 law raises ValueError.
+    """
+    if P.depth < 1:
+        raise ValueError("entropy increments need a law of depth >= 1")
+    tower = [P]
+    while tower[0].depth > 1:
+        tower.insert(0, truncate_law(tower[0], tower[0].depth - 1))
+    out = [entropy_increment(None, tower[0])]
+    return out + [entropy_increment(a, b) for a, b in zip(tower, tower[1:])]
 
 
 # ---------------------------------------------------------------------------

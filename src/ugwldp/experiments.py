@@ -153,15 +153,16 @@ def degree_sequence_for_law(P_deg: dict, n: int) -> DegreeSequence:
     return DegreeSequence.single_color(degrees)
 
 
-def converge_experiment(
-    P_deg: dict,
-    n_list,
-    samples: int,
-    depth: int,
-    seed: int,
-    girth_bound: int = 2,
-):
-    """Distance from the mean empirical law to the tree-marginal target."""
+def converge_experiment(P_deg: dict, n_list, samples: int, depth: int, seed: int):
+    """Distance from the mean empirical law to the tree-marginal target.
+
+    Each sample is a graph with no loop or double edge (sample_G_Dh at
+    h = 2).  Raises ValueError naming samples, depth or an n_list entry if
+    it is below 1.
+    """
+    _require_positive(
+        samples=samples, depth=depth, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}
+    )
     law = NeighborhoodLaw.from_degree_law(
         {k: Fraction(p) for k, p in P_deg.items()}
     )
@@ -172,7 +173,7 @@ def converge_experiment(
 
         def one(s, D=D):
             rng = random.Random(s)
-            G, _ = sample_G_Dh(D, girth_bound, rng)
+            G, _ = sample_G_Dh(D, 2, rng)
             return empirical_distribution(colorblind_simple(G), depth)
 
         laws = _fan_out(one, samples, seed + n)

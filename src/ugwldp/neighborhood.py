@@ -43,7 +43,7 @@ class NeighborhoodLaw:
 
     __slots__ = ("depth", "support", "mode", "_derived")
 
-    def __init__(self, depth, support, mode=RATIONAL, _normalize=False):
+    def __init__(self, depth, support, mode=RATIONAL):
         self.depth = depth
         self.mode = mode
         cleaned = {}
@@ -58,9 +58,6 @@ class NeighborhoodLaw:
                 )
             key = declare_depth(cls, depth)
             cleaned[key] = cleaned.get(key, 0) + p
-        if _normalize:
-            total = sum(cleaned.values())
-            cleaned = {c: p / total for c, p in cleaned.items()}
         self.support = cleaned
         total = sum(cleaned.values())
         if mode == RATIONAL:
@@ -174,29 +171,6 @@ class NeighborhoodLaw:
 
 
 @dataclass(frozen=True)
-class EdgeTypeLaw:
-    """Weights on ordered pairs of depth-(h-1) classes, plus total mass."""
-
-    depth: int  # depth of the pair components
-    weights: tuple  # sorted tuple of ((t, t'), weight)
-    total: object
-
-    def as_dict(self):
-        return dict(self.weights)
-
-    def prob(self, pair):
-        return self.as_dict().get(pair, 0)
-
-    def swap_symmetric(self, tol=0):
-        table = self.as_dict()
-        worst = 0
-        for (t, tp), w in table.items():
-            diff = abs(w - table.get((tp, t), 0))
-            worst = max(worst, diff)
-        return worst <= tol, worst
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool
     mean_degree: object
@@ -225,40 +199,54 @@ def mean_degree(P: NeighborhoodLaw):
     return sum(p * root_degree(cls) for cls, p in P.items())
 
 
-def edge_intensity_table(P: NeighborhoodLaw) -> EdgeTypeLaw:
-    """Unnormalized edge-type intensities e(t, t') of a depth-h law.
+def root_edge_types(P: NeighborhoodLaw) -> dict:
+    """{cls: edge_type_table(cls, h)} over the support of a depth-h law.
+
+    The one edge-type statistic that the intensities, the branch laws, the
+    marginal extension and the entropy's factorial term all read; built
+    once per law object.  A depth-0 law raises ValueError.
+    """
+    return P._derive("root_edge_types", _build_root_edge_types)
+
+
+def _build_root_edge_types(P):
+    return {cls: edge_type_table(cls, P.depth) for cls in P.support}
+
+
+def edge_intensity_table(P: NeighborhoodLaw) -> dict:
+    """Unnormalized edge-type intensities {(t, t'): e(t, t')} of a depth-h law.
 
     e(t, t') is the expected number of root neighbors realizing the ordered
-    pattern (t, t'); the total mass is the mean degree.  Built once per law
-    object.
+    pattern (t, t').  Keys come in (t.wire(), t'.wire()) order, and the
+    values sum to the mean degree.  Built once per law object.
     """
-    if P.depth < 1:
-        raise ValueError("edge intensities need depth >= 1")
     return P._derive("edge_intensities", _build_edge_intensity_table)
 
 
 def _build_edge_intensity_table(P):
+    types = root_edge_types(P)
     acc = {}
     for cls, p in P.items():
-        for pair, cnt in edge_type_table(cls, P.depth).items():
+        for pair, cnt in types[cls].items():
             acc[pair] = acc.get(pair, 0) + p * cnt
-    weights = tuple(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
-    return EdgeTypeLaw(P.depth - 1, weights, sum(acc.values()))
+    return dict(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
 
 
 def edge_intensity(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
     key = (declare_depth(t, P.depth - 1), declare_depth(t_prime, P.depth - 1))
-    return edge_intensity_table(P).as_dict().get(key, 0)
+    return edge_intensity_table(P).get(key, 0)
 
 
-def edge_type_distribution(P: NeighborhoodLaw) -> EdgeTypeLaw:
-    """Edge intensities normalized by the mean degree (total mass one)."""
+def edge_type_distribution(P: NeighborhoodLaw) -> dict:
+    """Edge intensities over their total, the mean degree, in the same order.
+
+    Raises ValueError at zero mean degree.
+    """
     table = edge_intensity_table(P)
-    d = table.total
+    d = sum(table.values())
     if d == 0:
         raise ValueError("zero mean degree: edge-type distribution undefined")
-    weights = tuple((pair, w / d) for pair, w in table.weights)
-    return EdgeTypeLaw(table.depth, weights, sum(w for _, w in weights))
+    return {pair: w / d for pair, w in table.items()}
 
 
 def is_admissible(P: NeighborhoodLaw) -> AdmissibilityReport:
@@ -271,12 +259,10 @@ def is_admissible(P: NeighborhoodLaw) -> AdmissibilityReport:
 
 def _build_admissibility(P):
     d = mean_degree(P)
-    table = edge_intensity_table(P).as_dict()
+    table = edge_intensity_table(P)
     tol = 0 if P.mode == RATIONAL else 1e-9 * max(1.0, float(d))
     bad = []
-    for (t, tp), w in sorted(
-        table.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())
-    ):
+    for (t, tp), w in table.items():
         back = table.get((tp, t), 0)
         if abs(w - back) > tol:
             bad.append(((t, tp), w, back))
@@ -305,7 +291,7 @@ def truncate_law(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
     return NeighborhoodLaw(k, out, mode=P.mode)
 
 
-def poisson_law(lam: float, depth: int = 1, tail: float = 1e-12) -> NeighborhoodLaw:
+def poisson_law(lam: float, tail: float = 1e-12) -> NeighborhoodLaw:
     """Tail-truncated Poisson degree law as a float-mode depth-1 law.
 
     Truncates once the remaining tail mass drops below `tail`, then
@@ -314,7 +300,7 @@ def poisson_law(lam: float, depth: int = 1, tail: float = 1e-12) -> Neighborhood
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
-        return NeighborhoodLaw(depth, {star(0, depth): 1.0}, mode=FLOAT)
+        return NeighborhoodLaw.from_degree_law({0: 1.0}, mode=FLOAT)
     probs = {}
     p = math.exp(-lam)
     k = 0
@@ -328,8 +314,6 @@ def poisson_law(lam: float, depth: int = 1, tail: float = 1e-12) -> Neighborhood
         if k > 10 * lam + 200:
             break
     total = sum(probs.values())
-    return NeighborhoodLaw(
-        depth,
-        {star(k, depth): v / total for k, v in probs.items()},
-        mode=FLOAT,
+    return NeighborhoodLaw.from_degree_law(
+        {k: v / total for k, v in probs.items()}, mode=FLOAT
     )

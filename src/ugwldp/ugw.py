@@ -23,6 +23,7 @@ from .neighborhood import (
     NeighborhoodLaw,
     edge_intensity_table,
     is_admissible,
+    root_edge_types,
 )
 from .rooted import (
     TREE,
@@ -31,12 +32,9 @@ from .rooted import (
     LabeledRootedGraph,
     _join,
     canonicalize,
-    children_subtrees,
     declare_depth,
     drop_root_child,
-    edge_type_table,
     root_sides,
-    truncate,
 )
 
 
@@ -73,7 +71,6 @@ class TypedBranchingLaw:
     """
 
     h: int
-    base: NeighborhoodLaw
     table: dict
 
     def law(self, t, t_prime):
@@ -90,8 +87,6 @@ def typed_branching_law(P: NeighborhoodLaw) -> TypedBranchingLaw:
     Built once per law object, and kept only once every check has passed:
     an inadmissible law raises on every call.
     """
-    if P.depth < 1:
-        raise ValueError("branch laws need depth >= 1")
     return P._derive("branching", _build_branching)
 
 
@@ -100,28 +95,23 @@ def _build_branching(P):
     rep = is_admissible(P)
     if not rep:
         raise ValueError(f"law is not admissible: {rep.violations[:3]}")
+    types = root_edge_types(P)
     acc: dict = {}
     for S, p in P.items():
         if S.kind != TREE:
             raise KindMismatchError("branching laws are defined for tree laws")
-        subs = children_subtrees(S)
-        seen = set()
-        for sub in subs:
-            if sub in seen:
-                continue
-            seen.add(sub)
-            mult = subs.count(sub)
+        # one entry per distinct root subtree sub; seen from that child,
+        # the root is a vertex of type (back, sub) whose subtree is tau
+        for (sub, back), m in types[S].items():
             tau = drop_root_child(S, sub)
-            key = (truncate(tau, h - 1), sub)
-            cell = acc.setdefault(key, {})
-            cell[tau] = cell.get(tau, 0) + p * mult
-    intens = edge_intensity_table(P).as_dict()
-    table = {}
-    for key, cell in acc.items():
-        e = intens[key]
-        weights = {tau: w / e for tau, w in cell.items()}
-        table[key] = NeighborhoodLaw(h, weights, mode=P.mode)
-    return TypedBranchingLaw(h, P, table)
+            cell = acc.setdefault((back, sub), {})
+            cell[tau] = cell.get(tau, 0) + p * m
+    intens = edge_intensity_table(P)
+    table = {
+        key: NeighborhoodLaw(h, {tau: w / intens[key] for tau, w in cell.items()}, mode=P.mode)
+        for key, cell in acc.items()
+    }
+    return TypedBranchingLaw(h, table)
 
 
 def branch_law(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
@@ -134,23 +124,22 @@ def branch_law(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
 # ---------------------------------------------------------------------------
 
 
-def _child_types(block: CanonicalClass):
+def _child_types(table):
     """Distinct (subtree, look-back) types among the root children of a block.
 
     Returns [(s, s_complement, multiplicity)] from the block's edge-type
     table, sorted by the subtree's wire form.  Children with the same
     subtree class automatically share the same complement.
     """
-    table = edge_type_table(block, block.depth)
     ordered = sorted(table.items(), key=lambda kv: kv[0][0].wire())
     return [(s, s_comp, n_a) for (s, s_comp), n_a in ordered]
 
 
-def _extend_block(block, branching, cap, acc, weight):
-    """One-step extension of a depth-h block to depth h+1, exact weights."""
+def _extend_block(block, table, branching, cap, acc, weight):
+    """One-step extension of a depth-h block to depth h+1; table is its root edge-type table."""
     h = block.depth
     groups = []
-    for s, s_comp, n_a in _child_types(block):
+    for s, s_comp, n_a in _child_types(table):
         law = branching.law(s, s_comp)
         opts = law.sorted_items()
         combos = []
@@ -214,9 +203,10 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
     law = P
     while law.depth < k:
         branching = typed_branching_law(law)
+        types = root_edge_types(law)
         acc: dict = {}
         for block, p in law.items():
-            _extend_block(block, branching, support_cap, acc, p)
+            _extend_block(block, types[block], branching, support_cap, acc, p)
         law = NeighborhoodLaw(law.depth + 1, acc, mode=P.mode)
     return law
 
@@ -246,9 +236,9 @@ def edge_law_identity(P: NeighborhoodLaw) -> bool:
         raise ValueError("edge law identity requires an admissible law")
     h = P.depth
     branching = typed_branching_law(P)
-    e_P = edge_intensity_table(P).as_dict()
+    e_P = edge_intensity_table(P)
     Q = marginal_ugw(P, h + 1)
-    e_Q = edge_intensity_table(Q).as_dict()
+    e_Q = edge_intensity_table(Q)
     rhs = {}
     for (s, s_p), e in e_P.items():
         fwd = branching.table.get((s, s_p))
@@ -455,6 +445,8 @@ class ColoredRootedTree:
 
 def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> ColoredRootedTree:
     """Multi-type tree: root offspring from the base law, then per-color branch laws."""
+    if k < 0:
+        raise ValueError(f"output depth {k} is negative")
     colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
     hats = {c: _DrawTable(sorted(colored_branch_law(P, c).items())) for c in colors}
     base = _DrawTable(sorted(P.base.items()))
@@ -483,6 +475,8 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
     is type i with probability d_{other}/(d1+d2) and reproduces by P_i;
     deeper type-i vertices reproduce by the size-biased law of P_i.
     """
+    if k < 0:
+        raise ValueError(f"output depth {k} is negative")
     d1 = sum(kk * p for kk, p in P1.items())
     d2 = sum(kk * p for kk, p in P2.items())
     if d1 <= 0 or d2 <= 0:

@@ -186,12 +186,62 @@ class TestExitCodes:
             (["concentrate", "--d", "0", "--n-list", "10", "--samples", "2"], "d"),
             (["concentrate", "--n-list", "10,0", "--samples", "2"], "n_list[1]"),
             (["concentrate", "--n-list", "10", "--samples", "0"], "samples"),
+            (["converge", "--degree-law", "3:1", "--n-list", "10", "--samples", "0"], "samples"),
+            (["converge", "--degree-law", "3:1", "--n-list", "10", "--depth", "0"], "depth"),
+            (["converge", "--degree-law", "3:1", "--n-list", "10,0"], "n_list[1]"),
         ],
     )
     def test_experiment_parameter_below_one_exit1(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: {name} must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sigma-ugw1", "--degree-law", "2:1/2"], "total mass 1/2, not 1"),
+            (["rate-degree-fixed", "--degree-law", "2:3", "--d", "6"], "total mass 3, not 1"),
+            (["sigma-ugw1", "--degree-law", "2:0.5,3:0.4"], "total mass 0.9, not 1"),
+            (["sigma-ugw1", "--degree-law", "2:1/2,2:1/2"], "'2:1/2': degrees must be distinct"),
+            (["sigma-ugw1", "--degree-law=-1:1"], "'-1:1': degrees must be distinct"),
+            (["sigma-ugw1", "--degree-law", "1:-1/2,2:3/2"], "'1:-1/2': degrees must be"),
+            (["disc-bound", "--p1", "2:1", "--p2", "3:2/3"], "total mass 2/3, not 1"),
+            (["converge", "--degree-law", "3:1/2", "--n-list", "10"], "total mass 1/2"),
+        ],
+    )
+    def test_degree_law_literal_rejected_exit1(self, capsys, argv, message):
+        # A literal must be a probability law: its weights are never
+        # renormalized or read as counts.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_sample_bipartite_negative_depth_exit1(self, capsys):
+        argv = ["sample-bipartite", "--p1", "2:1", "--p2", "3:1", "--depth", "-2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: output depth -2 is negative\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 9\n3\n", "row 0 has 2 entries, expected 1"),
+            ("1 2\n3\n", "header gives 2 rows, the file has 1"),
+            ("1 1\n2\n2\n", "header gives 1 rows, the file has 2"),
+            ("1\n2\n", "expected 2, got 1"),
+        ],
+    )
+    def test_degree_file_rejected_exit1(self, capsys, tmp_path, text, message):
+        path = tmp_path / "D.txt"
+        path.write_text(text, encoding="utf-8")
+        for command in ("sample-cm", "sample-gdh"):
+            argv = [command, "--degrees", str(path)]
+            if command == "sample-gdh":
+                argv += ["--girth", "3"]
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and message in err
 
     def test_rejection_exhaustion_exit2(self, capsys, tiny_cycle_degrees):
         code, _, err = run(
@@ -271,6 +321,20 @@ class TestEntropyCommands:
         assert code == 0
         incs = json.loads(out)["increments"]
         assert len(incs) == 2 and abs(incs[1]) < 1e-12
+
+
+    def test_delta_float_depth3(self, capsys, tmp_path):
+        # the tower is truncated one depth at a time, so float laws pass the
+        # truncation check
+        from ugwldp.ugw import marginal_ugw
+
+        base = NeighborhoodLaw.from_degree_law({1: 0.25, 2: 0.5, 4: 0.25}, mode="float")
+        path = tmp_path / "float3.json"
+        marginal_ugw(base, 3).dump(path)
+        code, out, err = run(capsys, "delta", "--law", str(path))
+        assert code == 0, err
+        incs = json.loads(out)["increments"]
+        assert len(incs) == 3 and all(abs(x) < 1e-12 for x in incs[1:])
 
 
 class TestExperimentsAndVerify:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from ugwldp.config_model import (
     short_cycle_intensity,
     subgraph_count_expectation,
     validate_degree_sequence,
+    write_colored_graph,
     write_degree_file,
     read_colored_graph,
     read_degree_file,
@@ -103,6 +105,49 @@ class TestDegreeSequences:
         path = tmp_path / "D.txt"
         write_degree_file(path, D)
         assert read_degree_file(path) == D
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 9\n3\n", "row 0 has 2 entries, expected 1"),
+            ("2 1\n1 0 0\n", "row 0 has 3 entries, expected 4"),
+            ("1 2\n3\n", "header gives 2 rows, the file has 1"),
+            ("1 1\n2\n2\n", "header gives 1 rows, the file has 2"),
+            ("0 0\n", "L must be >= 1"),
+        ],
+    )
+    def test_degree_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "D.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_degree_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n0 1 1 2 1\n", "twin"),
+            ("1 2\n0 1 1 1 2\n1 0 1 1 1\n", "twin"),
+            ("1 2\n0 2 1 1 1\n2 0 1 1 1\n", "vertices are 0..1, colors 1..1"),
+            ("1 2\n0 1 1 2 1\n1 0 2 1 1\n", "vertices are 0..1, colors 1..1"),
+            ("2 2\n0 1 0 1 1\n1 0 1 0 1\n", "vertices are 0..1, colors 1..2"),
+            ("1 2\n0 1 1 1 0\n1 0 1 1 0\n", "weight below 1"),
+            ("1 2\n0 1 1 1 -1\n1 0 1 1 -1\n", "weight below 1"),
+            ("1 2\n0 1 1 1 1\n1 0 1 1 1\n0 1 1 1 1\n", "a repeated key"),
+        ],
+    )
+    def test_colored_graph_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "G.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_colored_graph(path)
+
+    def test_colored_graph_file_round_trip_with_loops(self, tmp_path):
+        G = ColoredMultigraph(2, 2)
+        for c, u, v in (((1, 1), 0, 0), ((1, 2), 1, 1), ((2, 1), 0, 1), ((2, 2), 0, 1)):
+            G.add_edge(c, u, v)
+        path = tmp_path / "G.txt"
+        write_colored_graph(path, G)
+        assert read_colored_graph(path).w == G.w
 
 
 class TestSampling:
@@ -357,11 +402,14 @@ class TestMotifs:
             assert got == want
 
     def test_odd_matching_color_total_raises(self, tmp_path):
-        # a graph file may list (c, u, v) without its twin (c, v, u); the
-        # motif then has one (1,1) half-edge, which no matching can pair
+        # weights holding (c, u, v) without its twin (c, v, u): the motif
+        # then has one (1,1) half-edge, which no matching can pair.  The
+        # file reader rejects such weights; a graph built directly keeps them
         path = tmp_path / "H.txt"
         path.write_text("1 2\n0 1 1 1 1\n", encoding="utf-8")
-        H = read_colored_graph(path)
+        with pytest.raises(ValueError, match="twin"):
+            read_colored_graph(path)
+        H = ColoredMultigraph(1, 2, {((1, 1), 0, 1): 1})
         with pytest.raises(ValueError, match="odd count 1"):
             subgraph_count_expectation(H, degrees=DegreeSequence.single_color([2, 2, 2]))
 

@@ -34,6 +34,7 @@ from ugwldp.ugw import marginal_ugw
 
 HALF = Fraction(1, 2)
 UNIFORM12 = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF})
+FLOAT124 = NeighborhoodLaw.from_degree_law({1: 0.25, 2: 0.5, 4: 0.25}, mode="float")
 
 
 def random_degree_law(rng, allow_zero_mean=False):
@@ -155,6 +156,31 @@ class TestIncrements:
         other = NeighborhoodLaw.from_degree_law({2: Fraction(1)})
         with pytest.raises(ValueError):
             entropy_increment(other, rho2)
+
+    def test_float_truncations_along_two_paths(self):
+        # truncate_law(truncate_law(P, 2), 1) and truncate_law(P, 1) differ
+        # in their last bits; both are the depth-1 truncation of the law
+        P = marginal_ugw(FLOAT124, 3)
+        rho1, rho2 = truncate_law(P, 1), truncate_law(P, 2)
+        assert truncate_law(rho2, 1) != rho1
+        assert abs(entropy_increment(rho1, rho2)) < 1e-12
+        incs = entropy_increments(P)
+        assert len(incs) == 3 and all(abs(x) < 1e-12 for x in incs[1:])
+
+    def test_float_truncation_still_checked(self):
+        P = marginal_ugw(FLOAT124, 2)
+        shifted = {cls: p for cls, p in truncate_law(P, 1).items()}
+        a, b = sorted(shifted, key=lambda c: c.wire())[:2]
+        shifted[a] += 1e-9
+        shifted[b] -= 1e-9
+        with pytest.raises(ValueError, match="truncation"):
+            entropy_increment(NeighborhoodLaw(1, shifted, mode="float"), P)
+
+    def test_depth0_law_raises(self):
+        P0 = NeighborhoodLaw.from_degree_law({0: Fraction(1)})
+        P0 = truncate_law(P0, 0)
+        with pytest.raises(ValueError, match="depth >= 1"):
+            entropy_increments(P0)
 
     def test_strict_increment_for_mixture(self):
         rho2 = mixed_depth2_law()

@@ -306,7 +306,8 @@ class TestTreeSplits:
                 assert drop_root_child(block, s) is reference_drop_root_child(block, s)
             for h in range(1, block.depth + 1):
                 assert edge_type_table(block, h) == reference_edge_type_table(block, h)
-            assert _child_types(block) == reference_child_types(block)
+            table = edge_type_table(block, block.depth)
+            assert _child_types(table) == reference_child_types(block)
 
 
 @st.composite

@@ -295,6 +295,12 @@ class TestColored:
         t = sample_ugw_colored(P, 5, random.Random(0))
         assert t.n == 1
 
+    def test_negative_depth_rejected(self):
+        P = ColoredOffspringLaw(1, {((3,),): Fraction(1)})
+        assert sample_ugw_colored(P, 0, random.Random(0)).n == 1
+        with pytest.raises(ValueError, match="negative"):
+            sample_ugw_colored(P, -1, random.Random(0))
+
     def test_single_color_matches_tree_sampler(self):
         deg = {0: Fraction(1, 4), 1: Fraction(1, 4), 3: HALF}
         P1 = ColoredOffspringLaw(1, {((k,),): p for k, p in deg.items()})
@@ -335,3 +341,8 @@ class TestBipartite:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             sample_ugw_bipartite({0: 1}, {2: 1}, 2, random.Random(0))
+
+    def test_negative_depth_rejected(self):
+        assert len(sample_ugw_bipartite({2: 1}, {3: 1}, 0, random.Random(0)).adj) == 1
+        with pytest.raises(ValueError, match="negative"):
+            sample_ugw_bipartite({2: 1}, {3: 1}, -2, random.Random(0))

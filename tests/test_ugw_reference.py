@@ -6,15 +6,24 @@ two split copies of the partial tree, and grafts the drawn block in place
 of the old subtree.  The library sampler carries the types forward
 instead.  Both must draw the same blocks in the same order, so they leave
 the random generator in the same state and return isomorphic trees.
+
+The law tables have references too: the intensity table, the branch
+table and the entropy's factorial term, each recomputed from per-class
+edge-type tables and subtree counts, as the library did before it read
+one table of root edge types per law.
 """
 
 import json
+import math
 import pickle
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ugwldp.entropy import _log_factorial_term, ugw_entropy
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
     edge_intensity_table,
@@ -26,11 +35,16 @@ from ugwldp.rooted import (
     LabeledRootedGraph,
     SimpleGraph,
     canonicalize,
+    children_subtrees,
+    drop_root_child,
+    edge_type_table,
     instantiate,
     isolated_root,
     split_at_edge,
+    truncate,
 )
 from ugwldp.ugw import marginal_ugw, sample_ugw, typed_branching_law
+from ugwldp.verify import marginal_law_pool
 
 
 def _draw(items, rng):
@@ -250,3 +264,102 @@ class TestCompiledOnce:
         assert r1.getstate() == r2.getstate()
         assert canonicalize(t1, 4) is canonicalize(t2, 4)
 
+
+# ---------------------------------------------------------------------------
+# Law tables against per-class references
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_intensity_table(P):
+    acc = {}
+    for cls, p in P.items():
+        for pair, cnt in edge_type_table(cls, P.depth).items():
+            acc[pair] = acc.get(pair, 0) + p * cnt
+    return dict(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
+
+
+def reference_branching_table(P):
+    h = P.depth
+    acc = {}
+    for S, p in P.items():
+        subs = children_subtrees(S)
+        seen = set()
+        for sub in subs:
+            if sub in seen:
+                continue
+            seen.add(sub)
+            tau = drop_root_child(S, sub)
+            cell = acc.setdefault((truncate(tau, h - 1), sub), {})
+            cell[tau] = cell.get(tau, 0) + p * subs.count(sub)
+    intens = reference_edge_intensity_table(P)
+    return {
+        key: NeighborhoodLaw(h, {tau: w / intens[key] for tau, w in cell.items()}, mode=P.mode)
+        for key, cell in acc.items()
+    }
+
+
+def reference_log_factorial_term(P):
+    total = 0.0
+    for cls, p in P.items():
+        s = sum(math.lgamma(c + 1) for c in edge_type_table(cls, P.depth).values())
+        total += float(p) * s
+    return total
+
+
+SPLIT_LAWS = (
+    {3: F(1)},
+    {1: F(1, 2), 2: F(1, 2)},
+    {1: F(1, 3), 3: F(2, 3)},
+    {0: F(1, 4), 1: F(1, 4), 2: F(1, 4), 3: F(1, 4)},
+)
+
+
+def table_laws():
+    """The 12 marginal laws of the split tests and the verify pool."""
+    for deg in SPLIT_LAWS:
+        name = ",".join(f"{k}:{p}" for k, p in sorted(deg.items()))
+        for h in (1, 2, 3):
+            yield f"split{name}-h{h}", marginal_ugw(NeighborhoodLaw.from_degree_law(deg), h)
+    for i, (P, h, _k) in enumerate(marginal_law_pool()):
+        yield f"pool{i}-h{h}", P
+
+
+TABLE_LAWS = [pytest.param(P, id=name) for name, P in table_laws()]
+FLOAT_LAWS = [
+    pytest.param(marginal_ugw(poisson_law(1.0, tail=1e-3), h), id=f"poisson-h{h}")
+    for h in (1, 2)
+]
+
+
+@pytest.mark.parametrize("P", TABLE_LAWS + FLOAT_LAWS)
+def test_law_tables_match_references(P):
+    assert list(edge_intensity_table(P).items()) == list(
+        reference_edge_intensity_table(P).items()
+    )
+    got = typed_branching_law(P).table
+    want = reference_branching_table(P)
+    assert list(got) == list(want)
+    for key, law in want.items():
+        assert list(got[key].items()) == list(law.items())
+    assert _log_factorial_term(P) == reference_log_factorial_term(P)
+
+
+@pytest.mark.parametrize("P", TABLE_LAWS)
+def test_one_edge_type_table_per_class(P, monkeypatch):
+    """Intensities, branch laws, entropy and one extension step share one table."""
+    P = pickle.loads(pickle.dumps(P))  # a fresh law object, nothing derived yet
+    calls = Counter()
+    real = edge_type_table
+
+    def counted(cls, h):
+        calls[(cls, h)] += 1
+        return real(cls, h)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ugwldp" and hasattr(mod, "edge_type_table"):
+            monkeypatch.setattr(mod, "edge_type_table", counted)
+    edge_intensity_table(P)
+    typed_branching_law(P)
+    ugw_entropy(P)
+    marginal_ugw(P, P.depth + 1)
+    assert calls == Counter({(cls, P.depth): 1 for cls in P.support})
