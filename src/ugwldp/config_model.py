@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .rooted import SimpleGraph, _ball, _short_cycle_at, canonical_labeling
+from .rooted import SimpleGraph, _ball, _has_short_cycle, canonical_labeling
 
 Color = tuple  # (i, j), 1-based
 
@@ -70,8 +70,9 @@ class RejectionExhaustedError(RuntimeError):
 class DegreeSequence:
     """Per-vertex L x L count matrices; row sums drive the half-edge sets.
 
-    Per-color totals, nonnegativity and half-edge offsets are derived once,
-    on first use, and reused by every later call on the same sequence.
+    Per-color totals, nonnegativity, half-edge offsets and half-edge owners
+    are derived once, on first use, and reused by every later call on the
+    same sequence.
     """
 
     L: int
@@ -111,6 +112,19 @@ class DegreeSequence:
                 itertools.accumulate(
                     (mat[c[0] - 1][c[1] - 1] for mat in self.mats), initial=0
                 ),
+            )
+            for c in all_colors(self.L)
+        }
+
+    @cached_property
+    def owners(self):
+        """Color -> the owner vertex of each half-edge of W_c, in W_c order."""
+        return {
+            c: tuple(
+                itertools.chain.from_iterable(
+                    itertools.repeat(u, mat[c[0] - 1][c[1] - 1])
+                    for u, mat in enumerate(self.mats)
+                )
             )
             for c in all_colors(self.L)
         }
@@ -292,9 +306,8 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
                 return True
     if h < 3:
         return False
-    # girth of the underlying simple graph: a bounded BFS from every vertex
-    adj = G.adjacency()
-    return any(_short_cycle_at(adj, s, h) for s in range(G.n))
+    # girth of the underlying simple graph
+    return _has_short_cycle(dict(enumerate(G.adjacency())), h)
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +340,42 @@ def _pools(D: DegreeSequence):
     return {c: tuple(half_edges(D, c)) for c in all_colors(D.L)}
 
 
+def _below(getrandbits, m):
+    """Uniform integer in [0, m) for m >= 1: rejection on m.bit_length() random bits.
+
+    The algorithm of Random._randbelow_with_getrandbits in CPython 3.11,
+    without randrange's argument checks, so rng.randrange(m) and
+    _below(rng.getrandbits, m) draw the same values from the same stream.
+    """
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
 def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
-    """The pairs of a uniform configuration, yielded as they are drawn.
+    """The pairs of a uniform configuration, yielded as (c, a, b) as they are drawn.
 
     Each diagonal color c is a sequential matching: the least unmatched
-    half-edge of W_c gets a uniform partner among the rest.  Each color c
-    of C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
+    entry of W_c gets a uniform partner among the rest.  Each color c of
+    C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
     performs, with the same draws; position i is final once step i is
-    done, and is then yielded as the partner of W_c[i].  `pools` is
-    :func:`_pools` of D.
+    done, and is then yielded as the partner of W_c[i].  `pools` maps each
+    color to its entries in W_c order: the half-edges of :func:`_pools`,
+    or their owners, DegreeSequence.owners; the draws do not depend on
+    which.  Every draw is one :func:`_below`, the stream of rng.randrange.
     """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
+    bits = rng.getrandbits
     for c in matching_colors(D.L):
         pool = list(pools[c])
-        # pool[lo:] holds the unmatched half-edges
+        # pool[lo:] holds the unmatched entries
         lo = 0
         while lo < len(pool):
-            k = lo + rng.randrange(1, len(pool) - lo)
-            yield pool[lo], pool[k]
+            k = lo + 1 + _below(bits, len(pool) - lo - 1)
+            yield c, pool[lo], pool[k]
             pool[k] = pool[-1]
             pool.pop()
             lo += 1
@@ -353,18 +383,18 @@ def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
         left = pools[c]
         perm = list(pools[conj(c)])
         for i in reversed(range(1, len(perm))):
-            j = rng.randrange(i + 1)
+            j = _below(bits, i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-            yield left[i], perm[i]
+            yield c, left[i], perm[i]
         if perm:
-            yield left[0], perm[0]
+            yield c, left[0], perm[0]
 
 
 def _configuration(D: DegreeSequence, drawn) -> Configuration:
     """Group drawn pairs by color; a color of C_< is put in W_c order."""
     pairs = {c: [] for c in matching_colors(D.L) + bijection_colors(D.L)}
-    for a, b in drawn:
-        pairs[a[0]].append((a, b))
+    for c, a, b in drawn:
+        pairs[c].append((a, b))
     return Configuration(
         D, {c: tuple(p if c[0] == c[1] else sorted(p)) for c, p in pairs.items()}
     )
@@ -422,40 +452,59 @@ def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:
     return Configuration(sigma.D, {**sigma.pairs, c: tuple(pairs)})
 
 
+def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=None):
+    """The attempt loop of :func:`sample_G_Dh`: (simple graph, draws, attempts).
+
+    An attempt draws (c, u, v) from the owner pools D.owners in
+    :func:`sample_configuration` order and stops at the first loop, or at
+    the first pair of vertices joined twice over all colors: both are
+    cycles of length <= 2 <= h, so the attempt would be rejected whatever
+    the remaining draws.  A completed attempt is simple; for h >= 3 its
+    girth is tested by :func:`rooted._has_short_cycle`.  The accepted
+    attempt gives SimpleGraph(D.n, its edge set), the colorblind
+    projection, and its draws in order, one (c, u, v) per edge.
+    """
+    if h < 2:
+        raise ValueError("short-cycle-free sampling needs h >= 2")
+    cap = max_attempts if max_attempts is not None else 100_000
+    pools = D.owners
+    for attempt in range(1, cap + 1):
+        joined = set()
+        draws = []
+        for c, u, v in _pair_draws(D, pools, rng):
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in joined:
+                break
+            joined.add(key)
+            draws.append((c, u, v))
+        else:
+            G = SimpleGraph(D.n, frozenset(joined))
+            if h < 3 or not _has_short_cycle(G.adjacency(), h):
+                return G, draws, attempt
+    raise RejectionExhaustedError(cap)
+
+
 def sample_G_Dh(
     D: DegreeSequence, h: int, rng: random.Random, max_attempts: int | None = None
 ):
     """Rejection sampling of a uniform colored multigraph with no short cycles.
 
     Accepts once the colorblind projection has no cycle of length <= h.
-    Returns (graph, attempts).
+    Returns (graph, attempts): the graph holds one add_edge(c, u, v) per
+    draw of the accepted attempt of :func:`_simple_sample`, whose simple
+    graph is its colorblind projection.
 
-    An attempt draws its pairs in :func:`sample_configuration` order and
-    stops at the first loop, or at the first pair of vertices joined twice
-    over all colors: both are cycles of length <= 2 <= h, so the attempt
-    would be rejected whatever the remaining draws.  The law of the
-    accepted graph is therefore the one of full attempts, but the random
-    stream differs from drawing every attempt in full.  A completed
-    attempt is simple, and has_cycle_leq then looks for longer cycles.
+    An attempt stops at its first loop or double edge, so the law of the
+    accepted graph is the one of full attempts, but the random stream
+    differs from drawing every attempt in full.  Cost per attempt: O(L^2 +
+    half-edges), plus the 2-core girth test of a completed one for h >= 3.
     """
-    if h < 2:
-        raise ValueError("short-cycle-free sampling needs h >= 2")
-    cap = max_attempts if max_attempts is not None else 100_000
-    pools = _pools(D)
-    for attempt in range(1, cap + 1):
-        joined = set()
-        pairs = []
-        for a, b in _pair_draws(D, pools, rng):
-            u, v = a[1], b[1]
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in joined:
-                break
-            joined.add(key)
-            pairs.append((a, b))
-        else:
-            if not has_cycle_leq(Multigraph(D.n, dict.fromkeys(joined, 1)), h):
-                return graph_of(_configuration(D, pairs)), attempt
-    raise RejectionExhaustedError(cap)
+    _, draws, attempts = _simple_sample(D, h, rng, max_attempts)
+    G = ColoredMultigraph(D.L, D.n)
+    add = G.add_edge
+    for c, u, v in draws:
+        add(c, u, v)
+    return G, attempts
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +877,8 @@ def read_colored_graph(path) -> ColoredMultigraph:
     """Header "L n", then one line "u v i j m" per weight w[(i, j), u, v] = m.
 
     Raises ValueError unless each line has u, v in 0..n-1, i, j in 1..L,
-    m >= 1 and a new key, and w[c, u, v] == w[conj c, v, u] throughout.
+    m >= 1, an even m on a loop of a diagonal color, and a new key, and
+    w[c, u, v] == w[conj c, v, u] throughout.
     """
     with open(path, encoding="utf-8") as fh:
         L, n = (int(x) for x in fh.readline().split())
@@ -845,6 +895,10 @@ def read_colored_graph(path) -> ColoredMultigraph:
                 )
             if m <= 0 or key in w:
                 raise ValueError(f"{path}: {line.strip()!r}: weight below 1 or a repeated key")
+            if i == j and u == v and m % 2:
+                raise ValueError(
+                    f"{path}: {line.strip()!r}: a loop of a diagonal color weighs 2 per edge"
+                )
             w[key] = m
     bad = [key for key, m in w.items() if w.get((_CONJ[key[0]], key[2], key[1])) != m]
     if bad:

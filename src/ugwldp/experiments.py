@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .config_model import (
     DegreeSequence,
+    _simple_sample,
     colorblind_of,
-    colorblind_simple,
-    sample_G_Dh,
     sample_configuration,
 )
 from .neighborhood import NeighborhoodLaw, empirical_distribution, tv_distance
@@ -156,9 +155,10 @@ def degree_sequence_for_law(P_deg: dict, n: int) -> DegreeSequence:
 def converge_experiment(P_deg: dict, n_list, samples: int, depth: int, seed: int):
     """Distance from the mean empirical law to the tree-marginal target.
 
-    Each sample is a graph with no loop or double edge (sample_G_Dh at
-    h = 2).  Raises ValueError naming samples, depth or an n_list entry if
-    it is below 1.
+    Each sample is a graph with no loop or double edge: the simple graph
+    of the sample_G_Dh attempt loop at h = 2, handed to
+    empirical_distribution as drawn.  Raises ValueError naming samples,
+    depth or an n_list entry if it is below 1.
     """
     _require_positive(
         samples=samples, depth=depth, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}
@@ -173,8 +173,8 @@ def converge_experiment(P_deg: dict, n_list, samples: int, depth: int, seed: int
 
         def one(s, D=D):
             rng = random.Random(s)
-            G, _ = sample_G_Dh(D, 2, rng)
-            return empirical_distribution(colorblind_simple(G), depth)
+            G, _, _ = _simple_sample(D, 2, rng)
+            return empirical_distribution(G, depth)
 
         laws = _fan_out(one, samples, seed + n)
         mean_support: dict = {}

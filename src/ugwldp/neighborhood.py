@@ -184,8 +184,9 @@ def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
     """Uniform-root law of depth-h neighborhood classes of a finite graph.
 
     The classes come from :func:`rooted.ball_classes`: O(h * m * d log d)
-    for the tree balls, d the largest degree, plus a canonical labeling
-    for each ball that holds a cycle.
+    for the tree balls, d the largest degree, plus O(n + m) for the 2-core,
+    a girth BFS per vertex within distance h of it, and a canonical
+    labeling for each ball that holds a cycle.
     """
     if G.n == 0:
         raise ValueError("empirical distribution of an empty vertex set")

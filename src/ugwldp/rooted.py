@@ -572,25 +572,62 @@ def _short_cycle_at(adj, root, g):
     return False
 
 
+def _near_core(adj, h):
+    """The vertices of adj within distance h of its 2-core, as a set.
+
+    Every cycle lies in the 2-core, the vertices left once those of degree
+    <= 1 are peeled off one by one.  The peel is O(n + m), and a
+    multi-source BFS of radius h from the core adds the rest.
+    """
+    deg = {v: len(nb) for v, nb in adj.items()}
+    stack = [v for v, d in deg.items() if d <= 1]
+    peeled = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in peeled:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    peeled.add(w)
+                    stack.append(w)
+    near = {v for v in adj if v not in peeled}
+    frontier = near
+    for _ in range(h):
+        frontier = {w for v in frontier for w in adj[v] if w not in near}
+        near |= frontier
+    return near
+
+
+def _has_short_cycle(adj, g):
+    """Whether the simple graph adj has a cycle of length <= g.
+
+    One :func:`_short_cycle_at` from each vertex of the 2-core, where
+    every cycle lies.
+    """
+    return any(_short_cycle_at(adj, v, g) for v in _near_core(adj, 0))
+
+
 def ball_classes(adj, h):
     """Depth-h class of every vertex of adj, as a dict vertex -> class.
 
     Each value `is` canonical_from_adjacency(adj, v, h).  Where B_h(v) is
     a tree, its class joins the depth-(h-1) messages of :func:`_messages`
-    into v, once per distinct multiset.  A bounded BFS per vertex
-    (:func:`_short_cycle_at`) finds the balls that hold a cycle, and only
-    those go through canonical_from_adjacency.  Cost O(h * m * d log d)
-    for the whole graph, d the largest degree, plus the BFS of every ball,
-    the size of each distinct class, and the canonical labeling of the
-    cyclic balls.
+    into v, once per distinct multiset.  A cycle of B_h(v) lies in the
+    2-core, so only a vertex within distance h of it (:func:`_near_core`)
+    can hold one; a bounded BFS from each such vertex
+    (:func:`_short_cycle_at`) finds the balls that do, and only those go
+    through canonical_from_adjacency.  Cost O(h * m * d log d) for the
+    whole graph, d the largest degree, plus O(n + m) for the core, the
+    BFS of every ball near it, the size of each distinct class, and the
+    canonical labeling of the cyclic balls.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
     verts, start, _, msg = _messages(adj, h - 1)
+    near = _near_core(adj, h)
     joined = {}
     out = {}
     for i, v in enumerate(verts):
-        if _short_cycle_at(adj, v, 2 * h + 1):
+        if v in near and _short_cycle_at(adj, v, 2 * h + 1):
             out[v] = canonical_from_adjacency(adj, v, h)
             continue
         kids = msg[start[i] : start[i + 1]]

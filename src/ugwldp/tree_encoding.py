@@ -20,19 +20,17 @@ from dataclasses import dataclass
 from .config_model import (
     ColoredMultigraph,
     DegreeSequence,
+    _simple_sample,
     bijection_colors,
     colorblind_of,
-    colorblind_simple,
     config_space_size,
     degree_factorials,
     degree_sequence_of,
-    from_simple,
     has_cycle_leq,
     matching_colors,
-    sample_G_Dh,
 )
 from .oracle import enumerate_configurations
-from .rooted import SimpleGraph, ball_classes, split_classes
+from .rooted import SimpleGraph, _has_short_cycle, ball_classes, split_classes
 
 
 class NotTreeLikeError(ValueError):
@@ -74,8 +72,11 @@ def neighborhood_vector(G: SimpleGraph, h: int):
 
 
 def is_h_treelike(G: SimpleGraph, h: int) -> bool:
-    """Every depth-h neighborhood is a tree (no cycle of length <= 2h+1)."""
-    return not has_cycle_leq(from_simple(G), 2 * h + 1)
+    """Every depth-h neighborhood is a tree (no cycle of length <= 2h+1).
+
+    One girth BFS per vertex of the 2-core, on G's adjacency.
+    """
+    return not _has_short_cycle(G.adjacency(), 2 * h + 1)
 
 
 def encode(G: SimpleGraph, h: int):
@@ -85,7 +86,7 @@ def encode(G: SimpleGraph, h: int):
     projection of the output recovers G exactly, and the output has no
     cycle of length <= 2h+1.  The edge sides are the depth-(h-1) messages
     of :func:`rooted.split_classes`, O(h * m * d log d) for the whole
-    graph, d the largest degree, after the O(n * ball) girth test.
+    graph, d the largest degree, after a girth BFS per 2-core vertex.
     """
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
@@ -106,13 +107,14 @@ def verify_neighborhood_preservation(
     """Sampled check that re-wired encodings keep the neighborhood multiset.
 
     Draws colored multigraphs with the encoded degree sequence and no cycle
-    of length <= 2h+1 and compares depth-h class multisets with G's.
+    of length <= 2h+1, by the sample_G_Dh attempt loop, and compares the
+    depth-h class multisets of their simple graphs with G's.
     """
     _, _, D = encode(G, h)
     want = Counter(neighborhood_vector(G, h))
     for _ in range(samples):
-        sample, _attempts = sample_G_Dh(D, 2 * h + 1, rng)
-        got = Counter(neighborhood_vector(colorblind_simple(sample), h))
+        sample, _, _ = _simple_sample(D, 2 * h + 1, rng)
+        got = Counter(neighborhood_vector(sample, h))
         if got != want:
             return False
     return True

@@ -193,10 +193,28 @@ def _assemble(chosen, depth):
     return _join(depth, [sub for sub, cnt in chosen for _ in range(cnt)])
 
 
+def _extension_size(law, types, branching):
+    """Number of classes the one-step extension of law builds, before building any.
+
+    A block's extension picks, for each distinct child type, a multiset of
+    n_a classes from that type's branch law: C(options + n_a - 1, n_a)
+    picks, multiplied over the types and summed over the blocks.
+    """
+    total = 0
+    for block in law.support:
+        picks = 1
+        for s, s_comp, n_a in _child_types(types[block]):
+            picks *= comb(len(branching.law(s, s_comp)) + n_a - 1, n_a)
+        total += picks
+    return total
+
+
 def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> NeighborhoodLaw:
     """Exact depth-k marginal of the UGW tree with depth-h law P.
 
     Iterates the one-step multinomial extension from depth h up to k.
+    Raises SupportExplosionError before a step whose support, counted by
+    :func:`_extension_size`, would exceed support_cap.
     """
     if k < P.depth:
         raise ValueError(f"target depth {k} below law depth {P.depth}")
@@ -204,6 +222,12 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
     while law.depth < k:
         branching = typed_branching_law(law)
         types = root_edge_types(law)
+        size = _extension_size(law, types, branching)
+        if size > support_cap:
+            raise SupportExplosionError(
+                f"depth-{law.depth + 1} marginal support of {size} classes "
+                f"exceeds the cap of {support_cap}"
+            )
         acc: dict = {}
         for block, p in law.items():
             _extend_block(block, types[block], branching, support_cap, acc, p)

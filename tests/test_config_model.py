@@ -133,6 +133,8 @@ class TestDegreeSequences:
             ("1 2\n0 1 1 1 0\n1 0 1 1 0\n", "weight below 1"),
             ("1 2\n0 1 1 1 -1\n1 0 1 1 -1\n", "weight below 1"),
             ("1 2\n0 1 1 1 1\n1 0 1 1 1\n0 1 1 1 1\n", "a repeated key"),
+            ("1 1\n0 0 1 1 1\n", "'0 0 1 1 1': a loop of a diagonal color weighs 2"),
+            ("2 2\n1 1 2 2 3\n", "'1 1 2 2 3': a loop of a diagonal color weighs 2"),
         ],
     )
     def test_colored_graph_file_rejected(self, tmp_path, text, message):
@@ -140,6 +142,14 @@ class TestDegreeSequences:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message)):
             read_colored_graph(path)
+
+    def test_colored_graph_file_accepts_odd_off_diagonal_loops(self, tmp_path):
+        path = tmp_path / "G.txt"
+        path.write_text("2 1\n0 0 1 2 1\n0 0 2 1 1\n0 0 1 1 2\n", encoding="utf-8")
+        G = ColoredMultigraph(2, 1)
+        for c in ((1, 2), (1, 1)):
+            G.add_edge(c, 0, 0)
+        assert read_colored_graph(path).w == G.w
 
     def test_colored_graph_file_round_trip_with_loops(self, tmp_path):
         G = ColoredMultigraph(2, 2)

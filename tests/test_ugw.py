@@ -164,6 +164,30 @@ class TestMarginal:
         with pytest.raises(SupportExplosionError):
             marginal_ugw(P, 4, support_cap=50)
 
+    def test_support_count_is_the_support_size(self):
+        from ugwldp.neighborhood import root_edge_types
+        from ugwldp.ugw import _extension_size, typed_branching_law
+        from ugwldp.verify import marginal_law_pool
+
+        for P, _h, k in marginal_law_pool():
+            law = P
+            while law.depth < k:
+                size = _extension_size(law, root_edge_types(law), typed_branching_law(law))
+                law = marginal_ugw(law, law.depth + 1)
+                assert size == len(law)
+
+    def test_support_cap_raises_before_building(self):
+        import time
+
+        from ugwldp.neighborhood import poisson_law
+        from ugwldp.ugw import SupportExplosionError
+
+        P2 = marginal_ugw(poisson_law(1.0, tail=1e-3), 2)
+        start = time.perf_counter()
+        with pytest.raises(SupportExplosionError, match="exceeds the cap of 1000"):
+            marginal_ugw(P2, 3, support_cap=1000)
+        assert time.perf_counter() - start < 1.0
+
     def test_consistency(self):
         for P in (
             UNIFORM12,
