@@ -260,7 +260,11 @@ class Multigraph:
         return self.w.get((min(u, v), max(u, v)), 0)
 
     def adjacency(self):
-        """adj[v] maps each neighbor of v to the edge multiplicity; loops are left out."""
+        """A list indexed by vertex: adj[v] maps each neighbour of v to the edge multiplicity.
+
+        Loops are left out, so iterating adj[v] gives v's neighbours, as the
+        girth code of :mod:`rooted` reads a vertex-indexed adjacency.
+        """
         adj = [{} for _ in range(self.n)]
         for (u, v), m in self.w.items():
             if u == v:
@@ -289,12 +293,13 @@ def colorblind_simple(G: ColoredMultigraph):
     return SimpleGraph.from_edges(G.n, edges)
 
 
-def from_simple(G) -> Multigraph:
-    return Multigraph(G.n, {(u, v): 1 for u, v in G.edges})
-
-
 def has_cycle_leq(G: Multigraph, h: int) -> bool:
-    """Any cycle of length <= h: loops count as 1, double edges as 2."""
+    """Any cycle of length <= h: loops count as 1, double edges as 2.
+
+    Loops and double edges are read off the weights; for h >= 3 the girth
+    of the underlying simple graph is tested on the vertex-indexed
+    G.adjacency() by :func:`rooted._has_short_cycle`.
+    """
     if h < 1:
         raise ValueError("cycle length bound must be >= 1")
     for (u, v), m in G.w.items():
@@ -306,8 +311,7 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
                 return True
     if h < 3:
         return False
-    # girth of the underlying simple graph
-    return _has_short_cycle(dict(enumerate(G.adjacency())), h)
+    return _has_short_cycle(G.adjacency(), h)
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,11 @@ class AdmissibilityReport:
 def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
     """Uniform-root law of depth-h neighborhood classes of a finite graph.
 
-    The classes come from :func:`rooted.ball_classes`: O(h * m * d log d)
-    for the tree balls, d the largest degree, plus O(n + m) for the 2-core,
-    a girth BFS per vertex within distance h of it, and a canonical
-    labeling for each ball that holds a cycle.
+    The classes come from :func:`rooted.ball_classes` on G's
+    vertex-indexed adjacency: an O(n + m) arc table, O(h * m * d log d)
+    for the tree balls, d the largest degree, O(n + m) for the 2-core, a
+    girth BFS per vertex within distance h of it, and a canonical labeling
+    for each ball that holds a cycle.
     """
     if G.n == 0:
         raise ValueError("empirical distribution of an empty vertex set")

@@ -28,9 +28,11 @@ Given a `cut` neighbour of the root it treats that edge as absent, so one
 side of an edge costs O(size of the ball), whatever the size of the
 component.  The classes of every vertex of a graph, or of both sides of
 every edge, come from one table of tree-class messages on directed edges
-instead (:func:`ball_classes`, :func:`split_classes`): each message joins
-the messages one step further out, and only balls that hold a cycle are
-canonicalized one by one.
+instead (:func:`tree_classes`, :func:`ball_classes`, :func:`split_classes`):
+each message joins the messages one step further out, and only balls that
+hold a cycle are canonicalized one by one.  These take the graph as one
+vertex-indexed list, adj[v] iterating the neighbours of v for v in 0..n-1,
+as :meth:`SimpleGraph.adjacency` returns it.
 
 Every class records the depth at which it was truncated.  Operations that
 read structure beyond that depth are rejected instead of silently using
@@ -42,6 +44,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class EdgeAbsentError(ValueError):
@@ -134,17 +137,17 @@ class SimpleGraph:
         return len(self.edges)
 
     def adjacency(self):
-        adj = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        """adj[v] lists the neighbours of v, each once, for v in 0..n-1.
 
-    def rooted_at(self, v):
-        g = LabeledRootedGraph(root=v, vertices=range(self.n))
-        for a, b in self.edges:
-            g.add_edge(a, b)
-        return g
+        This vertex-indexed list is the adjacency that the class and girth
+        code (:func:`tree_classes`, :func:`ball_classes`,
+        :func:`split_classes`, :func:`_has_short_cycle`) takes.  O(n + m).
+        """
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +455,14 @@ def _decode_general(encoding):
 def canonical_from_adjacency(adj, root, h, cut=None):
     """Canonical class of the depth-h truncation of (adj, root).
 
-    With `cut` given, a neighbour of root, the edge {root, cut} is treated
-    as absent: the result is the class of root's side of that edge,
-    truncated at depth h.  The traversal costs O(size of the ball); a ball
-    with a cycle adds the cost of :func:`canonical_labeling`.  Raises
-    EdgeAbsentError when cut is not adjacent to root.
+    adj[v] iterates the neighbours of v: a vertex-indexed list or tuple,
+    as SimpleGraph.adjacency and CanonicalClass.rep give, or a mapping
+    from labels, as LabeledRootedGraph.adj.  With `cut` given, a
+    neighbour of root, the edge {root, cut} is treated as absent: the
+    result is the class of root's side of that edge, truncated at depth h.
+    The traversal costs O(size of the ball); a ball with a cycle adds the
+    cost of :func:`canonical_labeling`.  Raises EdgeAbsentError when cut
+    is not adjacent to root.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
@@ -494,50 +500,68 @@ def canonical_from_adjacency(adj, root, h, cut=None):
 # ---------------------------------------------------------------------------
 
 
-def _messages(adj, k):
-    """Depth-k messages on every directed edge of adj, in flat lists.
+def _arcs(adj):
+    """The arc table (start, to, back) of the vertex-indexed simple graph adj.
 
-    Returns (verts, start, to, msg).  The edges out of verts[i] are the
-    e with start[i] <= e < start[i + 1]; edge e leads to verts[to[e]], and
-    msg[e] is the tree class of the side of verts[to[e]] without that
-    edge, unfolded into a tree to depth k.  msg_0 is the single vertex,
-    and msg_k(u -> v) joins the msg_{k-1}(v -> w) over w != u as root
-    subtrees: the tree-isomorphism recursion of Aho, Hopcroft & Ullman
-    (1974) run as colour refinement.  Where the side is a tree to depth k
-    the unfolding is the side itself.  Each round joins once per distinct
-    multiset of messages into a vertex and per message dropped from it.
+    adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
+    The arcs out of v are the a with start[v] <= a < start[v + 1], arc a
+    leads to to[a], and back[a] is its reverse arc.  One O(n + m) pass:
+    start sums the degrees, and each edge {u, w}, u < w, takes the next
+    free arc of u and of w from per-vertex fill counters, so both arcs
+    know their reverse as they are written.
     """
-    verts = list(adj)
-    index = {v: i for i, v in enumerate(verts)}
-    start = [0]
-    to = []
-    for v in verts:
-        to.extend(index[w] for w in adj[v])
-        start.append(len(to))
-    del index
-    # back[e]: the reverse of edge e
-    back = [
-        to.index(i, start[j], start[j + 1])
-        for i in range(len(verts))
-        for j in to[start[i] : start[i + 1]]
-    ]
+    start = [0, *accumulate(map(len, adj))]
+    fill = start[:-1]
+    to = [0] * start[-1]
+    back = [0] * start[-1]
+    for u, nbrs in enumerate(adj):
+        for w in nbrs:
+            if u < w:
+                a = fill[u]
+                b = fill[w]
+                fill[u] = a + 1
+                fill[w] = b + 1
+                to[a] = w
+                to[b] = u
+                back[a] = b
+                back[b] = a
+    return start, to, back
+
+
+def _messages(adj, k):
+    """Depth-k messages on every arc of the vertex-indexed adj, in flat lists.
+
+    adj[v] iterates the neighbours of v, for v in 0..n-1 (a simple graph).
+    Returns (start, to, msg), the first two from the O(n + m) arc table of
+    :func:`_arcs`: the arcs out of v are the a with start[v] <= a <
+    start[v + 1], and arc a leads to to[a].  msg[a] is the tree class of
+    the side of to[a] without that edge, unfolded into a tree to depth k.
+    msg_0 is the single vertex, and msg_k(u -> v) joins the msg_{k-1}(v ->
+    w) over w != u as root subtrees: the tree-isomorphism recursion of
+    Aho, Hopcroft & Ullman (1974) run as colour refinement.  Where the
+    side is a tree to depth k the unfolding is the side itself.  Each
+    round joins once per distinct multiset of messages into a vertex, and
+    within it once per distinct message dropped from it.
+    """
+    start, to, back = _arcs(adj)
     msg = [_tree_class(0, "()")] * len(to)
     for depth in range(1, k + 1):
         drops = {}
         new = [None] * len(to)
-        for i in range(len(verts)):
-            lo, hi = start[i], start[i + 1]
-            key = tuple(sorted([c.id for c in msg[lo:hi]]))
+        for v in range(len(adj)):
+            lo, hi = start[v], start[v + 1]
+            kids = msg[lo:hi]
+            key = tuple(sorted([c.id for c in kids]))
             drop = drops.get(key)
             if drop is None:
-                kids = msg[lo:hi]
-                drop = drops[key] = {
-                    c: _join(depth, kids[:p] + kids[p + 1 :]) for p, c in enumerate(kids)
-                }
-            for e in range(lo, hi):
-                new[back[e]] = drop[msg[e]]
+                drop = drops[key] = {}
+                for p, c in enumerate(kids):
+                    if c not in drop:
+                        drop[c] = _join(depth, kids[:p] + kids[p + 1 :])
+            for a in range(lo, hi):
+                new[back[a]] = drop[msg[a]]
         msg = new
-    return verts, start, to, msg
+    return start, to, msg
 
 
 def _short_cycle_at(adj, root, g):
@@ -573,14 +597,15 @@ def _short_cycle_at(adj, root, g):
 
 
 def _near_core(adj, h):
-    """The vertices of adj within distance h of its 2-core, as a set.
+    """The vertices within distance h of the 2-core of the vertex-indexed adj, as a set.
 
+    adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
     Every cycle lies in the 2-core, the vertices left once those of degree
     <= 1 are peeled off one by one.  The peel is O(n + m), and a
     multi-source BFS of radius h from the core adds the rest.
     """
-    deg = {v: len(nb) for v, nb in adj.items()}
-    stack = [v for v, d in deg.items() if d <= 1]
+    deg = [len(nb) for nb in adj]
+    stack = [v for v, d in enumerate(deg) if d <= 1]
     peeled = set(stack)
     while stack:
         for w in adj[stack.pop()]:
@@ -589,7 +614,7 @@ def _near_core(adj, h):
                 if deg[w] <= 1:
                     peeled.add(w)
                     stack.append(w)
-    near = {v for v in adj if v not in peeled}
+    near = {v for v in range(len(adj)) if v not in peeled}
     frontier = near
     for _ in range(h):
         frontier = {w for v in frontier for w in adj[v] if w not in near}
@@ -598,63 +623,78 @@ def _near_core(adj, h):
 
 
 def _has_short_cycle(adj, g):
-    """Whether the simple graph adj has a cycle of length <= g.
+    """Whether the vertex-indexed simple graph adj has a cycle of length <= g.
 
-    One :func:`_short_cycle_at` from each vertex of the 2-core, where
-    every cycle lies.
+    adj[v] iterates the neighbours of v, for v in 0..n-1.  One
+    :func:`_short_cycle_at` from each vertex of the 2-core, where every
+    cycle lies: O(n + m) for the core plus a bounded BFS per core vertex.
     """
     return any(_short_cycle_at(adj, v, g) for v in _near_core(adj, 0))
 
 
-def ball_classes(adj, h):
-    """Depth-h class of every vertex of adj, as a dict vertex -> class.
+def tree_classes(adj, h):
+    """Depth-h tree class of every vertex of the vertex-indexed adj, as a list.
 
-    Each value `is` canonical_from_adjacency(adj, v, h).  Where B_h(v) is
-    a tree, its class joins the depth-(h-1) messages of :func:`_messages`
-    into v, once per distinct multiset.  A cycle of B_h(v) lies in the
-    2-core, so only a vertex within distance h of it (:func:`_near_core`)
-    can hold one; a bounded BFS from each such vertex
-    (:func:`_short_cycle_at`) finds the balls that do, and only those go
-    through canonical_from_adjacency.  Cost O(h * m * d log d) for the
-    whole graph, d the largest degree, plus O(n + m) for the core, the
-    BFS of every ball near it, the size of each distinct class, and the
-    canonical labeling of the cyclic balls.
+    adj[v] iterates the neighbours of v, for v in 0..n-1.  classes[v]
+    joins the depth-(h-1) messages of :func:`_messages` into v, once per
+    distinct multiset; it is the class of the depth-h unfolding of v, and
+    so `is` canonical_from_adjacency(adj, v, h) wherever B_h(v) is a tree,
+    as on every vertex of a graph with no cycle of length <= 2h + 1.  No
+    cycle is looked for.  Cost O(n + h * m * d log d), d the largest
+    degree, plus the size of each distinct class.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    verts, start, _, msg = _messages(adj, h - 1)
-    near = _near_core(adj, h)
+    start, _, msg = _messages(adj, h - 1)
     joined = {}
-    out = {}
-    for i, v in enumerate(verts):
-        if v in near and _short_cycle_at(adj, v, 2 * h + 1):
-            out[v] = canonical_from_adjacency(adj, v, h)
-            continue
-        kids = msg[start[i] : start[i + 1]]
+    out = []
+    for v in range(len(adj)):
+        kids = msg[start[v] : start[v + 1]]
         key = tuple(sorted([c.id for c in kids]))
         got = joined.get(key)
         if got is None:
             got = joined[key] = _join(h, kids)
-        out[v] = got
+        out.append(got)
+    return out
+
+
+def ball_classes(adj, h):
+    """Depth-h class of every vertex of the vertex-indexed adj, as a dict v -> class.
+
+    adj[v] iterates the neighbours of v, for v in 0..n-1.  Each value `is`
+    canonical_from_adjacency(adj, v, h).  The classes start from
+    :func:`tree_classes`.  A cycle of B_h(v) lies in the 2-core, so only a
+    vertex within distance h of it (:func:`_near_core`) can hold one; a
+    bounded BFS from each such vertex (:func:`_short_cycle_at`) finds the
+    balls that do, and only their entries are replaced, by
+    canonical_from_adjacency.  Cost: that of tree_classes, plus O(n + m)
+    for the core, the BFS of every ball near it, and the canonical
+    labeling of the cyclic balls.
+    """
+    out = dict(enumerate(tree_classes(adj, h)))
+    for v in _near_core(adj, h):
+        if _short_cycle_at(adj, v, 2 * h + 1):
+            out[v] = canonical_from_adjacency(adj, v, h)
     return out
 
 
 def split_classes(adj, k):
-    """Depth-k class of both sides of every edge, as a dict (u, v) -> class.
+    """Depth-k class of both sides of every edge of the vertex-indexed adj.
 
-    The value at (u, v) is canonical_from_adjacency(adj, v, k, cut=u): the
-    depth-k message of :func:`_messages` on that edge, O(k * m * d log d)
-    for the whole graph plus the size of each distinct class.  Exact when
-    every such side is a tree to depth k, which holds when adj has no
-    cycle of length <= 2k + 3.
+    adj[v] iterates the neighbours of v, for v in 0..n-1.  Returns a dict
+    (u, v) -> class whose value is canonical_from_adjacency(adj, v, k,
+    cut=u): the depth-k message of :func:`_messages` on that arc, O(n +
+    k * m * d log d) for the whole graph plus the size of each distinct
+    class.  Exact when every such side is a tree to depth k, which holds
+    when adj has no cycle of length <= 2k + 3.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    verts, start, to, msg = _messages(adj, k)
+    start, to, msg = _messages(adj, k)
     return {
-        (verts[i], verts[to[e]]): msg[e]
-        for i in range(len(verts))
-        for e in range(start[i], start[i + 1])
+        (u, to[a]): msg[a]
+        for u in range(len(adj))
+        for a in range(start[u], start[u + 1])
     }
 
 
@@ -679,7 +719,7 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
         if d < radius:
             raise ValueError(f"declared depth {d} below radius {radius}")
         # Re-encode: hand-written subtrees need not be in sorted order.
-        return _tree_class(d, _tree_paren({i: set(nb) for i, nb in enumerate(rep)}, 0))
+        return _tree_class(d, _tree_paren(rep, 0))
     if wire.startswith("G"):
         head, _, hexpart = wire.partition(":")
         d = int(head[1:])
@@ -687,19 +727,15 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
             raise ValueError(f"depth mismatch: {depth} vs {wire!r}")
         enc = bytes.fromhex(hexpart)
         rep = _decode_general(enc)
-        dist = _ball({i: set(nb) for i, nb in enumerate(rep)}, 0, d)
-        if len(dist) != len(rep):
+        if len(_ball(rep, 0, d)) != len(rep):
             raise ValueError(f"encoding not connected within depth {d}: {wire!r}")
         # Re-canonicalize: hand-written hex need not be in minimal form.
-        return canonical_from_adjacency(
-            {i: set(nb) for i, nb in enumerate(rep)}, 0, d
-        )
+        return canonical_from_adjacency(rep, 0, d)
     raise ValueError(f"unrecognized class encoding: {wire!r}")
 
 
 def _radius(rep):
-    adj = {i: set(nb) for i, nb in enumerate(rep)}
-    dist = _ball(adj, 0, len(rep))
+    dist = _ball(rep, 0, len(rep))
     return max(dist.values(), default=0)
 
 
@@ -728,8 +764,7 @@ def truncate(g: CanonicalClass, h: int) -> CanonicalClass:
         return g
     if g.kind == TREE:
         return _join(h, g.children)
-    adj = {i: set(nb) for i, nb in enumerate(g.rep)}
-    return canonical_from_adjacency(adj, 0, h)
+    return canonical_from_adjacency(g.rep, 0, h)
 
 
 def instantiate(g: CanonicalClass) -> LabeledRootedGraph:
@@ -826,11 +861,10 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
         )
     if g.kind == TREE:
         return dict(Counter(root_sides(g, h)))
-    adj = {i: set(nb) for i, nb in enumerate(g.rep)}
     out: Counter = Counter()
     for v in g.rep[0]:
-        far = canonical_from_adjacency(adj, v, h - 1, cut=0)
-        near = canonical_from_adjacency(adj, 0, h - 1, cut=v)
+        far = canonical_from_adjacency(g.rep, v, h - 1, cut=0)
+        near = canonical_from_adjacency(g.rep, 0, h - 1, cut=v)
         out[(far, near)] += 1
     return dict(out)
 

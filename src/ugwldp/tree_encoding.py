@@ -30,7 +30,7 @@ from .config_model import (
     matching_colors,
 )
 from .oracle import enumerate_configurations
-from .rooted import SimpleGraph, _has_short_cycle, ball_classes, split_classes
+from .rooted import SimpleGraph, _has_short_cycle, ball_classes, split_classes, tree_classes
 
 
 class NotTreeLikeError(ValueError):
@@ -74,7 +74,7 @@ def neighborhood_vector(G: SimpleGraph, h: int):
 def is_h_treelike(G: SimpleGraph, h: int) -> bool:
     """Every depth-h neighborhood is a tree (no cycle of length <= 2h+1).
 
-    One girth BFS per vertex of the 2-core, on G's adjacency.
+    One girth BFS per vertex of the 2-core, on G's vertex-indexed adjacency.
     """
     return not _has_short_cycle(G.adjacency(), 2 * h + 1)
 
@@ -108,14 +108,16 @@ def verify_neighborhood_preservation(
 
     Draws colored multigraphs with the encoded degree sequence and no cycle
     of length <= 2h+1, by the sample_G_Dh attempt loop, and compares the
-    depth-h class multisets of their simple graphs with G's.
+    depth-h class multisets of their simple graphs with G's.  G, once
+    :func:`encode` has shown it h-tree-like, and every sample have only
+    tree balls, so their classes come from :func:`rooted.tree_classes`
+    with no cycle search.
     """
     _, _, D = encode(G, h)
-    want = Counter(neighborhood_vector(G, h))
+    want = Counter(tree_classes(G.adjacency(), h))
     for _ in range(samples):
         sample, _, _ = _simple_sample(D, 2 * h + 1, rng)
-        got = Counter(neighborhood_vector(sample, h))
-        if got != want:
+        if Counter(tree_classes(sample.adjacency(), h)) != want:
             return False
     return True
 

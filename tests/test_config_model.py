@@ -25,7 +25,6 @@ from ugwldp.config_model import (
     excess,
     explore_neighborhood,
     fiber_size,
-    from_simple,
     graph_of,
     graphical_check,
     has_cycle_leq,
@@ -46,6 +45,11 @@ from ugwldp.oracle import (
     exact_cm_law,
 )
 from ugwldp.rooted import SimpleGraph
+
+
+def from_simple(G):
+    """The simple graph G as a Multigraph of weight-1 edges."""
+    return Multigraph(G.n, {(u, v): 1 for u, v in G.edges})
 
 
 def single_loop_motif():
