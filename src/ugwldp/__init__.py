@@ -56,11 +56,9 @@ from .config_model import (
     colorblind_of,
     config_space_size,
     degree_sequence_of,
-    excess,
     explore_neighborhood,
     fiber_size,
     graph_of,
-    graphical_check,
     has_cycle_leq,
     sample_configuration,
     sample_G_Dh,

@@ -70,9 +70,9 @@ class RejectionExhaustedError(RuntimeError):
 class DegreeSequence:
     """Per-vertex L x L count matrices; row sums drive the half-edge sets.
 
-    Per-color totals, nonnegativity, half-edge offsets and half-edge owners
-    are derived once, on first use, and reused by every later call on the
-    same sequence.
+    Per-color totals, nonnegativity, half-edge offsets, half-edge owners and
+    the half-edge pools W_c are derived once, on first use, and reused by
+    every later call on the same sequence.
     """
 
     L: int
@@ -130,6 +130,11 @@ class DegreeSequence:
         }
 
     @cached_property
+    def half_edge_pools(self):
+        """Color -> W_c as a tuple of (c, u, slot), as :func:`half_edges` lists it."""
+        return {c: tuple(half_edges(self, c)) for c in all_colors(self.L)}
+
+    @cached_property
     def totals(self):
         """Color -> S(c), the number of half-edges of that color."""
         return {c: offs[-1] for c, offs in self.offsets.items()}
@@ -154,23 +159,6 @@ def validate_degree_sequence(D: DegreeSequence) -> bool:
             return False
     for c in matching_colors(D.L):
         if D.S(c) % 2 != 0:
-            return False
-    return True
-
-
-def graphical_check(degrees) -> bool:
-    """Erdos-Gallai test: is the scalar degree vector realizable by a simple graph."""
-    d = sorted((int(x) for x in degrees), reverse=True)
-    n = len(d)
-    if any(x < 0 or x >= n and x > 0 for x in d):
-        return False
-    if sum(d) % 2 != 0:
-        return False
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        tail = sum(min(x, k) for x in d[k:])
-        if prefix > k * (k - 1) + tail:
             return False
     return True
 
@@ -339,11 +327,6 @@ class Configuration:
     pairs: dict
 
 
-def _pools(D: DegreeSequence):
-    """Color -> W_c as a tuple, for :func:`_pair_draws` to copy."""
-    return {c: tuple(half_edges(D, c)) for c in all_colors(D.L)}
-
-
 def _below(getrandbits, m):
     """Uniform integer in [0, m) for m >= 1: rejection on m.bit_length() random bits.
 
@@ -366,22 +349,30 @@ def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
     C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
     performs, with the same draws; position i is final once step i is
     done, and is then yielded as the partner of W_c[i].  `pools` maps each
-    color to its entries in W_c order: the half-edges of :func:`_pools`,
-    or their owners, DegreeSequence.owners; the draws do not depend on
-    which.  Every draw is one :func:`_below`, the stream of rng.randrange.
+    color to its entries in W_c order and is only read: the half-edges of
+    DegreeSequence.half_edge_pools, or their owners, DegreeSequence.owners;
+    the draws do not depend on which.  Every draw is the stream of
+    rng.randrange: one :func:`_below` per bijection step, and the same
+    rejection written out in the matching loop, where a one-color D makes
+    all of its draws.
     """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
     bits = rng.getrandbits
     for c in matching_colors(D.L):
         pool = list(pools[c])
-        # pool[lo:] holds the unmatched entries
-        lo = 0
-        while lo < len(pool):
-            k = lo + 1 + _below(bits, len(pool) - lo - 1)
-            yield c, pool[lo], pool[k]
-            pool[k] = pool[-1]
-            pool.pop()
+        # pool[lo:end] holds the unmatched entries
+        lo, end = 0, len(pool)
+        while lo < end:
+            m = end - lo - 1
+            k = m.bit_length()
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            r += lo + 1
+            yield c, pool[lo], pool[r]
+            end -= 1
+            pool[r] = pool[end]
             lo += 1
     for c in bijection_colors(D.L):
         left = pools[c]
@@ -405,8 +396,12 @@ def _configuration(D: DegreeSequence, drawn) -> Configuration:
 
 
 def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration:
-    """Uniform configuration: sequential uniform pairing per color."""
-    return _configuration(D, _pair_draws(D, _pools(D), rng))
+    """Uniform configuration: sequential uniform pairing per color.
+
+    Cost: O(n L^2) once per D for its cached half-edge pools, then per
+    sample one copy of each pool and one draw per pair, O(half-edges).
+    """
+    return _configuration(D, _pair_draws(D, D.half_edge_pools, rng))
 
 
 def graph_of(sigma: Configuration) -> ColoredMultigraph:
@@ -571,12 +566,6 @@ def fiber_size(D: DegreeSequence, H: ColoredMultigraph) -> int:
 def cm_probability(D: DegreeSequence, H: ColoredMultigraph) -> Fraction:
     """Probability that the uniform configuration projects to H."""
     return Fraction(fiber_size(D, H), config_space_size(D))
-
-
-def excess(H: ColoredMultigraph) -> int:
-    """Colorblind edge count (loops once) minus vertex count."""
-    total_deg = sum(m for m in H.w.values())
-    return total_deg // 2 - H.n
 
 
 def _colored_canon(H: ColoredMultigraph, root=None):

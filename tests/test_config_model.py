@@ -14,6 +14,7 @@ from ugwldp.config_model import (
     Multigraph,
     RejectionExhaustedError,
     acceptance_estimate,
+    all_colors,
     apply_switch,
     automorphism_count,
     ball_of,
@@ -22,11 +23,10 @@ from ugwldp.config_model import (
     config_space_size,
     cycle_family,
     degree_sequence_of,
-    excess,
     explore_neighborhood,
     fiber_size,
     graph_of,
-    graphical_check,
+    half_edges,
     has_cycle_leq,
     sample_configuration,
     sample_G_Dh,
@@ -50,6 +50,29 @@ from ugwldp.rooted import SimpleGraph
 def from_simple(G):
     """The simple graph G as a Multigraph of weight-1 edges."""
     return Multigraph(G.n, {(u, v): 1 for u, v in G.edges})
+
+
+def graphical_check(degrees) -> bool:
+    """Erdos-Gallai test: is the scalar degree vector realizable by a simple graph."""
+    d = sorted((int(x) for x in degrees), reverse=True)
+    n = len(d)
+    if any(x < 0 or x >= n and x > 0 for x in d):
+        return False
+    if sum(d) % 2 != 0:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        tail = sum(min(x, k) for x in d[k:])
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def excess(H: ColoredMultigraph) -> int:
+    """Colorblind edge count (loops once) minus vertex count."""
+    total_deg = sum(m for m in H.w.values())
+    return total_deg // 2 - H.n
 
 
 def single_loop_motif():
@@ -208,6 +231,33 @@ class TestSampling:
         assert G.omega((1, 2), 0, 1) == 2
         assert G.omega((2, 1), 1, 0) == 2
         assert colorblind(G).weight(0, 1) == 2
+
+    # zero-degree vertices in both; color (2, 2) is empty in the second
+    POOLED = [
+        DegreeSequence.single_color([2, 0, 3, 1, 0, 2]),
+        DegreeSequence.from_rows(2, [[2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [2, 1, 1, 0]]),
+    ]
+
+    @pytest.mark.parametrize("D", POOLED, ids=["one color", "two colors"])
+    def test_cached_half_edge_pools(self, D):
+        want = {c: tuple(half_edges(D, c)) for c in all_colors(D.L)}
+        pools = D.half_edge_pools
+        assert pools == want
+        assert D.half_edge_pools is pools
+        for s in range(4):
+            sample_configuration(D, random.Random(s))
+        assert D.half_edge_pools is pools
+        assert pools == want
+
+    @pytest.mark.parametrize("D", POOLED, ids=["one color", "two colors"])
+    def test_sampling_does_not_depend_on_the_cache(self, D):
+        for s in range(3):
+            sample_configuration(D, random.Random(s))
+        fresh = DegreeSequence(D.L, D.mats)
+        assert "half_edge_pools" not in vars(fresh)
+        assert sample_configuration(fresh, random.Random(9)) == sample_configuration(
+            D, random.Random(9)
+        )
 
 
 class TestCycles:

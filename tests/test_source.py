@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ugwldp
@@ -22,3 +23,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_bench_span_targets_resolve():
+    # the traced bench run wraps each "module.func" of TARGETS by getattr on
+    # ugwldp.<module>, so a deleted or renamed target breaks it
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert targets
+    missing = []
+    for name in targets:
+        module, func = name.split(".")
+        if not hasattr(importlib.import_module(f"ugwldp.{module}"), func):
+            missing.append(name)
+    assert missing == []

@@ -5,12 +5,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
     edge_intensity,
     empirical_distribution,
     is_admissible,
+    root_edge_types,
     tv_distance,
 )
 from ugwldp.oracle import brute_ugw_marginal
@@ -27,6 +30,8 @@ from ugwldp.rooted import (
 from ugwldp.ugw import (
     ColoredOffspringLaw,
     MissingBranchError,
+    SupportExplosionError,
+    _extension_size,
     branch_law,
     bipartite_root_probability,
     colored_branch_law,
@@ -43,6 +48,15 @@ from ugwldp.ugw import (
 
 HALF = Fraction(1, 2)
 UNIFORM12 = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF})
+
+
+@st.composite
+def small_degree_laws(draw):
+    """Rational degree laws with support in {1..4} and a denominator of at most 6."""
+    q = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, q), min_size=3, max_size=3)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+    return {k: Fraction(x, q) for k, x in zip(range(1, 5), counts) if x}
 
 
 class TestSizeBiased:
@@ -175,6 +189,21 @@ class TestMarginal:
                 size = _extension_size(law, root_edge_types(law), typed_branching_law(law))
                 law = marginal_ugw(law, law.depth + 1)
                 assert size == len(law)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(degree_law=small_degree_laws())
+    def test_support_count_is_exact_on_degree_laws(self, degree_law):
+        # steps 1 -> 2 -> 3; a step predicted above the cap must raise instead
+        cap = 3000
+        law = NeighborhoodLaw.from_degree_law(degree_law)
+        while law.depth < 3:
+            size = _extension_size(law, root_edge_types(law), typed_branching_law(law))
+            if size > cap:
+                with pytest.raises(SupportExplosionError):
+                    marginal_ugw(law, law.depth + 1, support_cap=cap)
+                return
+            law = marginal_ugw(law, law.depth + 1, support_cap=cap)
+            assert size == len(law)
 
     def test_support_cap_raises_before_building(self):
         import time
