@@ -157,8 +157,7 @@ def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -
     """
     k = rho_k.depth
     if k == 1 or rho_km1 is None or rho_km1.depth == 0:
-        deg = rho_k.degree_law()
-        return relative_entropy_poisson(deg, float(_mean(deg)))
+        return _increment(None, rho_k)
     if rho_km1.depth != k - 1:
         raise ValueError("laws must sit at consecutive depths")
     # exact for rational laws; float laws reached along different
@@ -168,9 +167,20 @@ def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -
     keys = cut.support.keys() | rho_km1.support.keys()
     if any(abs(cut.support.get(c, 0) - rho_km1.support.get(c, 0)) > tol for c in keys):
         raise ValueError("shallower law is not the truncation of the deeper one")
+    return _increment(rho_km1, rho_k)
+
+
+def _increment(rho_km1, rho_k) -> float:
+    """The increment of :func:`entropy_increment`, with rho_km1 taken as rho_k's truncation.
+
+    rho_km1 is None at depth 1.
+    """
+    if rho_km1 is None:
+        deg = rho_k.degree_law()
+        return relative_entropy_poisson(deg, float(_mean(deg)))
     if not is_admissible(rho_km1) or not is_admissible(rho_k):
         raise ValueError("increments need admissible marginals")
-    rho_star = marginal_ugw(rho_km1, k)
+    rho_star = marginal_ugw(rho_km1, rho_k.depth)
     d = float(mean_degree(rho_k))
     kl_laws = relative_entropy(rho_k, rho_star)
     kl_pi = relative_entropy(
@@ -182,16 +192,16 @@ def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -
 def entropy_increments(P: NeighborhoodLaw) -> list:
     """Increments [delta_1, ..., delta_h] of the marginal tower of P.
 
-    Each marginal is the truncation of the next deeper one, computed once.
-    A depth-0 law raises ValueError.
+    Each marginal is the truncation of the next deeper one, computed once,
+    so the pairs are not checked again as :func:`entropy_increment` checks
+    them.  A depth-0 law raises ValueError.
     """
     if P.depth < 1:
         raise ValueError("entropy increments need a law of depth >= 1")
     tower = [P]
     while tower[0].depth > 1:
         tower.insert(0, truncate_law(tower[0], tower[0].depth - 1))
-    out = [entropy_increment(None, tower[0])]
-    return out + [entropy_increment(a, b) for a, b in zip(tower, tower[1:])]
+    return [_increment(a, b) for a, b in zip([None, *tower], tower)]
 
 
 # ---------------------------------------------------------------------------

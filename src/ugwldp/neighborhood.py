@@ -32,13 +32,44 @@ FLOAT = "float"
 _FLOAT_MASS_TOL = 1e-12
 
 
+def _sum_by_key(pairs) -> dict:
+    """{key: the sum of its weights} over a list of (key, weight) pairs.
+
+    Keys come in first-seen order.  When every weight is a Fraction, each
+    key's weights are summed as integer numerators over the lcm of all
+    denominators, and the key gets one Fraction at the end: one gcd per
+    key instead of one per addition.  Otherwise the weights are added one
+    by one in the given order, starting from 0, so a float sum keeps every
+    bit of the plain loop's.
+    """
+    acc = {}
+    if all(type(w) is Fraction for _, w in pairs):
+        den = math.lcm(*{w.denominator for _, w in pairs})
+        for key, w in pairs:
+            acc[key] = acc.get(key, 0) + w.numerator * (den // w.denominator)
+        return {key: Fraction(num, den) for key, num in acc.items()}
+    for key, w in pairs:
+        acc[key] = acc.get(key, 0) + w
+    return acc
+
+
+def _total(weights):
+    """The sum of the weights, as :func:`_sum_by_key` sums one key's."""
+    return _sum_by_key([(None, w) for w in weights]).get(None, 0)
+
+
 class NeighborhoodLaw:
     """Finite-support probability measure on depth-h canonical classes.
 
     `support` must not be mutated after construction: the hash, and the
     tables derived from the law (edge intensities, admissibility, branch
     laws), are computed from it once per law object.  Derived tables are
-    not part of equality, hashing or pickles.
+    not part of equality, hashing or pickles.  Weights of classes that are
+    re-declared to the same depth-h class are merged, and the total mass
+    checked, by :func:`_sum_by_key`: exact rational weights cost one gcd
+    per class.  The per-class tables the law tables read (truncations,
+    edge types) are kept on the interned classes, so a fresh law over
+    known classes rebuilds only its own sums.
     """
 
     __slots__ = ("depth", "support", "mode", "_derived")
@@ -46,7 +77,7 @@ class NeighborhoodLaw:
     def __init__(self, depth, support, mode=RATIONAL):
         self.depth = depth
         self.mode = mode
-        cleaned = {}
+        pairs = []
         for cls, p in support.items():
             if p == 0:
                 continue
@@ -56,10 +87,12 @@ class NeighborhoodLaw:
                 raise ValueError(
                     f"support class of depth {cls.depth} in a depth-{depth} law"
                 )
-            key = declare_depth(cls, depth)
-            cleaned[key] = cleaned.get(key, 0) + p
+            pairs.append((declare_depth(cls, depth), p))
+        cleaned = dict(pairs)
+        if len(cleaned) < len(pairs):
+            cleaned = _sum_by_key(pairs)
         self.support = cleaned
-        total = sum(cleaned.values())
+        total = _total(cleaned.values())
         if mode == RATIONAL:
             if total != 1:
                 raise ValueError(f"rational law has total mass {total}")
@@ -198,7 +231,7 @@ def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
 
 
 def mean_degree(P: NeighborhoodLaw):
-    return sum(p * root_degree(cls) for cls, p in P.items())
+    return _total([p * root_degree(cls) for cls, p in P.items()])
 
 
 def root_edge_types(P: NeighborhoodLaw) -> dict:
@@ -206,7 +239,9 @@ def root_edge_types(P: NeighborhoodLaw) -> dict:
 
     The one edge-type statistic that the intensities, the branch laws, the
     marginal extension and the entropy's factorial term all read; built
-    once per law object.  A depth-0 law raises ValueError.
+    once per law object.  Each class's table is kept on the class, so
+    after the first law that holds it, it costs O(root degree) to copy.
+    A depth-0 law raises ValueError.
     """
     return P._derive("root_edge_types", _build_root_edge_types)
 
@@ -227,10 +262,9 @@ def edge_intensity_table(P: NeighborhoodLaw) -> dict:
 
 def _build_edge_intensity_table(P):
     types = root_edge_types(P)
-    acc = {}
-    for cls, p in P.items():
-        for pair, cnt in types[cls].items():
-            acc[pair] = acc.get(pair, 0) + p * cnt
+    acc = _sum_by_key(
+        [(pair, p * cnt) for cls, p in P.items() for pair, cnt in types[cls].items()]
+    )
     return dict(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
 
 
@@ -286,10 +320,7 @@ def truncate_law(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
         raise ValueError(f"cannot deepen a law from {P.depth} to {k}")
     if k == P.depth:
         return P
-    out = {}
-    for cls, p in P.items():
-        t = truncate(cls, k)
-        out[t] = out.get(t, 0) + p
+    out = _sum_by_key([(truncate(cls, k), p) for cls, p in P.items()])
     return NeighborhoodLaw(k, out, mode=P.mode)
 
 

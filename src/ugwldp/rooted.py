@@ -103,11 +103,6 @@ class LabeledRootedGraph:
     def edges(self):
         return [(u, v) for u in self.adj for v in self.adj[u] if u < v]
 
-    def copy(self):
-        g = LabeledRootedGraph(root=self.root)
-        g.adj = {v: set(nb) for v, nb in self.adj.items()}
-        return g
-
     def relabel(self, mapping):
         g = LabeledRootedGraph(root=mapping[self.root])
         g.adj = {mapping[v]: {mapping[u] for u in nb} for v, nb in self.adj.items()}
@@ -162,9 +157,18 @@ class CanonicalClass:
     identity and hashing is O(1).  `rep` is a canonical labeled
     representative: a tuple of neighbor-tuples indexed by vertex id, with
     the root at 0.
+
+    A class is immutable, so what is derived from it alone is kept on it
+    on first use: its root subtrees (:attr:`children`), and per depth h its
+    truncation (:func:`truncate`) and root edge-type table
+    (:func:`edge_type_table`).  After the first call per (class, h) these
+    cost O(1), whichever law or caller asks.  The kept results are not
+    part of equality, hashing or pickles.
     """
 
-    __slots__ = ("kind", "depth", "encoding", "id", "rep", "_children")
+    __slots__ = (
+        "kind", "depth", "encoding", "id", "rep", "_children", "_truncations", "_edge_types"
+    )
 
     def __init__(self, kind, depth, encoding, cid, rep):
         self.kind = kind
@@ -173,6 +177,8 @@ class CanonicalClass:
         self.id = cid
         self.rep = rep
         self._children = None
+        self._truncations = {}  # h -> truncate(self, h), for h < depth
+        self._edge_types = {}  # h -> edge_type_table(self, h)
 
     @property
     def n_vertices(self):
@@ -756,15 +762,23 @@ def declare_depth(g: CanonicalClass, h: int) -> CanonicalClass:
 def truncate(g: CanonicalClass, h: int) -> CanonicalClass:
     """Class of the induced subgraph within distance h of the root.
 
-    Identity when h >= depth(g).
+    Identity when h >= depth(g).  Otherwise a tree class is joined from
+    its truncated root subtrees, and a general class is canonicalized from
+    its representative, on the first call per (g, h); the result is kept
+    on g, so later calls cost O(1).
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
     if h >= g.depth:
         return g
-    if g.kind == TREE:
-        return _join(h, g.children)
-    return canonical_from_adjacency(g.rep, 0, h)
+    got = g._truncations.get(h)
+    if got is None:
+        if g.kind == TREE:
+            got = _join(h, g.children)
+        else:
+            got = canonical_from_adjacency(g.rep, 0, h)
+        g._truncations[h] = got
+    return got
 
 
 def instantiate(g: CanonicalClass) -> LabeledRootedGraph:
@@ -850,8 +864,10 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
     Maps (t, t') -> number of root neighbors v whose outward component
     (rooted at v) truncates to t and whose inward component (rooted at the
     root) truncates to t', both at depth h-1.  Summing the table gives the
-    root degree.  A tree class is read by :func:`root_sides` in O(size of
-    g); a class with a cycle by two cut BFS per root edge.
+    root degree.  On the first call per (g, h), a tree class is read by
+    :func:`root_sides` in O(size of g), and a class with a cycle by two
+    cut BFS per root edge; the table is kept on g, and each call returns
+    a fresh copy of it, O(root degree).
     """
     if h < 1:
         raise ValueError("edge types need h >= 1")
@@ -859,14 +875,20 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
         raise ValueError(
             f"class truncated at depth {g.depth} cannot answer depth-{h} edge types"
         )
-    if g.kind == TREE:
-        return dict(Counter(root_sides(g, h)))
-    out: Counter = Counter()
-    for v in g.rep[0]:
-        far = canonical_from_adjacency(g.rep, v, h - 1, cut=0)
-        near = canonical_from_adjacency(g.rep, 0, h - 1, cut=v)
-        out[(far, near)] += 1
-    return dict(out)
+    got = g._edge_types.get(h)
+    if got is None:
+        if g.kind == TREE:
+            sides = root_sides(g, h)
+        else:
+            sides = [
+                (
+                    canonical_from_adjacency(g.rep, v, h - 1, cut=0),
+                    canonical_from_adjacency(g.rep, 0, h - 1, cut=v),
+                )
+                for v in g.rep[0]
+            ]
+        got = g._edge_types[h] = dict(Counter(sides))
+    return dict(got)
 
 
 def edge_type_count(

@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .neighborhood import (
     NeighborhoodLaw,
+    _sum_by_key,
     edge_intensity_table,
     is_admissible,
     root_edge_types,
@@ -31,7 +32,6 @@ from .rooted import (
     KindMismatchError,
     LabeledRootedGraph,
     _join,
-    canonicalize,
     declare_depth,
     drop_root_child,
     root_sides,
@@ -135,8 +135,11 @@ def _child_types(table):
     return [(s, s_comp, n_a) for (s, s_comp), n_a in ordered]
 
 
-def _extend_block(block, table, branching, cap, acc, weight):
-    """One-step extension of a depth-h block to depth h+1; table is its root edge-type table."""
+def _extend_block(block, table, branching, out, weight):
+    """One-step extension of a depth-h block to depth h+1; table is its root edge-type table.
+
+    Appends one (depth-(h+1) class, weight) pair per pick to the list out.
+    """
     h = block.depth
     groups = []
     for s, s_comp, n_a in _child_types(table):
@@ -161,12 +164,7 @@ def _extend_block(block, table, branching, cap, acc, weight):
         for chosen, w in pick:
             chosen_all.extend(chosen)
             pr = pr * w
-        tau = _assemble(chosen_all, h + 1)
-        acc[tau] = acc.get(tau, 0) + pr
-        if len(acc) > cap:
-            raise SupportExplosionError(
-                f"marginal support exceeded cap of {cap} classes"
-            )
+        out.append((_assemble(chosen_all, h + 1), pr))
 
 
 def _multisets(n_options, total):
@@ -228,10 +226,10 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
                 f"depth-{law.depth + 1} marginal support of {size} classes "
                 f"exceeds the cap of {support_cap}"
             )
-        acc: dict = {}
+        picks = []
         for block, p in law.items():
-            _extend_block(block, types[block], branching, support_cap, acc, p)
-        law = NeighborhoodLaw(law.depth + 1, acc, mode=P.mode)
+            _extend_block(block, types[block], branching, picks, p)
+        law = NeighborhoodLaw(law.depth + 1, _sum_by_key(picks), mode=P.mode)
     return law
 
 
@@ -377,13 +375,6 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     return tree
 
 
-def empirical_law(samples, h: int) -> NeighborhoodLaw:
-    """Empirical depth-h law of a list of sampled rooted trees."""
-    counts: Counter = Counter(canonicalize(t, h) for t in samples)
-    n = len(samples)
-    return NeighborhoodLaw(h, {c: Fraction(v, n) for c, v in counts.items()})
-
-
 # ---------------------------------------------------------------------------
 # Colored multi-type trees
 # ---------------------------------------------------------------------------
@@ -525,12 +516,3 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
             frontier.append((n, 3 - tpe, depth + 1, False))
             n += 1
     return tree
-
-
-def bipartite_root_probability(P1, P2):
-    d1 = sum(k * p for k, p in P1.items())
-    d2 = sum(k * p for k, p in P2.items())
-    tot = d1 + d2
-    if isinstance(tot, float):
-        return d2 / tot, d1 / tot
-    return Fraction(d2) / tot, Fraction(d1) / tot

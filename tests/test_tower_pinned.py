@@ -1,0 +1,89 @@
+"""Pinned outputs of the exact marginal tower and its entropy functionals."""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from ugwldp.entropy import entropy_increments, ugw_entropy
+from ugwldp.neighborhood import (
+    NeighborhoodLaw,
+    edge_type_distribution,
+    mean_degree,
+    poisson_law,
+)
+from ugwldp.ugw import marginal_ugw
+
+THIRD = Fraction(1, 3)
+QUARTER = Fraction(1, 4)
+HALF = Fraction(1, 2)
+
+
+def weight(p):
+    """Exact text of a weight: "n/d" for a Fraction, repr (every bit) otherwise."""
+    return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else repr(p)
+
+
+def tower_record(P, k):
+    Q = marginal_ugw(P, k)
+    return {
+        "marginal": [[c.wire(), weight(p)] for c, p in Q.sorted_items()],
+        "ugw_entropy": repr(ugw_entropy(Q)),
+        "increments": [repr(x) for x in entropy_increments(Q)],
+        "mean_degree": weight(mean_degree(Q)),
+        "edge_types": [
+            [t.wire(), tp.wire(), weight(p)]
+            for (t, tp), p in edge_type_distribution(Q).items()
+        ],
+    }
+
+
+LAWS = {
+    "{1: 1/2, 2: 1/2}": lambda: NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF}),
+    "{1: 1/3, 2: 1/3, 3: 1/3}": lambda: NeighborhoodLaw.from_degree_law(
+        {1: THIRD, 2: THIRD, 3: THIRD}
+    ),
+    "{1: 1/3, 3: 2/3}": lambda: NeighborhoodLaw.from_degree_law({1: THIRD, 3: 2 * THIRD}),
+    "{2: 1/4, 3: 1/2, 4: 1/4}": lambda: NeighborhoodLaw.from_degree_law(
+        {2: QUARTER, 3: HALF, 4: QUARTER}
+    ),
+    # float weights in a rational-mode law, and an int weight
+    "{1: 0.5, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: 0.5, 2: 0.5}),
+    "{3: 1}": lambda: NeighborhoodLaw.from_degree_law({3: 1}),
+    "poisson 0.5": lambda: poisson_law(0.5, tail=1e-3),
+    "poisson 1.0": lambda: poisson_law(1.0, tail=1e-3),
+}
+
+# SHA-256 of json.dumps(tower_record(law, k), sort_keys=True).  A change of
+# these digests is a change of the exact weights or of a float's last bit.
+DIGESTS = {
+    ("{1: 1/2, 2: 1/2}", 1): "c49e1d7e5b07aa187bedff4763cab05bf4b7d19604cb8dc715f857f94314d0a5",
+    ("{1: 1/2, 2: 1/2}", 2): "0d46b21b648d937d430048f14ae169503b1af318561685d4eda0b26dc256c1ff",
+    ("{1: 1/2, 2: 1/2}", 3): "38ee12381a8691fc392c391e2e1bb664367f02589eff8e3a6aa3b89c1098e859",
+    ("{1: 1/3, 2: 1/3, 3: 1/3}", 1): "25fe79b2da6ff2d9e140115b0b0c1bef57bb9111ba4b3335725ed94a5dbef161",
+    ("{1: 1/3, 2: 1/3, 3: 1/3}", 2): "fc32a79de2be72b7c9a70552cf2bb496245ecd2a3b2f99642f55a30f700a7c02",
+    ("{1: 1/3, 2: 1/3, 3: 1/3}", 3): "3a82849c3646cf419ef50f68c9c851c62287172d3c27402972cb6855ab831cce",
+    ("{1: 1/3, 3: 2/3}", 1): "3945ddc611c843987bd4264868c5fcf3343b5f746979051af4b7fa26f477151c",
+    ("{1: 1/3, 3: 2/3}", 2): "00157fd0fbf69bb0878dd2f5815d90fc0acd91405277a1b07300d44b03f088af",
+    ("{1: 1/3, 3: 2/3}", 3): "6b176e9f49f3a235d3572c0476be8abbfb312703cafcb027848834da4568db12",
+    ("{2: 1/4, 3: 1/2, 4: 1/4}", 1): "2a38f80a313848c52807534ff8aa15a2aa3c1eea65d086a3e5cf4e4aa1c865ba",
+    ("{2: 1/4, 3: 1/2, 4: 1/4}", 2): "2573721b13b9b3b76a806c587a25668bc65eaee0bef25a09da3bcda37033ca89",
+    ("{1: 0.5, 2: 0.5}", 1): "20a960fe6551b2697b738c64426efbcfa01d28bee3c31f91d549c9ae274d6d9d",
+    ("{1: 0.5, 2: 0.5}", 2): "02b26594bdd5507aa1addcaebdba44b2d45874900c5d4c64afe4e558827d94f8",
+    ("{1: 0.5, 2: 0.5}", 3): "92a0c854d9124fefb17aedbb2a6a6cb25985639bafe5e52f87cb77257d3c7f32",
+    ("{3: 1}", 1): "2bb970885aa18d65953fe08191d3dcf5ada09b4f199c5d6006384bac5ce65477",
+    ("{3: 1}", 2): "6853453afda3515c07f58adf4028370d6b7087fc0c026485714e7114d7960a99",
+    ("{3: 1}", 3): "fbbaac53ac4378548e2b3e4aec7719c166dd4c0360e968a20e523a9c8be4149b",
+    ("poisson 0.5", 1): "c554f850e076ee52a19f4f6593dd8fd27eb5f069a183ca7c148d1f7424599839",
+    ("poisson 0.5", 2): "dc20873e83c14134e888128062961caa5934f3da5ddb196e20185a744e0c59b6",
+    ("poisson 1.0", 1): "e2e4569fdd73e12889d8fa94c20afe2ee3723b27d35c0e1481c271f834fc73c2",
+    ("poisson 1.0", 2): "f2c692a4bea54db4748115d028ccb4d7ab3f392acf7a275e5fd228b4ce73a3c6",
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(DIGESTS))
+def test_tower_digest(name, k):
+    record = tower_record(LAWS[name](), k)
+    got = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert got == DIGESTS[(name, k)]

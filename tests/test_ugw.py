@@ -33,11 +33,9 @@ from ugwldp.ugw import (
     SupportExplosionError,
     _extension_size,
     branch_law,
-    bipartite_root_probability,
     colored_branch_law,
     consistency_check,
     edge_law_identity,
-    empirical_law,
     marginal_ugw,
     sample_ugw,
     sample_ugw_bipartite,
@@ -48,6 +46,23 @@ from ugwldp.ugw import (
 
 HALF = Fraction(1, 2)
 UNIFORM12 = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF})
+
+
+def empirical_law(samples, h: int) -> NeighborhoodLaw:
+    """Empirical depth-h law of a list of sampled rooted trees."""
+    counts = Counter(canonicalize(t, h) for t in samples)
+    n = len(samples)
+    return NeighborhoodLaw(h, {c: Fraction(v, n) for c, v in counts.items()})
+
+
+def bipartite_root_probability(P1, P2):
+    """Root type odds of the alternating two-law tree: (d2, d1) / (d1 + d2)."""
+    d1 = sum(k * p for k, p in P1.items())
+    d2 = sum(k * p for k, p in P2.items())
+    tot = d1 + d2
+    if isinstance(tot, float):
+        return d2 / tot, d1 / tot
+    return Fraction(d2) / tot, Fraction(d1) / tot
 
 
 @st.composite
