@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,30 +33,71 @@ FLOAT = "float"
 _FLOAT_MASS_TOL = 1e-12
 
 
-def _sum_by_key(pairs) -> dict:
+def _sum_by_key(pairs, den=None) -> dict:
     """{key: the sum of its weights} over a list of (key, weight) pairs.
 
-    Keys come in first-seen order.  When every weight is a Fraction, each
-    key's weights are summed as integer numerators over the lcm of all
-    denominators, and the key gets one Fraction at the end: one gcd per
-    key instead of one per addition.  Otherwise the weights are added one
-    by one in the given order, starting from 0, so a float sum keeps every
-    bit of the plain loop's.
+    Keys come in first-seen order.  With den given, the weights are integer
+    numerators over den: they are added as integers, and each key gets one
+    Fraction(sum, den) at the end, so the whole sum costs one gcd per key.
+    Without den, when every weight is a Fraction, the weights are first
+    written as integer numerators over the lcm of their denominators and
+    summed the same way.  Otherwise the weights are added one by one in the
+    given order, starting from 0, so a float sum keeps every bit of the
+    plain loop's.
     """
-    acc = {}
-    if all(type(w) is Fraction for _, w in pairs):
+    if den is None and all(type(w) is Fraction for _, w in pairs):
         den = math.lcm(*{w.denominator for _, w in pairs})
-        for key, w in pairs:
-            acc[key] = acc.get(key, 0) + w.numerator * (den // w.denominator)
-        return {key: Fraction(num, den) for key, num in acc.items()}
+        pairs = [(key, w.numerator * (den // w.denominator)) for key, w in pairs]
+    acc = {}
     for key, w in pairs:
         acc[key] = acc.get(key, 0) + w
-    return acc
+    if den is None:
+        return acc
+    return {key: Fraction(num, den) for key, num in acc.items()}
 
 
-def _total(weights):
+def _total(weights, den=None):
     """The sum of the weights, as :func:`_sum_by_key` sums one key's."""
-    return _sum_by_key([(None, w) for w in weights]).get(None, 0)
+    return _sum_by_key([(None, w) for w in weights], den).get(None, 0)
+
+
+def _weights(P) -> tuple:
+    """(den, {cls: weight}): the weights that the exact law tables add up.
+
+    When every weight of P is a Fraction, den is the lcm of their
+    denominators and each weight is the integer n with P(cls) == n / den,
+    so a table sums integers and builds one Fraction per key.  Otherwise
+    den is None and the weights are P's own, added in order as before.
+    Built once per law object, with the law.
+    """
+    return P._derive("weights", _build_weights)
+
+
+def _build_weights(P):
+    support = P.support
+    if not all(type(w) is Fraction for w in support.values()):
+        return None, support
+    den = math.lcm(*(w.denominator for w in support.values()))
+    return den, {cls: w.numerator * (den // w.denominator) for cls, w in support.items()}
+
+
+def _dividable(P, table):
+    """A law table of P ready to divide, and its division.
+
+    For an exact law its Fraction values become integer numerators over the
+    law's common denominator, and a quotient of two is one Fraction(n, m);
+    otherwise the values stay, and a quotient is w / e.
+    """
+    den, _ = _weights(P)
+    if den is None:
+        return table, operator.truediv
+    return {key: w.numerator * (den // w.denominator) for key, w in table.items()}, Fraction
+
+
+def _check_depth(k) -> None:
+    """Raise ValueError unless the depth k is an int (a bool is not a depth)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"depth must be an int, got {k!r}")
 
 
 class NeighborhoodLaw:
@@ -65,11 +107,14 @@ class NeighborhoodLaw:
     tables derived from the law (edge intensities, admissibility, branch
     laws), are computed from it once per law object.  Derived tables are
     not part of equality, hashing or pickles.  Weights of classes that are
-    re-declared to the same depth-h class are merged, and the total mass
-    checked, by :func:`_sum_by_key`: exact rational weights cost one gcd
-    per class.  The per-class tables the law tables read (truncations,
-    edge types) are kept on the interned classes, so a fresh law over
-    known classes rebuilds only its own sums.
+    re-declared to the same depth-h class are merged by :func:`_sum_by_key`.
+    An all-Fraction law writes its weights once as integer numerators over
+    one common denominator (:func:`_weights`): the total-mass check, the
+    mean degree, the edge intensities, the edge-type distribution, the
+    branch laws and the marginal's extension add and multiply those
+    integers, and build one Fraction per output key.  The per-class tables
+    the law tables read (truncations, edge types) are kept on the interned
+    classes, so a fresh law over known classes rebuilds only its own sums.
     """
 
     __slots__ = ("depth", "support", "mode", "_derived")
@@ -92,14 +137,15 @@ class NeighborhoodLaw:
         if len(cleaned) < len(pairs):
             cleaned = _sum_by_key(pairs)
         self.support = cleaned
-        total = _total(cleaned.values())
+        self._derived = {}
+        den, weights = _weights(self)
+        total = _total(weights.values(), den)
         if mode == RATIONAL:
             if total != 1:
                 raise ValueError(f"rational law has total mass {total}")
         else:
             if abs(total - 1) > _FLOAT_MASS_TOL:
                 raise ValueError(f"float law has total mass {total!r}")
-        self._derived = {}
 
     def __getstate__(self):
         return None, {"depth": self.depth, "support": self.support, "mode": self.mode}
@@ -231,7 +277,8 @@ def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
 
 
 def mean_degree(P: NeighborhoodLaw):
-    return _total([p * root_degree(cls) for cls, p in P.items()])
+    den, weights = _weights(P)
+    return _total([p * root_degree(cls) for cls, p in weights.items()], den)
 
 
 def root_edge_types(P: NeighborhoodLaw) -> dict:
@@ -255,15 +302,19 @@ def edge_intensity_table(P: NeighborhoodLaw) -> dict:
 
     e(t, t') is the expected number of root neighbors realizing the ordered
     pattern (t, t').  Keys come in (t.wire(), t'.wire()) order, and the
-    values sum to the mean degree.  Built once per law object.
+    values sum to the mean degree.  Built once per law object; an exact
+    law sums integer numerators (:func:`_weights`) and builds one Fraction
+    per key.
     """
     return P._derive("edge_intensities", _build_edge_intensity_table)
 
 
 def _build_edge_intensity_table(P):
     types = root_edge_types(P)
+    den, weights = _weights(P)
     acc = _sum_by_key(
-        [(pair, p * cnt) for cls, p in P.items() for pair, cnt in types[cls].items()]
+        [(pair, p * cnt) for cls, p in weights.items() for pair, cnt in types[cls].items()],
+        den,
     )
     return dict(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
 
@@ -278,11 +329,11 @@ def edge_type_distribution(P: NeighborhoodLaw) -> dict:
 
     Raises ValueError at zero mean degree.
     """
-    table = edge_intensity_table(P)
+    table, div = _dividable(P, edge_intensity_table(P))
     d = sum(table.values())
     if d == 0:
         raise ValueError("zero mean degree: edge-type distribution undefined")
-    return {pair: w / d for pair, w in table.items()}
+    return {pair: div(w, d) for pair, w in table.items()}
 
 
 def is_admissible(P: NeighborhoodLaw) -> AdmissibilityReport:
@@ -300,7 +351,8 @@ def _build_admissibility(P):
     bad = []
     for (t, tp), w in table.items():
         back = table.get((tp, t), 0)
-        if abs(w - back) > tol:
+        # at tol 0, != compares two Fractions without building a third
+        if w != back if tol == 0 else abs(w - back) > tol:
             bad.append(((t, tp), w, back))
     return AdmissibilityReport(not bad, d, tuple(bad))
 
@@ -316,6 +368,7 @@ def tv_distance(P: NeighborhoodLaw, Q: NeighborhoodLaw):
 
 def truncate_law(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
     """Push the law through depth-k truncation of its support classes."""
+    _check_depth(k)
     if k > P.depth:
         raise ValueError(f"cannot deepen a law from {P.depth} to {k}")
     if k == P.depth:

@@ -12,6 +12,7 @@ sampler, and the consistency checks tying the two together.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from collections import deque
@@ -21,7 +22,10 @@ from math import comb
 
 from .neighborhood import (
     NeighborhoodLaw,
+    _check_depth,
+    _dividable,
     _sum_by_key,
+    _weights,
     edge_intensity_table,
     is_admissible,
     root_edge_types,
@@ -85,7 +89,10 @@ def typed_branching_law(P: NeighborhoodLaw) -> TypedBranchingLaw:
     """All branch laws of P at once, with exact normalization checks.
 
     Built once per law object, and kept only once every check has passed:
-    an inadmissible law raises on every call.
+    an inadmissible law raises on every call.  For an exact law each entry
+    is summed as an integer numerator over the law's common denominator
+    and normalized as one Fraction(w, e), with e the intensity's numerator
+    over the same denominator.
     """
     return P._derive("branching", _build_branching)
 
@@ -96,8 +103,9 @@ def _build_branching(P):
     if not rep:
         raise ValueError(f"law is not admissible: {rep.violations[:3]}")
     types = root_edge_types(P)
+    _, weights = _weights(P)
     acc: dict = {}
-    for S, p in P.items():
+    for S, p in weights.items():
         if S.kind != TREE:
             raise KindMismatchError("branching laws are defined for tree laws")
         # one entry per distinct root subtree sub; seen from that child,
@@ -106,9 +114,9 @@ def _build_branching(P):
             tau = drop_root_child(S, sub)
             cell = acc.setdefault((back, sub), {})
             cell[tau] = cell.get(tau, 0) + p * m
-    intens = edge_intensity_table(P)
+    intens, div = _dividable(P, edge_intensity_table(P))
     table = {
-        key: NeighborhoodLaw(h, {tau: w / intens[key] for tau, w in cell.items()}, mode=P.mode)
+        key: NeighborhoodLaw(h, {tau: div(w, intens[key]) for tau, w in cell.items()}, mode=P.mode)
         for key, cell in acc.items()
     }
     return TypedBranchingLaw(h, table)
@@ -135,20 +143,28 @@ def _child_types(table):
     return [(s, s_comp, n_a) for (s, s_comp), n_a in ordered]
 
 
-def _extend_block(block, table, branching, out, weight):
+def _extend_block(block, table, branching, out, weight, exact):
     """One-step extension of a depth-h block to depth h+1; table is its root edge-type table.
 
     Appends one (depth-(h+1) class, weight) pair per pick to the list out.
+    With exact set, weight and each branch-law option are integer
+    numerators (an option's over its law's common denominator, see
+    :func:`_weights`), so every product is an integer; otherwise they are
+    the laws' own weights, multiplied in the same order.
     """
     h = block.depth
+    unit = 1 if exact else Fraction(1) if isinstance(weight, Fraction) else 1.0
     groups = []
     for s, s_comp, n_a in _child_types(table):
         law = branching.law(s, s_comp)
         opts = law.sorted_items()
+        if exact:
+            nums = _weights(law)[1]
+            opts = [(tau, nums[tau]) for tau, _ in opts]
         combos = []
         for combo in _multisets(len(opts), n_a):
             w = _multinomial(n_a, combo)
-            pr = Fraction(1) if isinstance(weight, Fraction) else 1.0
+            pr = unit
             chosen = []
             for idx, cnt in enumerate(combo):
                 if cnt == 0:
@@ -207,13 +223,39 @@ def _extension_size(law, types, branching):
     return total
 
 
+def _block_weights(law, types, branching):
+    """(den, {block: weight}): the weights that one extension step starts from.
+
+    For an all-Fraction law, a block of weight p has picks over
+    p.denominator times the product of D_s^{n_a} over its child types, D_s
+    the common denominator of branch law s; den is the lcm of these, and a
+    block's weight is its integer numerator over den.  Otherwise den is
+    None and the weights are the law's own.
+    """
+    if _weights(law)[0] is None:
+        return None, law.support
+    dens = {}
+    for block, p in law.items():
+        d = p.denominator
+        for (s, s_comp), n_a in types[block].items():
+            d *= _weights(branching.law(s, s_comp))[0] ** n_a
+        dens[block] = d
+    den = math.lcm(*dens.values())
+    return den, {block: p.numerator * (den // dens[block]) for block, p in law.items()}
+
+
 def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> NeighborhoodLaw:
     """Exact depth-k marginal of the UGW tree with depth-h law P.
 
     Iterates the one-step multinomial extension from depth h up to k.
     Raises SupportExplosionError before a step whose support, counted by
-    :func:`_extension_size`, would exceed support_cap.
+    :func:`_extension_size`, would exceed support_cap, and ValueError for a
+    depth k that is not an int.  On an all-Fraction law a step multiplies
+    integer numerators only: every pick's weight is an integer over the
+    lcm of the blocks' denominators, and the step builds one Fraction per
+    class of the result.  Any other law multiplies its weights in order.
     """
+    _check_depth(k)
     if k < P.depth:
         raise ValueError(f"target depth {k} below law depth {P.depth}")
     law = P
@@ -226,10 +268,11 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
                 f"depth-{law.depth + 1} marginal support of {size} classes "
                 f"exceeds the cap of {support_cap}"
             )
+        den, weights = _block_weights(law, types, branching)
         picks = []
-        for block, p in law.items():
-            _extend_block(block, types[block], branching, picks, p)
-        law = NeighborhoodLaw(law.depth + 1, _sum_by_key(picks), mode=P.mode)
+        for block, w in weights.items():
+            _extend_block(block, types[block], branching, picks, w, den is not None)
+        law = NeighborhoodLaw(law.depth + 1, _sum_by_key(picks, den), mode=P.mode)
     return law
 
 

@@ -51,6 +51,8 @@ LAWS = {
     # float weights in a rational-mode law, and an int weight
     "{1: 0.5, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: 0.5, 2: 0.5}),
     "{3: 1}": lambda: NeighborhoodLaw.from_degree_law({3: 1}),
+    # a Fraction and a float weight in one law
+    "{1: 1/2, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: HALF, 2: 0.5}),
     "poisson 0.5": lambda: poisson_law(0.5, tail=1e-3),
     "poisson 1.0": lambda: poisson_law(1.0, tail=1e-3),
 }
@@ -72,6 +74,9 @@ DIGESTS = {
     ("{1: 0.5, 2: 0.5}", 1): "20a960fe6551b2697b738c64426efbcfa01d28bee3c31f91d549c9ae274d6d9d",
     ("{1: 0.5, 2: 0.5}", 2): "02b26594bdd5507aa1addcaebdba44b2d45874900c5d4c64afe4e558827d94f8",
     ("{1: 0.5, 2: 0.5}", 3): "92a0c854d9124fefb17aedbb2a6a6cb25985639bafe5e52f87cb77257d3c7f32",
+    ("{1: 1/2, 2: 0.5}", 1): "043be580d7e00da4a6c5be1065f497ccccac4bd517123554334f3c461098dc78",
+    ("{1: 1/2, 2: 0.5}", 2): "02b26594bdd5507aa1addcaebdba44b2d45874900c5d4c64afe4e558827d94f8",
+    ("{1: 1/2, 2: 0.5}", 3): "92a0c854d9124fefb17aedbb2a6a6cb25985639bafe5e52f87cb77257d3c7f32",
     ("{3: 1}", 1): "2bb970885aa18d65953fe08191d3dcf5ada09b4f199c5d6006384bac5ce65477",
     ("{3: 1}", 2): "6853453afda3515c07f58adf4028370d6b7087fc0c026485714e7114d7960a99",
     ("{3: 1}", 3): "fbbaac53ac4378548e2b3e4aec7719c166dd4c0360e968a20e523a9c8be4149b",

@@ -14,6 +14,7 @@ from ugwldp.neighborhood import (
     empirical_distribution,
     is_admissible,
     root_edge_types,
+    truncate_law,
     tv_distance,
 )
 from ugwldp.oracle import brute_ugw_marginal
@@ -231,6 +232,33 @@ class TestMarginal:
         with pytest.raises(SupportExplosionError, match="exceeds the cap of 1000"):
             marginal_ugw(P2, 3, support_cap=1000)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, False, "3", None])
+    def test_rejects_a_depth_that_is_not_an_int(self, k):
+        P = marginal_ugw(UNIFORM12, 2)
+        with pytest.raises(ValueError, match=f"depth must be an int, got {k!r}"):
+            marginal_ugw(UNIFORM12, k)
+        with pytest.raises(ValueError, match=f"depth must be an int, got {k!r}"):
+            truncate_law(P, k)
+
+    def test_one_fraction_per_class(self, monkeypatch):
+        # a warmed step sums integer numerators: one Fraction per class of
+        # the result, and one for the total-mass check
+        third = Fraction(1, 3)
+        rho = marginal_ugw(NeighborhoodLaw.from_degree_law({1: third, 2: third, 3: third}), 2)
+        marginal_ugw(rho, 3)
+        made = []
+        plain = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(1)
+            return plain(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        result = marginal_ugw(rho, 3)
+        monkeypatch.undo()
+        assert len(result) == 285
+        assert len(made) <= len(result) + 5
 
     def test_consistency(self):
         for P in (
