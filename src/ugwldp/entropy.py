@@ -63,7 +63,8 @@ def relative_entropy(P, Q) -> float:
         q = q_map.get(key, 0)
         if q == 0:
             return INF
-        out += float(p) * (math.log(float(p)) - math.log(float(q)))
+        p = float(p)
+        out += p * (math.log(p) - math.log(float(q)))
     return out
 
 

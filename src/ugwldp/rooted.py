@@ -28,7 +28,7 @@ Given a `cut` neighbour of the root it treats that edge as absent, so one
 side of an edge costs O(size of the ball), whatever the size of the
 component.  The classes of every vertex of a graph, or of both sides of
 every edge, come from one table of tree-class messages on directed edges
-instead (:func:`tree_classes`, :func:`ball_classes`, :func:`split_classes`):
+instead (:func:`tree_classes`, :func:`ball_classes`, :func:`_messages`):
 each message joins the messages one step further out, and only balls that
 hold a cycle are canonicalized one by one.  These take the graph as one
 vertex-indexed list, adj[v] iterating the neighbours of v for v in 0..n-1,
@@ -135,8 +135,8 @@ class SimpleGraph:
         """adj[v] lists the neighbours of v, each once, for v in 0..n-1.
 
         This vertex-indexed list is the adjacency that the class and girth
-        code (:func:`tree_classes`, :func:`ball_classes`,
-        :func:`split_classes`, :func:`_has_short_cycle`) takes.  O(n + m).
+        code (:func:`tree_classes`, :func:`ball_classes`, :func:`_messages`,
+        :func:`_has_short_cycle`) takes.  O(n + m).
         """
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -538,16 +538,18 @@ def _messages(adj, k):
     """Depth-k messages on every arc of the vertex-indexed adj, in flat lists.
 
     adj[v] iterates the neighbours of v, for v in 0..n-1 (a simple graph).
-    Returns (start, to, msg), the first two from the O(n + m) arc table of
-    :func:`_arcs`: the arcs out of v are the a with start[v] <= a <
-    start[v + 1], and arc a leads to to[a].  msg[a] is the tree class of
-    the side of to[a] without that edge, unfolded into a tree to depth k.
-    msg_0 is the single vertex, and msg_k(u -> v) joins the msg_{k-1}(v ->
-    w) over w != u as root subtrees: the tree-isomorphism recursion of
-    Aho, Hopcroft & Ullman (1974) run as colour refinement.  Where the
-    side is a tree to depth k the unfolding is the side itself.  Each
-    round joins once per distinct multiset of messages into a vertex, and
-    within it once per distinct message dropped from it.
+    Returns (start, to, back, msg), the first three the O(n + m) arc table
+    of :func:`_arcs`: the arcs out of v are the a with start[v] <= a <
+    start[v + 1], arc a leads to to[a], and back[a] is its reverse arc.
+    msg[a] is the tree class of the side of to[a] without that edge,
+    unfolded into a tree to depth k.  msg_0 is the single vertex, and
+    msg_k(u -> v) joins the msg_{k-1}(v -> w) over w != u as root
+    subtrees: the tree-isomorphism recursion of Aho, Hopcroft & Ullman
+    (1974) run as colour refinement.  Where the side is a tree to depth k
+    the unfolding is the side itself.  Each round joins once per distinct
+    multiset of messages into a vertex, and within it once per distinct
+    message dropped from it.  Cost O(n + k * m * d log d), d the largest
+    degree, plus the size of each distinct class.
     """
     start, to, back = _arcs(adj)
     msg = [_tree_class(0, "()")] * len(to)
@@ -567,7 +569,7 @@ def _messages(adj, k):
             for a in range(lo, hi):
                 new[back[a]] = drop[msg[a]]
         msg = new
-    return start, to, msg
+    return start, to, back, msg
 
 
 def _short_cycle_at(adj, root, g):
@@ -642,19 +644,29 @@ def tree_classes(adj, h):
     """Depth-h tree class of every vertex of the vertex-indexed adj, as a list.
 
     adj[v] iterates the neighbours of v, for v in 0..n-1.  classes[v]
-    joins the depth-(h-1) messages of :func:`_messages` into v, once per
-    distinct multiset; it is the class of the depth-h unfolding of v, and
-    so `is` canonical_from_adjacency(adj, v, h) wherever B_h(v) is a tree,
-    as on every vertex of a graph with no cycle of length <= 2h + 1.  No
-    cycle is looked for.  Cost O(n + h * m * d log d), d the largest
-    degree, plus the size of each distinct class.
+    joins the depth-(h-1) messages of :func:`_messages` into v
+    (:func:`_join_at_vertices`); it is the class of the depth-h unfolding
+    of v, and so `is` canonical_from_adjacency(adj, v, h) wherever B_h(v)
+    is a tree, as on every vertex of a graph with no cycle of length <=
+    2h + 1.  No cycle is looked for.  Cost: one message pass, O(n + h * m
+    * d log d), d the largest degree, plus the size of each distinct class.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    start, _, msg = _messages(adj, h - 1)
+    start, _, _, msg = _messages(adj, h - 1)
+    return _join_at_vertices(start, msg, h)
+
+
+def _join_at_vertices(start, msg, h):
+    """Depth-h class of every vertex, joined from the depth-(h-1) messages msg.
+
+    (start, msg) are those of :func:`_messages`: the arcs out of v are
+    the a with start[v] <= a < start[v + 1], and msg[a] is the side of
+    arc a.  Joins once per distinct multiset of messages into a vertex.
+    """
     joined = {}
     out = []
-    for v in range(len(adj)):
+    for v in range(len(start) - 1):
         kids = msg[start[v] : start[v + 1]]
         key = tuple(sorted([c.id for c in kids]))
         got = joined.get(key)
@@ -682,26 +694,6 @@ def ball_classes(adj, h):
         if _short_cycle_at(adj, v, 2 * h + 1):
             out[v] = canonical_from_adjacency(adj, v, h)
     return out
-
-
-def split_classes(adj, k):
-    """Depth-k class of both sides of every edge of the vertex-indexed adj.
-
-    adj[v] iterates the neighbours of v, for v in 0..n-1.  Returns a dict
-    (u, v) -> class whose value is canonical_from_adjacency(adj, v, k,
-    cut=u): the depth-k message of :func:`_messages` on that arc, O(n +
-    k * m * d log d) for the whole graph plus the size of each distinct
-    class.  Exact when every such side is a tree to depth k, which holds
-    when adj has no cycle of length <= 2k + 3.
-    """
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    start, to, msg = _messages(adj, k)
-    return {
-        (u, to[a]): msg[a]
-        for u in range(len(adj))
-        for a in range(start[u], start[u + 1])
-    }
 
 
 def canonicalize(g: LabeledRootedGraph, h: int) -> CanonicalClass:

@@ -25,12 +25,19 @@ from .config_model import (
     colorblind_of,
     config_space_size,
     degree_factorials,
-    degree_sequence_of,
     has_cycle_leq,
     matching_colors,
 )
+from .neighborhood import _check_depth
 from .oracle import enumerate_configurations
-from .rooted import SimpleGraph, _has_short_cycle, ball_classes, split_classes, tree_classes
+from .rooted import (
+    SimpleGraph,
+    _has_short_cycle,
+    _join_at_vertices,
+    _messages,
+    ball_classes,
+    tree_classes,
+)
 
 
 class NotTreeLikeError(ValueError):
@@ -79,26 +86,60 @@ def is_h_treelike(G: SimpleGraph, h: int) -> bool:
     return not _has_short_cycle(G.adjacency(), 2 * h + 1)
 
 
+def _encoding(G: SimpleGraph, h: int):
+    """The per-graph work of the encoding, done once: arcs, messages, classes and D.
+
+    Rejects a depth that is not an int >= 1 and a graph that is not
+    h-tree-like (:func:`is_h_treelike`), then makes one depth-(h-1)
+    message pass of :func:`rooted._messages`.  Returns ((start, to,
+    back), msg, col, classes, D): the arc table and the messages on it,
+    col[a] the 0-based index of msg[a] in classes, the distinct messages
+    sorted by wire form, and the colored degree sequence.  Arc a out of u
+    adds 1 to D's entry (col[a], col[back[a]]) at u, in one O(n + m) pass;
+    vertices with the same multiset of entries share one matrix.
+    """
+    _check_depth(h)
+    if h < 1:
+        raise ValueError(f"depth must be >= 1, got {h!r}")
+    if not is_h_treelike(G, h):
+        raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
+    start, to, back, msg = _messages(G.adjacency(), h - 1)
+    classes = tuple(sorted(set(msg), key=lambda c: c.wire()))
+    L = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
+    col = [index[c] for c in msg]
+    mats = {}
+    rows = []
+    for u in range(G.n):
+        key = tuple(sorted([col[a] * L + col[back[a]] for a in range(start[u], start[u + 1])]))
+        mat = mats.get(key)
+        if mat is None:
+            grid = [[0] * L for _ in range(L)]
+            for x in key:
+                grid[x // L][x % L] += 1
+            mat = mats[key] = tuple(map(tuple, grid))
+        rows.append(mat)
+    return (start, to, back), msg, col, classes, DegreeSequence(L, tuple(rows))
+
+
 def encode(G: SimpleGraph, h: int):
     """Colored encoding of an h-tree-like graph.
 
     Returns (colored multigraph, context, degree sequence).  The colorblind
     projection of the output recovers G exactly, and the output has no
     cycle of length <= 2h+1.  The edge sides are the depth-(h-1) messages
-    of :func:`rooted.split_classes`, O(h * m * d log d) for the whole
-    graph, d the largest degree, after a girth BFS per 2-core vertex.
+    of :func:`rooted._messages`.  Cost: one girth test (a BFS per 2-core
+    vertex), one O(n + h * m * d log d) message pass, d the largest
+    degree, and D and the multigraph built from the arc table in O(n + m).
     """
-    if not is_h_treelike(G, h):
-        raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
-    splits = split_classes(G.adjacency(), h - 1)
-    classes = tuple(sorted(set(splits.values()), key=lambda c: c.wire()))
-    index = {c: i + 1 for i, c in enumerate(classes)}
-    ctx = EncodingContext(h, classes, index)
+    (start, to, back), _, col, classes, D = _encoding(G, h)
+    ctx = EncodingContext(h, classes, {c: i + 1 for i, c in enumerate(classes)})
     out = ColoredMultigraph(ctx.L, G.n)
-    for u, v in G.edges:
-        color = (index[splits[(u, v)]], index[splits[(v, u)]])
-        out.add_edge(color, u, v)
-    return out, ctx, degree_sequence_of(out)
+    for u in range(G.n):
+        for a in range(start[u], start[u + 1]):
+            if u < to[a]:
+                out.add_edge((col[a] + 1, col[back[a]] + 1), u, to[a])
+    return out, ctx, D
 
 
 def verify_neighborhood_preservation(
@@ -106,15 +147,20 @@ def verify_neighborhood_preservation(
 ) -> bool:
     """Sampled check that re-wired encodings keep the neighborhood multiset.
 
-    Draws colored multigraphs with the encoded degree sequence and no cycle
-    of length <= 2h+1, by the sample_G_Dh attempt loop, and compares the
-    depth-h class multisets of their simple graphs with G's.  G, once
-    :func:`encode` has shown it h-tree-like, and every sample have only
-    tree balls, so their classes come from :func:`rooted.tree_classes`
-    with no cycle search.
+    Draws `samples` colored multigraphs with the encoded degree sequence
+    and no cycle of length <= 2h+1, by the sample_G_Dh attempt loop, and
+    compares the depth-h class multisets of their simple graphs with G's.
+    G, once shown h-tree-like, and every sample have only tree balls, so
+    their classes are joined from tree messages with no cycle search: G's
+    from the messages its encoding already made, each sample's by
+    :func:`rooted.tree_classes`.  Cost: one girth test and one O(n + h * m
+    * d log d) message pass on G, D in O(n + m), then one draw and one
+    message pass per sample.
     """
-    _, _, D = encode(G, h)
-    want = Counter(tree_classes(G.adjacency(), h))
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
+    (start, _, _), msg, _, _, D = _encoding(G, h)
+    want = Counter(_join_at_vertices(start, msg, h))
     for _ in range(samples):
         sample, _, _ = _simple_sample(D, 2 * h + 1, rng)
         if Counter(tree_classes(sample.adjacency(), h)) != want:
@@ -171,34 +217,42 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
     slot orderings: it drops only the log of the short-cycle-free
     fraction, which stays O(1) as n grows with bounded degrees (flagged in
     the result).  It returns that log over n, minus the (m/n) log n label
-    term, as per_vertex_rate.
+    term, as per_vertex_rate.  Both read D from one girth test and one
+    O(n + h * m * d log d) message pass, d the largest degree, with D
+    built in O(n + m); log_asymptotic then takes the lgamma terms of each
+    distinct degree matrix once.
     """
-    _, _, D = encode(G, h)
+    if mode not in ("exact", "log_asymptotic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    *_, D = _encoding(G, h)
     if mode == "exact":
         space = config_space_size(D)
         if space > 2_000_000:
             raise ValueError(f"configuration space too large for exact mode ({space})")
         return distinct_orderings(D) * count_short_cycle_free(D, 2 * h + 1)
-    if mode == "log_asymptotic":
-        n = G.n
-        m = G.m
-        # log distinct_orderings(D), without the factorials
-        log_count = math.lgamma(n + 1)
-        for c in Counter(D.mats).values():
-            log_count -= math.lgamma(c + 1)
-        for c in bijection_colors(D.L):
-            log_count += math.lgamma(D.S(c) + 1)
-        for c in matching_colors(D.L):
-            log_count += log_matchings(D.S(c))
-        for u in range(D.n):
-            for i in range(D.L):
-                for j in range(D.L):
-                    log_count -= math.lgamma(D.mats[u][i][j] + 1)
-        value = log_count / n - (m / n) * math.log(n)
-        return {
-            "per_vertex_rate": value,
-            "acceptance_factor_dropped": True,
-            "n": n,
-            "m": m,
-        }
-    raise ValueError(f"unknown mode {mode!r}")
+    n = G.n
+    m = G.m
+    # log distinct_orderings(D), without the factorials
+    log_count = math.lgamma(n + 1)
+    for c in Counter(D.mats).values():
+        log_count -= math.lgamma(c + 1)
+    for c in bijection_colors(D.L):
+        log_count += math.lgamma(D.S(c) + 1)
+    for c in matching_colors(D.L):
+        log_count += log_matchings(D.S(c))
+    # lgamma(1) and lgamma(2) are exactly 0.0, so leaving out the entries
+    # below 2 subtracts nothing; the rest go vertex by vertex, row by row.
+    terms = {}
+    for mat in D.mats:
+        got = terms.get(mat)
+        if got is None:
+            got = terms[mat] = [math.lgamma(x + 1) for row in mat for x in row if x > 1]
+        for t in got:
+            log_count -= t
+    value = log_count / n - (m / n) * math.log(n)
+    return {
+        "per_vertex_rate": value,
+        "acceptance_factor_dropped": True,
+        "n": n,
+        "m": m,
+    }

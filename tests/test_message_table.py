@@ -1,20 +1,38 @@
 """The vertex-indexed arc table, tree-only classes, and high-degree vertices."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ugwldp.config_model import ColoredMultigraph, degree_sequence_of
 from ugwldp.rooted import (
     SimpleGraph,
     _arcs,
+    _messages,
     ball_classes,
     canonical_from_adjacency,
-    split_classes,
     star,
     tree_classes,
 )
-from ugwldp.tree_encoding import is_h_treelike
+from ugwldp.tree_encoding import _encoding, is_h_treelike
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def split_classes(adj, k):
+    """Depth-k class of both sides of every edge of the vertex-indexed adj.
+
+    Returns a dict (u, v) -> class, read off the depth-k message of
+    :func:`_messages` on that arc.  The colored degree sequence of
+    tree_encoding is checked against this dict.
+    """
+    if k < 0:
+        raise ValueError("depth must be nonnegative")
+    start, to, _, msg = _messages(adj, k)
+    return {
+        (u, to[a]): msg[a]
+        for u in range(len(adj))
+        for a in range(start[u], start[u + 1])
+    }
 
 
 @st.composite
@@ -87,6 +105,22 @@ def test_tree_classes_are_ball_classes_on_treelike_graphs(case):
     want = ball_classes(adj, h)
     assert len(got) == G.n
     assert all(got[v] is want[v] for v in range(G.n))
+
+
+@SETTINGS
+@given(case=treelike_graphs())
+def test_degree_sequence_from_the_arc_table_equals_the_split_dict_one(case):
+    G, h = case
+    assume(h >= 1)
+    splits = split_classes(G.adjacency(), h - 1)
+    classes = sorted(set(splits.values()), key=lambda c: c.wire())
+    index = {c: i + 1 for i, c in enumerate(classes)}
+    colored = ColoredMultigraph(len(classes), G.n)
+    for u, v in G.edges:
+        colored.add_edge((index[splits[(u, v)]], index[splits[(v, u)]]), u, v)
+    *_, got_classes, D = _encoding(G, h)
+    assert got_classes == tuple(classes)
+    assert D == degree_sequence_of(colored)
 
 
 def test_tree_classes_skip_the_cycle_search():
