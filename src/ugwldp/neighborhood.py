@@ -36,18 +36,14 @@ _FLOAT_MASS_TOL = 1e-12
 def _sum_by_key(pairs, den=None) -> dict:
     """{key: the sum of its weights} over a list of (key, weight) pairs.
 
-    Keys come in first-seen order.  With den given, the weights are integer
-    numerators over den: they are added as integers, and each key gets one
+    Keys come in first-seen order.  With den given, as it is for a
+    rational law (:func:`_weights`), the weights are integer numerators
+    over den: they are added as integers, and each key gets one
     Fraction(sum, den) at the end, so the whole sum costs one gcd per key.
-    Without den, when every weight is a Fraction, the weights are first
-    written as integer numerators over the lcm of their denominators and
-    summed the same way.  Otherwise the weights are added one by one in the
-    given order, starting from 0, so a float sum keeps every bit of the
+    Without den, as for a float law, the weights are added one by one in
+    the given order, starting from 0, so a float sum keeps every bit of the
     plain loop's.
     """
-    if den is None and all(type(w) is Fraction for _, w in pairs):
-        den = math.lcm(*{w.denominator for _, w in pairs})
-        pairs = [(key, w.numerator * (den // w.denominator)) for key, w in pairs]
     acc = {}
     for key, w in pairs:
         acc[key] = acc.get(key, 0) + w
@@ -64,18 +60,18 @@ def _total(weights, den=None):
 def _weights(P) -> tuple:
     """(den, {cls: weight}): the weights that the exact law tables add up.
 
-    When every weight of P is a Fraction, den is the lcm of their
-    denominators and each weight is the integer n with P(cls) == n / den,
-    so a table sums integers and builds one Fraction per key.  Otherwise
-    den is None and the weights are P's own, added in order as before.
-    Built once per law object, with the law.
+    For a rational law, whose weights are all Fractions, den is the lcm of
+    their denominators and each weight is the integer n with
+    P(cls) == n / den, so a table sums integers and builds one Fraction
+    per key.  For a float law den is None and the weights are P's own
+    floats, added in order.  Built once per law object, with the law.
     """
     return P._derive("weights", _build_weights)
 
 
 def _build_weights(P):
     support = P.support
-    if not all(type(w) is Fraction for w in support.values()):
+    if P.mode == FLOAT:
         return None, support
     den = math.lcm(*(w.denominator for w in support.values()))
     return den, {cls: w.numerator * (den // w.denominator) for cls, w in support.items()}
@@ -84,9 +80,10 @@ def _build_weights(P):
 def _dividable(P, table):
     """A law table of P ready to divide, and its division.
 
-    For an exact law its Fraction values become integer numerators over the
-    law's common denominator, and a quotient of two is one Fraction(n, m);
-    otherwise the values stay, and a quotient is w / e.
+    For a rational law its Fraction values become integer numerators over
+    the law's common denominator, and a quotient of two is one
+    Fraction(n, m); for a float law the values stay, and a quotient is
+    w / e.
     """
     den, _ = _weights(P)
     if den is None:
@@ -100,6 +97,12 @@ def _check_depth(k) -> None:
         raise ValueError(f"depth must be an int, got {k!r}")
 
 
+def _check_mode(mode) -> None:
+    """Raise ValueError unless mode is "rational" or "float"."""
+    if mode not in (RATIONAL, FLOAT):
+        raise ValueError(f"law mode must be {RATIONAL!r} or {FLOAT!r}, got {mode!r}")
+
+
 class NeighborhoodLaw:
     """Finite-support probability measure on depth-h canonical classes.
 
@@ -108,7 +111,12 @@ class NeighborhoodLaw:
     laws), are computed from it once per law object.  Derived tables are
     not part of equality, hashing or pickles.  Weights of classes that are
     re-declared to the same depth-h class are merged by :func:`_sum_by_key`.
-    An all-Fraction law writes its weights once as integer numerators over
+
+    The mode decides the type of every weight, here and nowhere else.  A
+    "rational" law, the default, keeps a Fraction weight as it is, turns an
+    int into a Fraction and rejects a float with ValueError; a "float" law
+    turns every weight into a float.  Any other mode raises ValueError.
+    A rational law writes its weights once as integer numerators over
     one common denominator (:func:`_weights`): the total-mass check, the
     mean degree, the edge intensities, the edge-type distribution, the
     branch laws and the marginal's extension add and multiply those
@@ -120,10 +128,17 @@ class NeighborhoodLaw:
     __slots__ = ("depth", "support", "mode", "_derived")
 
     def __init__(self, depth, support, mode=RATIONAL):
+        _check_mode(mode)
         self.depth = depth
         self.mode = mode
         pairs = []
         for cls, p in support.items():
+            if mode == FLOAT:
+                p = float(p)
+            elif type(p) is not Fraction:
+                if not isinstance(p, (int, Fraction)):
+                    raise ValueError(f"a rational law takes int or Fraction weights, got {p!r}")
+                p = Fraction(p)
             if p == 0:
                 continue
             if p < 0:
@@ -144,7 +159,7 @@ class NeighborhoodLaw:
             if total != 1:
                 raise ValueError(f"rational law has total mass {total}")
         else:
-            if abs(total - 1) > _FLOAT_MASS_TOL:
+            if not abs(total - 1) <= _FLOAT_MASS_TOL:  # a NaN weight fails too
                 raise ValueError(f"float law has total mass {total!r}")
 
     def __getstate__(self):
@@ -199,7 +214,11 @@ class NeighborhoodLaw:
 
     @staticmethod
     def from_degree_law(P, mode=RATIONAL):
-        """Depth-1 law from a probability map {root degree: weight}."""
+        """Depth-1 law from a probability map {root degree: weight}.
+
+        A rational law takes int or Fraction weights and holds Fractions;
+        a float law holds floats.
+        """
         return NeighborhoodLaw(1, {star(k, 1): p for k, p in P.items()}, mode=mode)
 
     def degree_law(self):
@@ -215,7 +234,7 @@ class NeighborhoodLaw:
     def to_json(self):
         entries = []
         for cls, p in self.sorted_items():
-            val = f"{p.numerator}/{p.denominator}" if self.mode == RATIONAL else float(p)
+            val = f"{p.numerator}/{p.denominator}" if self.mode == RATIONAL else p
             entries.append({"class": cls.wire(), "p": val})
         return {"depth": self.depth, "mode": self.mode, "support": entries}
 
@@ -223,6 +242,7 @@ class NeighborhoodLaw:
     def from_json(obj):
         depth = obj["depth"]
         mode = obj["mode"]
+        _check_mode(mode)
         support = {}
         for entry in obj["support"]:
             cls = parse_class(entry["class"], depth if entry["class"][0] == "(" else None)
@@ -233,8 +253,6 @@ class NeighborhoodLaw:
                     p = Fraction(int(num), int(den or 1))
                 else:
                     p = Fraction(p)
-            else:
-                p = float(p)
             support[cls] = support.get(cls, 0) + p
         return NeighborhoodLaw(depth, support, mode=mode)
 
@@ -373,7 +391,8 @@ def truncate_law(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
         raise ValueError(f"cannot deepen a law from {P.depth} to {k}")
     if k == P.depth:
         return P
-    out = _sum_by_key([(truncate(cls, k), p) for cls, p in P.items()])
+    den, weights = _weights(P)
+    out = _sum_by_key([(truncate(cls, k), p) for cls, p in weights.items()], den)
     return NeighborhoodLaw(k, out, mode=P.mode)
 
 

@@ -82,7 +82,11 @@ def is_h_treelike(G: SimpleGraph, h: int) -> bool:
     """Every depth-h neighborhood is a tree (no cycle of length <= 2h+1).
 
     One girth BFS per vertex of the 2-core, on G's vertex-indexed adjacency.
+    Raises ValueError for a depth h that is not an int >= 0.
     """
+    _check_depth(h)
+    if h < 0:
+        raise ValueError(f"depth must be >= 0, got {h!r}")
     return not _has_short_cycle(G.adjacency(), 2 * h + 1)
 
 
@@ -217,10 +221,10 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
     slot orderings: it drops only the log of the short-cycle-free
     fraction, which stays O(1) as n grows with bounded degrees (flagged in
     the result).  It returns that log over n, minus the (m/n) log n label
-    term, as per_vertex_rate.  Both read D from one girth test and one
-    O(n + h * m * d log d) message pass, d the largest degree, with D
-    built in O(n + m); log_asymptotic then takes the lgamma terms of each
-    distinct degree matrix once.
+    term, as per_vertex_rate, and raises ValueError for the empty graph.
+    Both read D from one girth test and one O(n + h * m * d log d) message
+    pass, d the largest degree, with D built in O(n + m); log_asymptotic
+    then takes the lgamma terms of each distinct degree matrix once.
     """
     if mode not in ("exact", "log_asymptotic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -231,6 +235,8 @@ def count_equivalent_graphs(G: SimpleGraph, h: int, mode: str = "exact"):
             raise ValueError(f"configuration space too large for exact mode ({space})")
         return distinct_orderings(D) * count_short_cycle_free(D, 2 * h + 1)
     n = G.n
+    if n == 0:
+        raise ValueError("log_asymptotic mode needs at least one vertex, got the empty graph")
     m = G.m
     # log distinct_orderings(D), without the factorials
     log_count = math.lgamma(n + 1)

@@ -89,7 +89,7 @@ def typed_branching_law(P: NeighborhoodLaw) -> TypedBranchingLaw:
     """All branch laws of P at once, with exact normalization checks.
 
     Built once per law object, and kept only once every check has passed:
-    an inadmissible law raises on every call.  For an exact law each entry
+    an inadmissible law raises on every call.  For a rational law each entry
     is summed as an integer numerator over the law's common denominator
     and normalized as one Fraction(w, e), with e the intensity's numerator
     over the same denominator.
@@ -147,13 +147,13 @@ def _extend_block(block, table, branching, out, weight, exact):
     """One-step extension of a depth-h block to depth h+1; table is its root edge-type table.
 
     Appends one (depth-(h+1) class, weight) pair per pick to the list out.
-    With exact set, weight and each branch-law option are integer
-    numerators (an option's over its law's common denominator, see
-    :func:`_weights`), so every product is an integer; otherwise they are
-    the laws' own weights, multiplied in the same order.
+    With exact set, for a rational law, weight and each branch-law option
+    are integer numerators (an option's over its law's common denominator,
+    see :func:`_weights`), so every product is an integer; for a float law
+    they are the laws' own floats, multiplied in the same order (1 * x is
+    x to the bit).
     """
     h = block.depth
-    unit = 1 if exact else Fraction(1) if isinstance(weight, Fraction) else 1.0
     groups = []
     for s, s_comp, n_a in _child_types(table):
         law = branching.law(s, s_comp)
@@ -164,7 +164,7 @@ def _extend_block(block, table, branching, out, weight, exact):
         combos = []
         for combo in _multisets(len(opts), n_a):
             w = _multinomial(n_a, combo)
-            pr = unit
+            pr = 1
             chosen = []
             for idx, cnt in enumerate(combo):
                 if cnt == 0:
@@ -226,11 +226,11 @@ def _extension_size(law, types, branching):
 def _block_weights(law, types, branching):
     """(den, {block: weight}): the weights that one extension step starts from.
 
-    For an all-Fraction law, a block of weight p has picks over
-    p.denominator times the product of D_s^{n_a} over its child types, D_s
-    the common denominator of branch law s; den is the lcm of these, and a
-    block's weight is its integer numerator over den.  Otherwise den is
-    None and the weights are the law's own.
+    For a rational law, a block of weight p has picks over p.denominator
+    times the product of D_s^{n_a} over its child types, D_s the common
+    denominator of branch law s; den is the lcm of these, and a block's
+    weight is its integer numerator over den.  For a float law den is None
+    and the weights are the law's own.
     """
     if _weights(law)[0] is None:
         return None, law.support
@@ -250,10 +250,10 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
     Iterates the one-step multinomial extension from depth h up to k.
     Raises SupportExplosionError before a step whose support, counted by
     :func:`_extension_size`, would exceed support_cap, and ValueError for a
-    depth k that is not an int.  On an all-Fraction law a step multiplies
+    depth k that is not an int.  On a rational law a step multiplies
     integer numerators only: every pick's weight is an integer over the
     lcm of the blocks' denominators, and the step builds one Fraction per
-    class of the result.  Any other law multiplies its weights in order.
+    class of the result.  A float law multiplies its weights in order.
     """
     _check_depth(k)
     if k < P.depth:

@@ -269,6 +269,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "sample-ugw", "--law", str(path), "--depth", "3")
         assert code == 3
 
+    def test_unknown_law_mode_exit3(self, capsys, tmp_path):
+        blob = NeighborhoodLaw.from_degree_law({3: Fraction(1)}).to_json()
+        path = tmp_path / "weird.json"
+        path.write_text(json.dumps({**blob, "mode": "weird"}))
+        code, _, err = run(capsys, "jh", "--law", str(path))
+        assert code == 3
+        assert "law mode must be" in err
+
 
 class TestEntropyCommands:
     def test_jh_regular3(self, capsys, regular3_law):

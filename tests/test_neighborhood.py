@@ -220,6 +220,41 @@ class TestSerialization:
         assert back.depth == 1
         assert tv_distance(back, P) < 1e-12
 
+    def test_int_weights_become_fractions(self):
+        P = NeighborhoodLaw.from_degree_law({2: 0, 3: 1})
+        assert list(P.support.values()) == [Fraction(1)]
+        assert type(P.prob(star(3, 1))) is Fraction
+        assert NeighborhoodLaw.from_json(P.to_json()) == P
+
+    def test_fraction_weights_are_kept(self):
+        third = Fraction(1, 3)
+        P = NeighborhoodLaw.from_degree_law({1: third, 2: 2 * third})
+        assert P.prob(star(1, 1)) is third
+
+    def test_float_law_holds_floats(self):
+        for weights in ({1: HALF, 2: 0.5, 3: 0}, {3: 1}):
+            P = NeighborhoodLaw.from_degree_law(weights, mode="float")
+            assert all(type(w) is float for w in P.support.values())
+            assert NeighborhoodLaw.from_json(P.to_json()) == P
+
+    def test_rational_json_number_is_exact(self):
+        support = [{"class": "(())", "p": 0.25}, {"class": "(()())", "p": 0.75}]
+        P = NeighborhoodLaw.from_json({"depth": 1, "mode": "rational", "support": support})
+        assert P.prob(star(1, 1)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("weights", [{1: float("nan")}, {1: 1.0, 2: float("nan")}])
+    def test_float_law_rejects_a_nan_weight(self, weights):
+        with pytest.raises(ValueError, match="float law has total mass nan"):
+            NeighborhoodLaw.from_degree_law(weights, mode="float")
+
+    @pytest.mark.parametrize("mode", ["exact", "weird", "Rational", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="law mode must be"):
+            NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF}, mode=mode)
+        blob = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF}).to_json()
+        with pytest.raises(ValueError, match="law mode must be"):
+            NeighborhoodLaw.from_json({**blob, "mode": mode})
+
     def test_file_round_trip(self, tmp_path):
         P = empirical_distribution(five_vertex_example(), 3)
         path = tmp_path / "law.json"

@@ -42,3 +42,28 @@ def test_bench_span_targets_resolve():
         if not hasattr(importlib.import_module(f"ugwldp.{module}"), func):
             missing.append(name)
     assert missing == []
+
+
+def test_law_arithmetic_makes_no_type_test():
+    # a law's mode fixes the type of its weights in NeighborhoodLaw.__init__,
+    # so the arithmetic that reads them never asks a value for its type
+    wanted = {
+        "neighborhood.py": {"_sum_by_key", "_build_weights"},
+        "ugw.py": {"_extend_block", "_block_weights"},
+    }
+    seen = set()
+    calls = []
+    for path in SOURCES:
+        names = wanted.get(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add(node.name)
+                calls += [
+                    f"{node.name}:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in ("isinstance", "type")
+                ]
+    assert seen == set().union(*wanted.values())
+    assert calls == []

@@ -48,11 +48,14 @@ LAWS = {
     "{2: 1/4, 3: 1/2, 4: 1/4}": lambda: NeighborhoodLaw.from_degree_law(
         {2: QUARTER, 3: HALF, 4: QUARTER}
     ),
-    # float weights in a rational-mode law, and an int weight
-    "{1: 0.5, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: 0.5, 2: 0.5}),
-    "{3: 1}": lambda: NeighborhoodLaw.from_degree_law({3: 1}),
-    # a Fraction and a float weight in one law
-    "{1: 1/2, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: HALF, 2: 0.5}),
+    # float-mode laws given float, int, and mixed Fraction and float weights;
+    # the law turns each into a float
+    "{1: 0.5, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law({1: 0.5, 2: 0.5}, mode="float"),
+    "{3: 1}": lambda: NeighborhoodLaw.from_degree_law({3: 1}, mode="float"),
+    "{1: 1/2, 2: 0.5}": lambda: NeighborhoodLaw.from_degree_law(
+        {1: HALF, 2: 0.5}, mode="float"
+    ),
+    "{3: Fraction(1)}": lambda: NeighborhoodLaw.from_degree_law({3: Fraction(1)}),
     "poisson 0.5": lambda: poisson_law(0.5, tail=1e-3),
     "poisson 1.0": lambda: poisson_law(1.0, tail=1e-3),
 }
@@ -74,12 +77,15 @@ DIGESTS = {
     ("{1: 0.5, 2: 0.5}", 1): "20a960fe6551b2697b738c64426efbcfa01d28bee3c31f91d549c9ae274d6d9d",
     ("{1: 0.5, 2: 0.5}", 2): "02b26594bdd5507aa1addcaebdba44b2d45874900c5d4c64afe4e558827d94f8",
     ("{1: 0.5, 2: 0.5}", 3): "92a0c854d9124fefb17aedbb2a6a6cb25985639bafe5e52f87cb77257d3c7f32",
-    ("{1: 1/2, 2: 0.5}", 1): "043be580d7e00da4a6c5be1065f497ccccac4bd517123554334f3c461098dc78",
+    ("{1: 1/2, 2: 0.5}", 1): "20a960fe6551b2697b738c64426efbcfa01d28bee3c31f91d549c9ae274d6d9d",
     ("{1: 1/2, 2: 0.5}", 2): "02b26594bdd5507aa1addcaebdba44b2d45874900c5d4c64afe4e558827d94f8",
     ("{1: 1/2, 2: 0.5}", 3): "92a0c854d9124fefb17aedbb2a6a6cb25985639bafe5e52f87cb77257d3c7f32",
-    ("{3: 1}", 1): "2bb970885aa18d65953fe08191d3dcf5ada09b4f199c5d6006384bac5ce65477",
+    ("{3: 1}", 1): "4b3837ccd0a7ba88520f5156de0543405732fb9456718cece3298d6d0bd72c29",
     ("{3: 1}", 2): "6853453afda3515c07f58adf4028370d6b7087fc0c026485714e7114d7960a99",
     ("{3: 1}", 3): "fbbaac53ac4378548e2b3e4aec7719c166dd4c0360e968a20e523a9c8be4149b",
+    ("{3: Fraction(1)}", 1): "55cc3e1d858750544d7af8ea1f68dee7c221be365baa6fbd7dc0e26b1112f6e7",
+    ("{3: Fraction(1)}", 2): "5a5f4638a9216553941597c151c145cfc4249f720a3c24657eb46807c8c4a620",
+    ("{3: Fraction(1)}", 3): "f17cbd92b5976bfdd27c119e0a8b95d5375ce15d02cb2a5aee801b045904e0dd",
     ("poisson 0.5", 1): "c554f850e076ee52a19f4f6593dd8fd27eb5f069a183ca7c148d1f7424599839",
     ("poisson 0.5", 2): "dc20873e83c14134e888128062961caa5934f3da5ddb196e20185a744e0c59b6",
     ("poisson 1.0", 1): "e2e4569fdd73e12889d8fa94c20afe2ee3723b27d35c0e1481c271f834fc73c2",
@@ -92,3 +98,12 @@ def test_tower_digest(name, k):
     record = tower_record(LAWS[name](), k)
     got = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert got == DIGESTS[(name, k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rational_int_weight_is_its_fraction(k):
+    # a rational law turns an int weight into a Fraction, so the tower of
+    # {3: 1} is exactly the tower of {3: Fraction(1)}
+    assert tower_record(NeighborhoodLaw.from_degree_law({3: 1}), k) == tower_record(
+        NeighborhoodLaw.from_degree_law({3: Fraction(1)}), k
+    )

@@ -60,6 +60,19 @@ class TestTreeLike:
     def test_triangle(self):
         assert not is_h_treelike(TRIANGLE, 1)
 
+    def test_depth_zero_is_always_treelike(self):
+        assert is_h_treelike(TRIANGLE, 0)
+
+    @pytest.mark.parametrize("h", [0.5, 2.0, True, False, "2", None])
+    def test_rejects_a_depth_that_is_not_an_int(self, h):
+        with pytest.raises(ValueError, match=f"depth must be an int, got {h!r}"):
+            is_h_treelike(TRIANGLE, h)
+
+    @pytest.mark.parametrize("h", [-1, -3])
+    def test_rejects_a_negative_depth(self, h):
+        with pytest.raises(ValueError, match=f"depth must be >= 0, got {h}"):
+            is_h_treelike(TRIANGLE, h)
+
     def test_matches_all_neighborhoods_are_trees(self):
         rng = random.Random(3)
         for _ in range(25):
@@ -185,6 +198,12 @@ class TestCounting:
         out = count_equivalent_graphs(C6, 2, mode="log_asymptotic")
         assert out["acceptance_factor_dropped"] is True
         assert isinstance(out["per_vertex_rate"], float)
+
+    def test_empty_graph(self):
+        empty = SimpleGraph.from_edges(0, [])
+        assert count_equivalent_graphs(empty, 1) == 1
+        with pytest.raises(ValueError, match="empty graph"):
+            count_equivalent_graphs(empty, 1, mode="log_asymptotic")
 
     def test_log_mode_is_log_of_exact_factors(self):
         # the log mode is (1/n) log(orderings * configurations / slot

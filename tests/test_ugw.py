@@ -75,6 +75,44 @@ def small_degree_laws(draw):
     return {k: Fraction(x, q) for k, x in zip(range(1, 5), counts) if x}
 
 
+@st.composite
+def typed_degree_laws(draw):
+    """(weights, mode): degree weights on {0..4} with a denominator of at most 6.
+
+    A rational law's weights are Fractions, or ints where the weight is 0
+    or 1; a float law's are a mix of floats, Fractions and ints.
+    """
+    mode = draw(st.sampled_from(["rational", "float"]))
+    q = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, q), min_size=4, max_size=4)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+    kinds = ["fraction", "int"] if mode == "rational" else ["fraction", "int", "float"]
+    weights = {}
+    for k, x in enumerate(counts):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int" and x % q == 0:
+            weights[k] = x // q
+        elif kind == "float":
+            weights[k] = x / q
+        else:
+            weights[k] = Fraction(x, q)
+    return weights, mode
+
+
+def _tower_laws(law):
+    """law, its marginals to depth 3 (depth 2 where 3 would exceed 500
+    classes), their truncations and branch laws, and JSON round-trips."""
+    tower = [law]
+    for k in (2, 3):
+        try:
+            tower.append(marginal_ugw(law, k, support_cap=500))
+        except SupportExplosionError:
+            break
+    laws = tower + [truncate_law(Q, j) for Q in tower[1:] for j in range(Q.depth)]
+    laws += [branch for Q in tower for branch in typed_branching_law(Q).table.values()]
+    return laws + [NeighborhoodLaw.from_json(Q.to_json()) for Q in laws]
+
+
 class TestSizeBiased:
     def test_poisson_fixed_point(self):
         import math
@@ -240,6 +278,28 @@ class TestMarginal:
             marginal_ugw(UNIFORM12, k)
         with pytest.raises(ValueError, match=f"depth must be an int, got {k!r}"):
             truncate_law(P, k)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(case=typed_degree_laws())
+    def test_the_mode_decides_every_weight_type(self, case):
+        weights, mode = case
+        law = NeighborhoodLaw.from_degree_law(weights, mode=mode)
+        want = Fraction if mode == "rational" else float
+        for Q in _tower_laws(law):
+            assert Q.mode == mode
+            assert all(type(w) is want for w in Q.support.values())
+            if mode == "rational":
+                assert NeighborhoodLaw.from_json(Q.to_json()) == Q
+
+    def test_int_weight_tower_serializes(self):
+        for k in (1, 2, 3):
+            Q = marginal_ugw(NeighborhoodLaw.from_degree_law({3: 1}), k)
+            assert NeighborhoodLaw.from_json(Q.to_json()) == Q
+
+    @pytest.mark.parametrize("weights", [{1: 0.5, 2: 0.5}, {1: HALF, 2: 0.5}, {3: 1.0}])
+    def test_rational_law_rejects_a_float_weight(self, weights):
+        with pytest.raises(ValueError, match="int or Fraction weights"):
+            NeighborhoodLaw.from_degree_law(weights)
 
     def test_one_fraction_per_class(self, monkeypatch):
         # a warmed step sums integer numerators: one Fraction per class of
