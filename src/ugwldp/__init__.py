@@ -13,7 +13,6 @@ from .rooted import (
     canonicalize,
     edge_type_count,
     edge_type_table,
-    isolated_root,
     join_at_root,
     parse_class,
     root_degree,
@@ -23,7 +22,6 @@ from .rooted import (
 )
 from .neighborhood import (
     NeighborhoodLaw,
-    edge_intensity,
     edge_intensity_table,
     edge_type_distribution,
     empirical_distribution,
@@ -36,7 +34,6 @@ from .neighborhood import (
 )
 from .ugw import (
     ColoredOffspringLaw,
-    branch_law,
     colored_branch_law,
     consistency_check,
     edge_law_identity,
@@ -44,7 +41,6 @@ from .ugw import (
     sample_ugw,
     sample_ugw_bipartite,
     sample_ugw_colored,
-    size_biased,
     typed_branching_law,
 )
 from .config_model import (
@@ -77,7 +73,6 @@ from .tree_encoding import (
 from .entropy import (
     discontinuity_bound,
     entropy_constant,
-    entropy_increment,
     rate_binomial,
     rate_degree_er,
     rate_degree_fixed,

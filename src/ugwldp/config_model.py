@@ -146,9 +146,6 @@ class DegreeSequence:
     def S(self, c: Color) -> int:
         return self.totals[c]
 
-    def total_half_edges(self):
-        return sum(self.totals.values())
-
 
 def validate_degree_sequence(D: DegreeSequence) -> bool:
     """Column-sum symmetry plus even diagonal totals."""
@@ -462,10 +459,14 @@ def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=N
     girth is tested by :func:`rooted._has_short_cycle`.  The accepted
     attempt gives SimpleGraph(D.n, its edge set), the colorblind
     projection, and its draws in order, one (c, u, v) per edge.
+    max_attempts caps the attempts: an int >= 1, or None for 100000;
+    anything else raises ValueError before the first draw.
     """
     if h < 2:
         raise ValueError("short-cycle-free sampling needs h >= 2")
-    cap = max_attempts if max_attempts is not None else 100_000
+    cap = 100_000 if max_attempts is None else max_attempts
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"max_attempts must be an int >= 1, got {max_attempts!r}")
     pools = D.owners
     for attempt in range(1, cap + 1):
         joined = set()

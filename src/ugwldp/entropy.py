@@ -16,8 +16,6 @@ import math
 from fractions import Fraction
 
 from .neighborhood import (
-    _FLOAT_MASS_TOL,
-    RATIONAL,
     NeighborhoodLaw,
     edge_type_distribution,
     is_admissible,
@@ -148,33 +146,13 @@ def sigma_ugw1(P) -> float:
     return entropy_constant(d) - relative_entropy_poisson(deg, d)
 
 
-def entropy_increment(rho_km1: NeighborhoodLaw | None, rho_k: NeighborhoodLaw) -> float:
-    """Relative-entropy drop between successive marginal depths.
-
-    For k >= 2 this is the KL gap from the one-step extension of the
-    shallower marginal, corrected by the edge-type KL gap; for k = 1
-    (rho_km1 None or of depth 0) it is the Poisson gap of the degree law.
-    Always nonnegative.
-    """
-    k = rho_k.depth
-    if k == 1 or rho_km1 is None or rho_km1.depth == 0:
-        return _increment(None, rho_k)
-    if rho_km1.depth != k - 1:
-        raise ValueError("laws must sit at consecutive depths")
-    # exact for rational laws; float laws reached along different
-    # truncation paths differ in their last bits
-    cut = truncate_law(rho_k, k - 1)
-    tol = 0 if cut.mode == rho_km1.mode == RATIONAL else _FLOAT_MASS_TOL
-    keys = cut.support.keys() | rho_km1.support.keys()
-    if any(abs(cut.support.get(c, 0) - rho_km1.support.get(c, 0)) > tol for c in keys):
-        raise ValueError("shallower law is not the truncation of the deeper one")
-    return _increment(rho_km1, rho_k)
-
-
 def _increment(rho_km1, rho_k) -> float:
-    """The increment of :func:`entropy_increment`, with rho_km1 taken as rho_k's truncation.
+    """Relative-entropy drop from rho_km1, rho_k's truncation, to rho_k.
 
-    rho_km1 is None at depth 1.
+    For depth k >= 2 this is the KL gap from the one-step extension of the
+    shallower marginal, corrected by the edge-type KL gap; at depth 1
+    (rho_km1 None) it is the Poisson gap of the degree law.  Always
+    nonnegative.
     """
     if rho_km1 is None:
         deg = rho_k.degree_law()
@@ -193,9 +171,8 @@ def _increment(rho_km1, rho_k) -> float:
 def entropy_increments(P: NeighborhoodLaw) -> list:
     """Increments [delta_1, ..., delta_h] of the marginal tower of P.
 
-    Each marginal is the truncation of the next deeper one, computed once,
-    so the pairs are not checked again as :func:`entropy_increment` checks
-    them.  A depth-0 law raises ValueError.
+    Each marginal is the truncation of the next deeper one, computed once.
+    A depth-0 law raises ValueError.
     """
     if P.depth < 1:
         raise ValueError("entropy increments need a law of depth >= 1")

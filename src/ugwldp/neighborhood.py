@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rooted import (
-    CanonicalClass,
     SimpleGraph,
     ball_classes,
     declare_depth,
@@ -97,6 +96,13 @@ def _check_depth(k) -> None:
         raise ValueError(f"depth must be an int, got {k!r}")
 
 
+def _check_law_depth(depth) -> None:
+    """Raise ValueError unless a law's depth is an int >= 0."""
+    _check_depth(depth)
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth!r}")
+
+
 def _check_mode(mode) -> None:
     """Raise ValueError unless mode is "rational" or "float"."""
     if mode not in (RATIONAL, FLOAT):
@@ -115,7 +121,8 @@ class NeighborhoodLaw:
     The mode decides the type of every weight, here and nowhere else.  A
     "rational" law, the default, keeps a Fraction weight as it is, turns an
     int into a Fraction and rejects a float with ValueError; a "float" law
-    turns every weight into a float.  Any other mode raises ValueError.
+    turns every weight into a float.  Any other mode raises ValueError, and
+    so does a depth that is not an int >= 0 (a bool is not a depth).
     A rational law writes its weights once as integer numerators over
     one common denominator (:func:`_weights`): the total-mass check, the
     mean degree, the edge intensities, the edge-type distribution, the
@@ -129,6 +136,7 @@ class NeighborhoodLaw:
 
     def __init__(self, depth, support, mode=RATIONAL):
         _check_mode(mode)
+        _check_law_depth(depth)
         self.depth = depth
         self.mode = mode
         pairs = []
@@ -208,11 +216,6 @@ class NeighborhoodLaw:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def point_mass(cls, depth=None):
-        d = cls.depth if depth is None else depth
-        return NeighborhoodLaw(d, {cls: Fraction(1)})
-
-    @staticmethod
     def from_degree_law(P, mode=RATIONAL):
         """Depth-1 law from a probability map {root degree: weight}.
 
@@ -243,6 +246,7 @@ class NeighborhoodLaw:
         depth = obj["depth"]
         mode = obj["mode"]
         _check_mode(mode)
+        _check_law_depth(depth)
         support = {}
         for entry in obj["support"]:
             cls = parse_class(entry["class"], depth if entry["class"][0] == "(" else None)
@@ -335,11 +339,6 @@ def _build_edge_intensity_table(P):
         den,
     )
     return dict(sorted(acc.items(), key=lambda kv: (kv[0][0].wire(), kv[0][1].wire())))
-
-
-def edge_intensity(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
-    key = (declare_depth(t, P.depth - 1), declare_depth(t_prime, P.depth - 1))
-    return edge_intensity_table(P).get(key, 0)
 
 
 def edge_type_distribution(P: NeighborhoodLaw) -> dict:

@@ -91,22 +91,8 @@ class LabeledRootedGraph:
     def has_edge(self, u, v):
         return u in self.adj and v in self.adj[u]
 
-    def neighbors(self, v):
-        return self.adj[v]
-
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def vertices(self):
-        return self.adj.keys()
-
     def edges(self):
         return [(u, v) for u in self.adj for v in self.adj[u] if u < v]
-
-    def relabel(self, mapping):
-        g = LabeledRootedGraph(root=mapping[self.root])
-        g.adj = {mapping[v]: {mapping[u] for u in nb} for v, nb in self.adj.items()}
-        return g
 
 
 @dataclass(frozen=True)
@@ -737,11 +723,6 @@ def _radius(rep):
     return max(dist.values(), default=0)
 
 
-def radius(g: CanonicalClass) -> int:
-    """Eccentricity of the root in the representative (<= declared depth)."""
-    return _radius(g.rep)
-
-
 def declare_depth(g: CanonicalClass, h: int) -> CanonicalClass:
     """The same structure re-declared at truncation depth h >= depth(g)."""
     if h == g.depth:
@@ -771,16 +752,6 @@ def truncate(g: CanonicalClass, h: int) -> CanonicalClass:
             got = canonical_from_adjacency(g.rep, 0, h)
         g._truncations[h] = got
     return got
-
-
-def instantiate(g: CanonicalClass) -> LabeledRootedGraph:
-    """A fresh mutable labeled copy of the canonical representative."""
-    out = LabeledRootedGraph(root=0, vertices=range(len(g.rep)))
-    for v, nb in enumerate(g.rep):
-        for u in nb:
-            if u > v:
-                out.add_edge(v, u)
-    return out
 
 
 def split_at_edge(g: LabeledRootedGraph, u: int, v: int) -> LabeledRootedGraph:
@@ -900,7 +871,3 @@ def star(k: int, depth: int = 1) -> CanonicalClass:
     if depth < 1 and k > 0:
         raise ValueError("a star with children needs depth >= 1")
     return _tree_class(depth, "(" + "()" * k + ")")
-
-
-def isolated_root(depth: int = 0) -> CanonicalClass:
-    return star(0, depth)

@@ -32,7 +32,6 @@ from .neighborhood import (
 )
 from .rooted import (
     TREE,
-    CanonicalClass,
     KindMismatchError,
     LabeledRootedGraph,
     _join,
@@ -52,17 +51,6 @@ class MissingBranchError(RuntimeError):
     Types generated by a consistent recursion always have positive
     intensity, so hitting this means the input law was not admissible.
     """
-
-
-def size_biased(P):
-    """Size-biased offspring law of a degree law on the nonnegative integers.
-
-    Maps k to (k+1) P(k+1) / mean(P); requires a positive finite mean.
-    """
-    mean = sum(k * p for k, p in P.items())
-    if mean == 0:
-        raise ValueError("size bias of a zero-mean law")
-    return {k - 1: k * p / mean for k, p in P.items() if k >= 1 and p != 0}
 
 
 @dataclass(frozen=True)
@@ -120,11 +108,6 @@ def _build_branching(P):
         for key, cell in acc.items()
     }
     return TypedBranchingLaw(h, table)
-
-
-def branch_law(P: NeighborhoodLaw, t: CanonicalClass, t_prime: CanonicalClass):
-    """The branch law of P for one edge type (t, t')."""
-    return typed_branching_law(P).law(t, t_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +373,10 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
 
     The branch tables are built once per law object; after that a draw
     costs O(tree size), plus a one-time type computation for each
-    (block, look-back) pair the sampler meets for the first time.
+    (block, look-back) pair the sampler meets for the first time.  A depth
+    k that is not an int raises ValueError.
     """
+    _check_depth(k)
     h = P.depth
     if k < h:
         raise ValueError(f"output depth {k} below law depth {h}")
@@ -488,12 +473,6 @@ class ColoredRootedTree:
     parents: dict  # vertex -> parent
     types: dict  # vertex -> color (absent for the root)
 
-    def children(self):
-        out = {v: [] for v in range(self.n)}
-        for v, p in self.parents.items():
-            out[p].append(v)
-        return out
-
     def colorblind(self) -> LabeledRootedGraph:
         g = LabeledRootedGraph(root=self.root, vertices=range(self.n))
         for v, p in self.parents.items():
@@ -502,7 +481,11 @@ class ColoredRootedTree:
 
 
 def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> ColoredRootedTree:
-    """Multi-type tree: root offspring from the base law, then per-color branch laws."""
+    """Multi-type tree: root offspring from the base law, then per-color branch laws.
+
+    Raises ValueError for a depth k that is not an int, or is negative.
+    """
+    _check_depth(k)
     if k < 0:
         raise ValueError(f"output depth {k} is negative")
     colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
@@ -526,36 +509,30 @@ def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> Co
     return ColoredRootedTree(n, 0, parents, types)
 
 
+def _bipartite_law(P1, P2) -> ColoredOffspringLaw:
+    """The alternating two-law tree as a two-color offspring law.
+
+    A type-1 vertex has k children across color (1, 2) with probability
+    P1(k), a type-2 vertex k across (2, 1) with probability P2(k), and the
+    root is type 1 or 2 with odds (d2, d1) / (d1 + d2), where d1, d2 > 0
+    are the means of P1, P2.  The branch laws across (1, 2) and (2, 1) are
+    then the size-biased laws of P2 and P1.
+    """
+    # summed from Fraction(0), int and Fraction weights stay exact
+    d1 = sum((k * p for k, p in P1.items()), Fraction(0))
+    d2 = sum((k * p for k, p in P2.items()), Fraction(0))
+    if d1 <= 0 or d2 <= 0:
+        raise ValueError("both degree laws need positive mean")
+    pairs = [(((0, k), (0, 0)), d2 * p) for k, p in P1.items()]
+    pairs += [(((0, 0), (k, 0)), d1 * p) for k, p in P2.items()]
+    return ColoredOffspringLaw(2, {M: w / (d1 + d2) for M, w in _sum_by_key(pairs).items()})
+
+
 def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGraph:
     """Tree with alternating types; root type i drawn with odds of the opposite mean.
 
-    P1 and P2 are degree laws with positive finite means d1, d2.  The root
-    is type i with probability d_{other}/(d1+d2) and reproduces by P_i;
-    deeper type-i vertices reproduce by the size-biased law of P_i.
+    The root is type i with probability d_{other}/(d1+d2) and reproduces by
+    P_i; deeper type-i vertices reproduce by the size-biased law of P_i.
+    One :func:`sample_ugw_colored` draw from :func:`_bipartite_law`.
     """
-    if k < 0:
-        raise ValueError(f"output depth {k} is negative")
-    d1 = sum(kk * p for kk, p in P1.items())
-    d2 = sum(kk * p for kk, p in P2.items())
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("both degree laws need positive mean")
-    p1 = d2 / (d1 + d2)
-    laws = {1: _DrawTable(sorted(P1.items())), 2: _DrawTable(sorted(P2.items()))}
-    hats = {
-        1: _DrawTable(sorted(size_biased(P1).items())),
-        2: _DrawTable(sorted(size_biased(P2).items())),
-    }
-    root_type = 1 if rng.random() < float(p1) else 2
-    tree = LabeledRootedGraph(root=0)
-    n = 1
-    frontier = deque([(0, root_type, 0, True)])
-    while frontier:
-        v, tpe, depth, is_root = frontier.popleft()
-        if depth >= k:
-            continue
-        deg = (laws[tpe] if is_root else hats[tpe]).draw(rng)
-        for _ in range(deg):
-            tree.add_edge(v, n)
-            frontier.append((n, 3 - tpe, depth + 1, False))
-            n += 1
-    return tree
+    return sample_ugw_colored(_bipartite_law(P1, P2), k, rng).colorblind()

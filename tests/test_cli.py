@@ -126,6 +126,40 @@ class TestSampling:
         assert code == 0
         assert json.loads(out)["n_vertices"] > 1
 
+    @pytest.mark.parametrize(
+        "p1, p2, tree",
+        [
+            (
+                "2:1",
+                "3:1",
+                "13 12 root 0\n0 1\n0 2\n0 3\n1 4\n2 5\n3 6\n4 7\n4 8\n5 9\n5 10\n"
+                "6 11\n6 12\n",
+            ),
+            (
+                "1:1/4,2:1/4,3:1/2",
+                "1:1/3,3:2/3",
+                "8 7 root 0\n0 1\n1 2\n1 3\n2 4\n2 5\n3 6\n3 7\n",
+            ),
+        ],
+        ids=["biregular", "two-atom"],
+    )
+    def test_sample_bipartite_seed1_pinned(self, capsys, tmp_path, p1, p2, tree):
+        # The alternating tree is drawn by the two-color sampler: the root
+        # takes one draw for its type and degree together.
+        tpath = tmp_path / "t.txt"
+        argv = ["sample-bipartite", "--p1", p1, "--p2", p2, "--depth", "3", "--seed", "1"]
+        code, out, _ = run(capsys, *argv, "--tree-out", str(tpath))
+        assert code == 0
+        n, m = (int(x) for x in tree.split()[:2])
+        assert json.loads(out) == {
+            "schema": "ugw-ldp/v1",
+            "seed": 1,
+            "depth": 3,
+            "n_vertices": n,
+            "n_edges": m,
+        }
+        assert tpath.read_text(encoding="utf-8") == tree
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -261,13 +295,29 @@ class TestExitCodes:
     def test_invalid_law_exit3(self, capsys, tmp_path):
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         path = tmp_path / "bad.json"
-        NeighborhoodLaw.point_mass(chain).dump(path)
+        NeighborhoodLaw(chain.depth, {chain: 1}).dump(path)
         code, _, err = run(capsys, "jh", "--law", str(path))
         assert code == 3
         code, _, _ = run(capsys, "rate-edges", "--law", str(path), "--d", "1")
         assert code == 3
         code, _, _ = run(capsys, "sample-ugw", "--law", str(path), "--depth", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("depth", [True, 1.5])
+    def test_law_depth_not_an_int_exit3(self, capsys, tmp_path, depth):
+        blob = NeighborhoodLaw.from_degree_law({3: Fraction(1)}).to_json()
+        path = tmp_path / "depth.json"
+        path.write_text(json.dumps({**blob, "depth": depth}))
+        code, out, err = run(capsys, "jh", "--law", str(path))
+        assert code == 3 and out == ""
+        assert "depth must be an int" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_attempts_below_one_exit1(self, capsys, tiny_cycle_degrees, cap):
+        argv = ["sample-gdh", "--degrees", tiny_cycle_degrees, "--girth", "3"]
+        code, out, err = run(capsys, *argv, "--max-attempts", cap)
+        assert code == 1 and out == ""
+        assert err == f"error: max_attempts must be an int >= 1, got {cap}\n"
 
     def test_unknown_law_mode_exit3(self, capsys, tmp_path):
         blob = NeighborhoodLaw.from_degree_law({3: Fraction(1)}).to_json()

@@ -300,6 +300,22 @@ class TestRejectionSampler:
         with pytest.raises(RejectionExhaustedError):
             sample_G_Dh(D, 2, random.Random(0), max_attempts=200)
 
+    @pytest.mark.parametrize("cap", [0, -3, True, False, 1.5, 2.0, "5"])
+    def test_max_attempts_not_an_int_at_least_one_rejected(self, cap):
+        D = DegreeSequence.single_color([2, 2])
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"max_attempts must be an int >= 1, got {cap!r}"):
+            sample_G_Dh(D, 2, rng, max_attempts=cap)
+        assert rng.getstate() == state
+
+    def test_max_attempts_one_and_none(self):
+        D = DegreeSequence.single_color([1, 1])
+        assert sample_G_Dh(D, 2, random.Random(0), max_attempts=1)[1] == 1
+        assert sample_G_Dh(D, 2, random.Random(0), max_attempts=None)[1] == 1
+        with pytest.raises(RejectionExhaustedError, match="in 1 attempts"):
+            sample_G_Dh(DegreeSequence.single_color([2, 2]), 2, random.Random(0), max_attempts=1)
+
     def test_acceptance_matches_exact_fraction(self):
         D = DegreeSequence.from_rows(1, [[2], [2], [1], [1]])
         alpha = exact_acceptance_fraction(D, 2)

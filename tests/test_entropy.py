@@ -10,7 +10,6 @@ from ugwldp.entropy import (
     INF,
     discontinuity_bound,
     entropy_constant,
-    entropy_increment,
     entropy_increments,
     rate_binomial,
     rate_degree_er,
@@ -120,7 +119,7 @@ class TestUgwEntropy:
 
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         with pytest.raises(ValueError):
-            ugw_entropy(NeighborhoodLaw.point_mass(chain))
+            ugw_entropy(NeighborhoodLaw(chain.depth, {chain: 1}))
 
 
 def mixed_depth2_law():
@@ -141,21 +140,15 @@ def mixed_depth2_law():
 class TestIncrements:
     def test_consistent_tower_increment_zero(self):
         rho2 = marginal_ugw(UNIFORM12, 2)
-        assert abs(entropy_increment(truncate_law(rho2, 1), rho2)) < 1e-12
+        assert abs(entropy_increments(rho2)[-1]) < 1e-12
 
     def test_first_increment_is_poisson_gap(self):
         P = {1: HALF, 2: HALF}
         law = NeighborhoodLaw.from_degree_law(P)
         d = float(mean_degree(law))
         assert abs(
-            entropy_increment(None, law) - relative_entropy_poisson(P, d)
+            entropy_increments(law)[-1] - relative_entropy_poisson(P, d)
         ) < 1e-14
-
-    def test_inconsistent_marginals_rejected(self):
-        rho2 = marginal_ugw(UNIFORM12, 2)
-        other = NeighborhoodLaw.from_degree_law({2: Fraction(1)})
-        with pytest.raises(ValueError):
-            entropy_increment(other, rho2)
 
     def test_float_truncations_along_two_paths(self):
         # truncate_law(truncate_law(P, 2), 1) and truncate_law(P, 1) differ
@@ -163,18 +156,9 @@ class TestIncrements:
         P = marginal_ugw(FLOAT124, 3)
         rho1, rho2 = truncate_law(P, 1), truncate_law(P, 2)
         assert truncate_law(rho2, 1) != rho1
-        assert abs(entropy_increment(rho1, rho2)) < 1e-12
+        assert abs(entropy_increments(rho2)[-1]) < 1e-12
         incs = entropy_increments(P)
         assert len(incs) == 3 and all(abs(x) < 1e-12 for x in incs[1:])
-
-    def test_float_truncation_still_checked(self):
-        P = marginal_ugw(FLOAT124, 2)
-        shifted = {cls: p for cls, p in truncate_law(P, 1).items()}
-        a, b = sorted(shifted, key=lambda c: c.wire())[:2]
-        shifted[a] += 1e-9
-        shifted[b] -= 1e-9
-        with pytest.raises(ValueError, match="truncation"):
-            entropy_increment(NeighborhoodLaw(1, shifted, mode="float"), P)
 
     def test_depth0_law_raises(self):
         P0 = NeighborhoodLaw.from_degree_law({0: Fraction(1)})
@@ -184,8 +168,7 @@ class TestIncrements:
 
     def test_strict_increment_for_mixture(self):
         rho2 = mixed_depth2_law()
-        rho1 = truncate_law(rho2, 1)
-        gap = entropy_increment(rho1, rho2)
+        gap = entropy_increments(rho2)[-1]
         assert gap > 1e-6
 
     def test_telescoping(self):

@@ -8,7 +8,6 @@ import pytest
 
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
-    edge_intensity,
     edge_intensity_table,
     edge_type_distribution,
     empirical_distribution,
@@ -22,7 +21,7 @@ from ugwldp.rooted import (
     LabeledRootedGraph,
     SimpleGraph,
     canonicalize,
-    isolated_root,
+    declare_depth,
     star,
 )
 
@@ -93,26 +92,26 @@ class TestEmpirical:
 class TestEdgeIntensity:
     def test_point_mass_star(self):
         for d in (1, 2, 5):
-            P = NeighborhoodLaw.point_mass(star(d, 1))
-            dot = isolated_root(0)
-            assert edge_intensity(P, dot, dot) == d
+            P = NeighborhoodLaw(1, {star(d, 1): 1})
+            dot = star(0, 0)
+            assert edge_intensity_table(P).get((dot, dot), 0) == d
 
     def test_path3_mean(self):
         path3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
         P = empirical_distribution(path3, 1)
-        dot = isolated_root(0)
-        assert edge_intensity(P, dot, dot) == Fraction(4, 3)
+        dot = star(0, 0)
+        assert edge_intensity_table(P).get((dot, dot), 0) == Fraction(4, 3)
         assert sum(edge_intensity_table(P).values()) == mean_degree(P)
 
     def test_asymmetric_point_mass(self):
         # depth-2 path rooted at an end: the lone root edge has far pattern
         # a single-child star but near pattern an isolated root
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
-        P = NeighborhoodLaw.point_mass(chain)
+        P = NeighborhoodLaw(chain.depth, {chain: 1})
         s1 = star(1)
-        dot = isolated_root(0)
-        assert edge_intensity(P, s1, dot) == 1
-        assert edge_intensity(P, dot, s1) == 0
+        dot = star(0, 0)
+        assert edge_intensity_table(P).get((s1, declare_depth(dot, 1)), 0) == 1
+        assert edge_intensity_table(P).get((declare_depth(dot, 1), s1), 0) == 0
         rep = is_admissible(P)
         assert not rep
         assert rep.violations
@@ -181,13 +180,13 @@ class TestTvAndPoisson:
         assert tv_distance(P, P) == 0
 
     def test_tv_disjoint_point_masses(self):
-        a = NeighborhoodLaw.point_mass(star(1, 1))
-        b = NeighborhoodLaw.point_mass(star(2, 1))
+        a = NeighborhoodLaw(1, {star(1, 1): 1})
+        b = NeighborhoodLaw(1, {star(2, 1): 1})
         assert tv_distance(a, b) == 1
 
     def test_tv_depth_mismatch(self):
-        a = NeighborhoodLaw.point_mass(star(1, 1))
-        b = NeighborhoodLaw.point_mass(star(1, 2), depth=2)
+        a = NeighborhoodLaw(1, {star(1, 1): 1})
+        b = NeighborhoodLaw(2, {star(1, 2): 1})
         with pytest.raises(ValueError):
             tv_distance(a, b)
 
@@ -254,6 +253,17 @@ class TestSerialization:
         blob = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF}).to_json()
         with pytest.raises(ValueError, match="law mode must be"):
             NeighborhoodLaw.from_json({**blob, "mode": mode})
+
+    @pytest.mark.parametrize("depth", [True, False, 1.5, 1.0, "1", None, -1])
+    def test_depth_not_an_int_at_least_zero_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be"):
+            NeighborhoodLaw(depth, {star(1, 1): 1})
+        blob = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF}).to_json()
+        with pytest.raises(ValueError, match="depth must be"):
+            NeighborhoodLaw.from_json({**blob, "depth": depth})
+
+    def test_depth_zero_accepted(self):
+        assert NeighborhoodLaw(0, {star(0, 0): 1}).depth == 0
 
     def test_file_round_trip(self, tmp_path):
         P = empirical_distribution(five_vertex_example(), 3)

@@ -470,7 +470,6 @@ class TestDerivedTotals:
             assert [offs[u + 1] - offs[u] for u in range(D.n)] == [
                 D.D(u, c) for u in range(D.n)
             ]
-        assert D.total_half_edges() == sum(len(half_edges(D, c)) for c in all_colors(D.L))
 
     def test_cached_values_leave_equality_alone(self):
         D = DegreeSequence.from_rows(2, [[1, 1, 1, 0], [1, 0, 0, 2]])

@@ -67,3 +67,27 @@ def test_law_arithmetic_makes_no_type_test():
                 ]
     assert seen == set().union(*wanted.values())
     assert calls == []
+
+
+def test_bipartite_sampler_has_no_loop_of_its_own():
+    # the alternating two-law tree is the two-color multi-type tree, so
+    # sample_ugw_bipartite draws through sample_ugw_colored and holds no
+    # sampling loop of its own
+    (path,) = [path for path in SOURCES if path.name == "ugw.py"]
+    (func,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "sample_ugw_bipartite"
+    ]
+    loops = [
+        f"{type(node).__name__}:{node.lineno}"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))
+    ]
+    assert loops == []
+    assert any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sample_ugw_colored"
+        for node in ast.walk(func)
+    )

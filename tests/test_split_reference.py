@@ -33,7 +33,6 @@ from ugwldp.rooted import (
     children_subtrees,
     drop_root_child,
     edge_type_table,
-    instantiate,
     join_at_root,
     root_sides,
     split_at_edge,
@@ -120,7 +119,11 @@ def reference_truncate(g, h):
 
 def reference_join_at_root(tau, t_prime):
     h = tau.depth
-    base = instantiate(tau)
+    base = LabeledRootedGraph(
+        [(v, u) for v, nb in enumerate(tau.rep) for u in nb if u > v],
+        root=0,
+        vertices=range(len(tau.rep)),
+    )
     offset = len(tau.rep)
     for v, nb in enumerate(t_prime.rep):
         for u in nb:

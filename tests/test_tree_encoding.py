@@ -7,7 +7,7 @@ import pytest
 
 from ugwldp.config_model import colorblind_simple, double_factorial, has_cycle_leq
 from ugwldp.oracle import exact_equivalent_count
-from ugwldp.rooted import SimpleGraph, isolated_root, star
+from ugwldp.rooted import SimpleGraph, star
 from ugwldp.tree_encoding import (
     NotTreeLikeError,
     count_equivalent_graphs,
@@ -40,7 +40,7 @@ class TestNeighborhoodVector:
 
     def test_edgeless(self):
         G = SimpleGraph.from_edges(4, [])
-        assert neighborhood_vector(G, 2) == [isolated_root(2)] * 4
+        assert neighborhood_vector(G, 2) == [star(0, 2)] * 4
 
     def test_regular_high_girth_constant(self):
         vec = neighborhood_vector(C6, 2)
@@ -90,7 +90,7 @@ class TestEncode:
     def test_single_edge(self):
         enc, ctx, D = encode(SimpleGraph.from_edges(2, [(0, 1)]), 1)
         assert ctx.L == 1
-        assert ctx.classes == (isolated_root(0),)
+        assert ctx.classes == (star(0, 0),)
         assert enc.omega((1, 1), 0, 1) == 1
 
     def test_path3_color_table(self):
@@ -105,7 +105,7 @@ class TestEncode:
         enc, ctx, D = encode(PATH3, 2)
         # depth-1 splits: leaf-end sees a single-child star, center sees dots
         assert ctx.L == 2
-        assert set(ctx.classes) == {isolated_root(1), star(1, 1)}
+        assert set(ctx.classes) == {star(0, 1), star(1, 1)}
 
     def test_nine_vertex_figure_has_five_classes(self):
         G = nine_vertex_unicyclic()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
-    edge_intensity,
+    edge_intensity_table,
     empirical_distribution,
     is_admissible,
     root_edge_types,
@@ -22,7 +22,6 @@ from ugwldp.rooted import (
     LabeledRootedGraph,
     SimpleGraph,
     canonicalize,
-    isolated_root,
     parse_class,
     root_degree,
     star,
@@ -32,8 +31,8 @@ from ugwldp.ugw import (
     ColoredOffspringLaw,
     MissingBranchError,
     SupportExplosionError,
+    _bipartite_law,
     _extension_size,
-    branch_law,
     colored_branch_law,
     consistency_check,
     edge_law_identity,
@@ -41,7 +40,6 @@ from ugwldp.ugw import (
     sample_ugw,
     sample_ugw_bipartite,
     sample_ugw_colored,
-    size_biased,
     typed_branching_law,
 )
 
@@ -64,6 +62,18 @@ def bipartite_root_probability(P1, P2):
     if isinstance(tot, float):
         return d2 / tot, d1 / tot
     return Fraction(d2) / tot, Fraction(d1) / tot
+
+
+def size_biased(P):
+    """Size-biased offspring law of a degree law on the nonnegative integers.
+
+    Maps k to (k+1) P(k+1) / mean(P); requires a positive finite mean.
+    The reference for the branch laws of the alternating two-law tree.
+    """
+    mean = sum(k * p for k, p in P.items())
+    if mean == 0:
+        raise ValueError("size bias of a zero-mean law")
+    return {k - 1: k * p / mean for k, p in P.items() if k >= 1 and p != 0}
 
 
 @st.composite
@@ -139,8 +149,8 @@ class TestBranchLaw:
         P = NeighborhoodLaw.from_degree_law(
             {0: Fraction(1, 6), 1: Fraction(1, 3), 2: HALF}
         )
-        dot = isolated_root(0)
-        law = branch_law(P, dot, dot)
+        dot = star(0, 0)
+        law = typed_branching_law(P).law(dot, dot)
         hat = size_biased(P.degree_law())
         assert {root_degree(c): p for c, p in law.items()} == hat
 
@@ -164,16 +174,16 @@ class TestBranchLaw:
             assert sum(cell.support.values()) == 1
             for tau in cell:
                 assert truncate(tau, 1) is t
-            assert edge_intensity(P, t, tp) > 0
+            assert edge_intensity_table(P).get((t, tp), 0) > 0
 
     def test_zero_intensity_rejected(self):
         P = marginal_ugw(NeighborhoodLaw.from_degree_law({3: Fraction(1)}), 2)
         with pytest.raises((ValueError, MissingBranchError)):
-            branch_law(P, isolated_root(1), isolated_root(1))
+            typed_branching_law(P).law(star(0, 1), star(0, 1))
 
     def test_non_admissible_rejected(self):
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
-        P = NeighborhoodLaw.point_mass(chain)
+        P = NeighborhoodLaw(chain.depth, {chain: 1})
         with pytest.raises(ValueError):
             typed_branching_law(P)
 
@@ -341,7 +351,7 @@ class TestMarginal:
     def test_edge_identity_rejects_non_admissible(self):
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         with pytest.raises(ValueError):
-            edge_law_identity(NeighborhoodLaw.point_mass(chain))
+            edge_law_identity(NeighborhoodLaw(chain.depth, {chain: 1}))
 
 
 def _child_classes(cls):
@@ -364,6 +374,11 @@ class TestSampler:
         P = NeighborhoodLaw.from_degree_law({0: Fraction(1)})
         t = sample_ugw(P, 3, random.Random(1))
         assert len(t.adj) == 1
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None])
+    def test_depth_not_an_int_rejected(self, k):
+        with pytest.raises(ValueError, match="depth must be an int"):
+            sample_ugw(UNIFORM12, k, random.Random(0))
 
     def test_seed_determinism(self):
         t1 = sample_ugw(UNIFORM12, 4, random.Random(99))
@@ -402,7 +417,7 @@ class TestSampler:
     def test_rejects_non_admissible(self):
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         with pytest.raises(ValueError):
-            sample_ugw(NeighborhoodLaw.point_mass(chain), 3, random.Random(0))
+            sample_ugw(NeighborhoodLaw(chain.depth, {chain: 1}), 3, random.Random(0))
 
 
 ZERO2 = ((0, 0), (0, 0))
@@ -457,6 +472,15 @@ class TestColored:
         with pytest.raises(ValueError, match="negative"):
             sample_ugw_colored(P, -1, random.Random(0))
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_depth_not_an_int_rejected(self, k):
+        P = ColoredOffspringLaw(1, {((2,),): Fraction(1)})
+        assert sample_ugw_colored(P, 2, random.Random(0)).n == 5
+        with pytest.raises(ValueError, match="depth must be an int"):
+            sample_ugw_colored(P, k, random.Random(0))
+        with pytest.raises(ValueError, match="depth must be an int"):
+            sample_ugw_bipartite({2: 1}, {3: 1}, k, random.Random(0))
+
     def test_single_color_matches_tree_sampler(self):
         deg = {0: Fraction(1, 4), 1: Fraction(1, 4), 3: HALF}
         P1 = ColoredOffspringLaw(1, {((k,),): p for k, p in deg.items()})
@@ -469,7 +493,49 @@ class TestColored:
         assert float(tv_distance(emp_c, target)) < 0.01
 
 
+# (P1, P2) pairs: exact, with a degree-0 entry on one or both sides (the
+# zero matrix then sums both types' mass), with int weights, equal laws,
+# and float weights
+BIPARTITE_PAIRS = [
+    ({0: Fraction(1, 4), 2: Fraction(1, 4), 3: HALF}, {1: Fraction(1, 3), 4: Fraction(2, 3)}),
+    ({0: HALF, 1: HALF}, {0: Fraction(1, 3), 2: Fraction(2, 3)}),
+    ({2: 1}, {3: 1}),
+    ({1: 1}, {0: Fraction(1, 5), 5: Fraction(4, 5)}),
+    ({2: HALF, 3: HALF}, {2: HALF, 3: HALF}),
+    ({1: 0.5, 3: 0.5}, {0: 0.25, 2: 0.75}),
+    ({0: 0.1, 1: 0.2, 4: 0.7}, {1: Fraction(1, 3), 2: Fraction(2, 3)}),
+]
+
+
 class TestBipartite:
+    @pytest.mark.parametrize("P1, P2", BIPARTITE_PAIRS)
+    def test_two_color_law_is_the_alternating_tree(self, P1, P2):
+        # exact, no sampling: root mass (d2, d1) / (d1 + d2) per type, and
+        # branch laws size_biased(P2) across (1, 2), size_biased(P1) across (2, 1)
+        r1, r2 = bipartite_root_probability(P1, P2)
+        root = {}
+        for k, p in P1.items():
+            root[((0, k), (0, 0))] = root.get(((0, k), (0, 0)), 0) + r1 * p
+        for k, p in P2.items():
+            root[((0, 0), (k, 0))] = root.get(((0, 0), (k, 0)), 0) + r2 * p
+        law = _bipartite_law(P1, P2)
+        hat12 = colored_branch_law(law, (1, 2))
+        hat21 = colored_branch_law(law, (2, 1))
+        assert all(M[0] == (0, 0) and M[1][1] == 0 for M in hat12)
+        assert all(M[1] == (0, 0) and M[0][0] == 0 for M in hat21)
+        hat12 = {M[1][0]: p for M, p in hat12.items()}
+        hat21 = {M[0][1]: p for M, p in hat21.items()}
+        floats = any(isinstance(p, float) for p in [*P1.values(), *P2.values()])
+        if floats:
+            assert law.base == pytest.approx(root, rel=1e-12, abs=0)
+            assert hat12 == pytest.approx(size_biased(P2), rel=1e-12, abs=0)
+            assert hat21 == pytest.approx(size_biased(P1), rel=1e-12, abs=0)
+        else:
+            assert all(type(p) is Fraction for p in law.base.values())
+            assert law.base == root
+            assert hat12 == size_biased(P2)
+            assert hat21 == size_biased(P1)
+
     def test_root_probability(self):
         p1, p2 = bipartite_root_probability({2: 1}, {3: 1})
         assert (p1, p2) == (Fraction(3, 5), Fraction(2, 5))

@@ -38,9 +38,8 @@ from ugwldp.rooted import (
     children_subtrees,
     drop_root_child,
     edge_type_table,
-    instantiate,
-    isolated_root,
     split_at_edge,
+    star,
     truncate,
 )
 from ugwldp.ugw import marginal_ugw, sample_ugw, typed_branching_law
@@ -129,7 +128,11 @@ def reference_sample_ugw(P, k, rng):
         raise ValueError("sampling requires an admissible law")
     branching = typed_branching_law(P)
     block = _draw(P.sorted_items(), rng)
-    tree = instantiate(block)
+    tree = LabeledRootedGraph(
+        [(v, u) for v, nb in enumerate(block.rep) for u in nb if u > v],
+        root=0,
+        vertices=range(len(block.rep)),
+    )
     depths = _depths(tree)
     for r in range(1, k - h + 1):
         frontier = [v for v, d in depths.items() if d == r]
@@ -231,7 +234,7 @@ class TestCompiledOnce:
 
     def test_inadmissible_raises_every_call(self):
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
-        P = NeighborhoodLaw.point_mass(chain)
+        P = NeighborhoodLaw(chain.depth, {chain: 1})
         for _ in range(2):
             with pytest.raises(ValueError, match="not admissible"):
                 typed_branching_law(P)
@@ -240,7 +243,7 @@ class TestCompiledOnce:
         assert not is_admissible(P)
 
     def test_depth0_raises_every_call(self):
-        P0 = NeighborhoodLaw.point_mass(isolated_root(0))
+        P0 = NeighborhoodLaw(0, {star(0, 0): 1})
         for _ in range(2):
             with pytest.raises(ValueError):
                 typed_branching_law(P0)
