@@ -114,11 +114,9 @@ def _emit(args, payload):
 
 
 def _fmt_value(x):
-    if x == ent.INF:
-        return "+inf"
-    if x == ent.NEG_INF:
-        return "-inf"
-    return x
+    # a scalar is finite or +inf: the entropy functionals are finite on
+    # admissible laws, and the rates refuse a parameter that is not finite
+    return "+inf" if x == ent.INF else x
 
 
 def _add_output(p):

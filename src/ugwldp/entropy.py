@@ -7,7 +7,8 @@ entropy, edge-type entropy, local pattern factorials), and the rate
 functions of the uniform fixed-degree, uniform fixed-edge and binomial
 ensembles are differences of such values.
 
-Conventions: 0 log 0 = 0; constraint violations yield +inf rates.
+Conventions: 0 log 0 = 0; constraint violations yield +inf rates; a d or
+lambda that is not finite, or out of range, raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,19 +24,23 @@ from .neighborhood import (
     root_edge_types,
     truncate_law,
 )
-from .ugw import marginal_ugw
 
 INF = float("inf")
-NEG_INF = float("-inf")
 
 _MEAN_TOL = 1e-9
 
 
+def _check_parameter(name, x, positive: bool) -> float:
+    """float(x), or ValueError unless x is finite and > 0 (positive) or >= 0."""
+    x = float(x)
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x}")
+    return x
+
+
 def entropy_constant(d) -> float:
     """Per-vertex entropy constant of the uniform graph ensemble at mean degree d."""
-    d = float(d)
-    if d < 0:
-        raise ValueError("mean degree must be nonnegative")
+    d = _check_parameter("d", d, positive=False)
     if d == 0:
         return 0.0
     return d / 2 - (d / 2) * math.log(d)
@@ -146,40 +151,24 @@ def sigma_ugw1(P) -> float:
     return entropy_constant(d) - relative_entropy_poisson(deg, d)
 
 
-def _increment(rho_km1, rho_k) -> float:
-    """Relative-entropy drop from rho_km1, rho_k's truncation, to rho_k.
-
-    For depth k >= 2 this is the KL gap from the one-step extension of the
-    shallower marginal, corrected by the edge-type KL gap; at depth 1
-    (rho_km1 None) it is the Poisson gap of the degree law.  Always
-    nonnegative.
-    """
-    if rho_km1 is None:
-        deg = rho_k.degree_law()
-        return relative_entropy_poisson(deg, float(_mean(deg)))
-    if not is_admissible(rho_km1) or not is_admissible(rho_k):
-        raise ValueError("increments need admissible marginals")
-    rho_star = marginal_ugw(rho_km1, rho_k.depth)
-    d = float(mean_degree(rho_k))
-    kl_laws = relative_entropy(rho_k, rho_star)
-    kl_pi = relative_entropy(
-        edge_type_distribution(rho_k), edge_type_distribution(rho_star)
-    )
-    return kl_laws - (d / 2) * kl_pi
-
-
 def entropy_increments(P: NeighborhoodLaw) -> list:
     """Increments [delta_1, ..., delta_h] of the marginal tower of P.
 
-    Each marginal is the truncation of the next deeper one, computed once.
-    A depth-0 law raises ValueError.
+    delta_1 is the Poisson gap of the degree law.  For k >= 2, delta_k is the
+    drop ugw_entropy(rho_{k-1}) - ugw_entropy(rho_k) along the truncation
+    tower, equal to the KL form of oracle.kl_increment because the branch-law
+    factors of the one-step extension cancel.  A depth-0 law, or a level that
+    is not admissible, raises ValueError.
     """
     if P.depth < 1:
         raise ValueError("entropy increments need a law of depth >= 1")
     tower = [P]
     while tower[0].depth > 1:
         tower.insert(0, truncate_law(tower[0], tower[0].depth - 1))
-    return [_increment(a, b) for a, b in zip([None, *tower], tower)]
+    deg = tower[0].degree_law()
+    js = [ugw_entropy(rho) for rho in tower] if P.depth > 1 else []
+    drops = [a - b for a, b in zip(js, js[1:])]
+    return [relative_entropy_poisson(deg, float(_mean(deg)))] + drops
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +205,7 @@ def rate_fixed_degrees(Q: NeighborhoodLaw, P) -> float:
 
 def rate_fixed_edges(Q: NeighborhoodLaw, d) -> float:
     """Rate under the uniform ensemble with a pinned edge count."""
+    _check_parameter("d", d, positive=False)
     if not _means_match(mean_degree(Q), d):
         return INF
     return entropy_constant(d) - ugw_entropy(Q)
@@ -223,8 +213,7 @@ def rate_fixed_edges(Q: NeighborhoodLaw, d) -> float:
 
 def rate_binomial(Q: NeighborhoodLaw, lam: float) -> float:
     """Rate under the binomial (independent-edge) ensemble with mean lam."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_parameter("lambda", lam, positive=True)
     d = float(mean_degree(Q))
     if d == 0:
         return lam / 2
@@ -234,6 +223,7 @@ def rate_binomial(Q: NeighborhoodLaw, lam: float) -> float:
 
 def rate_degree_fixed(P, d) -> float:
     """Degree-law rate under the fixed-edge ensemble."""
+    _check_parameter("d", d, positive=False)
     if not _means_match(_mean(P), d):
         return INF
     return relative_entropy_poisson(_degree_law(P), float(d))
@@ -241,8 +231,7 @@ def rate_degree_fixed(P, d) -> float:
 
 def rate_degree_er(P, lam: float) -> float:
     """Degree-law rate under the binomial ensemble."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_parameter("lambda", lam, positive=True)
     deg = _degree_law(P)
     d = float(_mean(deg))
     if d == 0:

@@ -25,7 +25,8 @@ from .config_model import (
     half_edges,
     matching_colors,
 )
-from .neighborhood import NeighborhoodLaw
+from .entropy import relative_entropy
+from .neighborhood import NeighborhoodLaw, edge_type_distribution, mean_degree
 from .rooted import (
     LabeledRootedGraph,
     SimpleGraph,
@@ -262,3 +263,16 @@ def brute_ugw_marginal(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
             cls = canonicalize(tree, k)
             out[cls] = out.get(cls, 0) + wt
     return NeighborhoodLaw(k, out, mode=P.mode)
+
+
+def kl_increment(rho_km1: NeighborhoodLaw, rho_k: NeighborhoodLaw) -> float:
+    """KL(rho_k || rho*) - (d/2) KL(pi_k || pi*): the entropy increment by definition.
+
+    rho* is the brute one-step extension of rho_km1, the truncation of rho_k;
+    pi_k and pi* are the edge-type laws of rho_k and rho*, d the mean degree.
+    """
+    if rho_k.depth != rho_km1.depth + 1:
+        raise ValueError("an increment joins two consecutive depths")
+    rho_star = brute_ugw_marginal(rho_km1, rho_k.depth)
+    kl_pi = relative_entropy(edge_type_distribution(rho_k), edge_type_distribution(rho_star))
+    return relative_entropy(rho_k, rho_star) - float(mean_degree(rho_k)) / 2 * kl_pi

@@ -423,22 +423,22 @@ class ColoredOffspringLaw:
     """Offspring law on L x L count matrices with conjugate-balanced means."""
 
     L: int
-    base: dict  # matrix -> weight
+    base: dict  # matrix -> weight >= 0; mass 1, within 1e-12 if any weight is a float
 
     def __post_init__(self):
-        colors = [(i, j) for i in range(1, self.L + 1) for j in range(1, self.L + 1)]
-        for i, j in colors:
-            if i < j:
-                a = self.color_mean((i, j))
-                b = self.color_mean((j, i))
-                if isinstance(a, Fraction) and isinstance(b, Fraction):
-                    ok = a == b
-                else:
-                    ok = abs(float(a) - float(b)) <= 1e-9
-                if not ok:
-                    raise ValueError(
-                        f"mean of color {(i, j)} is {a} but conjugate mean is {b}"
-                    )
+        weights = self.base.values()
+        exact = all(isinstance(p, (int, Fraction)) for p in weights)
+        if any(p < 0 for p in weights):
+            raise ValueError("offspring law has a negative weight")
+        if not abs(sum(weights) - 1) <= (0 if exact else 1e-12):  # NaN fails too
+            raise ValueError(f"offspring law has total mass {sum(weights)}, not 1")
+        for i, j in itertools.combinations(range(1, self.L + 1), 2):
+            a, b = self.color_mean((i, j)), self.color_mean((j, i))
+            if abs(a - b) > (0 if exact else 1e-9):
+                raise ValueError(f"mean of color {(i, j)} is {a} but conjugate mean is {b}")
+
+    def __hash__(self):
+        return hash((self.L, frozenset(self.base.items())))
 
     def color_mean(self, c):
         return sum(p * _mat_get(M, c) for M, p in self.base.items())

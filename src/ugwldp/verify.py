@@ -24,6 +24,7 @@ from .neighborhood import (
     empirical_distribution,
     is_admissible,
     mean_degree,
+    truncate_law,
 )
 from .oracle import (
     brute_ugw_marginal,
@@ -178,29 +179,25 @@ def check_entropy(quick=False):
     for _ in range(n_laws):
         ks = rng.sample(range(0, 7), rng.randint(2, 4))
         ws = [rng.randint(1, 9) for _ in ks]
-        tot = sum(ws)
-        P = {k: Fraction(w, tot) for k, w in zip(ks, ws)}
-        if sum(k * p for k, p in P.items()) == 0:
-            continue
+        # two or more distinct degrees: the mean is positive
+        P = {k: Fraction(w, sum(ws)) for k, w in zip(ks, ws)}
         law = NeighborhoodLaw.from_degree_law(P)
         d = float(mean_degree(law))
-        direct = ugw_entropy(law)
-        closed = entropy_constant(d) - relative_entropy_poisson(P, d)
-        if abs(direct - closed) > 1e-12:
-            return False, f"depth-1 entropy identity off by {abs(direct - closed)}"
-    uniform12 = NeighborhoodLaw.from_degree_law(
-        {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    )
-    for target in (2, 3):
-        tower = marginal_ugw(uniform12, target)
-        d = float(mean_degree(tower))
-        incs = entropy_increments(tower)
-        tele = entropy_constant(d) - sum(incs)
-        if abs(tele - ugw_entropy(tower)) > 1e-10:
-            return False, "telescoping identity fails"
-        if any(x < -1e-12 for x in incs):
-            return False, "negative entropy increment"
-    return True, f"{n_laws} degree laws plus telescoping"
+        gap = abs(ugw_entropy(law) - (entropy_constant(d) - relative_entropy_poisson(P, d)))
+        if gap > 1e-12:
+            return False, f"depth-1 entropy identity off by {gap}"
+    # each increment above depth 1 against its KL definition, on the pool
+    # laws and on their marginals
+    n_levels = 0
+    for P, _h, k in marginal_law_pool():
+        for law in (P, marginal_ugw(P, k)):
+            tower = [truncate_law(law, j) for j in range(1, law.depth + 1)]
+            for a, b, inc in zip(tower, tower[1:], entropy_increments(law)[1:]):
+                gap = abs(inc - oracle.kl_increment(a, b))
+                if gap > 1e-12 or inc < -1e-12:
+                    return False, f"increment {inc} at depth {b.depth}, {gap} off kl_increment"
+                n_levels += 1
+    return True, f"{n_laws} degree laws plus {n_levels} increments against oracle.kl_increment"
 
 
 def check_acceptance_fraction(quick=False):

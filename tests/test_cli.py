@@ -251,6 +251,32 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate-binomial", "--lam", "nan"], "lambda must be finite and > 0, got nan"),
+            (["rate-binomial", "--lam", "inf"], "lambda must be finite and > 0, got inf"),
+            (["rate-degree-er", "--degree-law", "3:1", "--lam", "nan"], "lambda must be"),
+            (["rate-degree-er", "--degree-law", "3:1", "--lam", "inf"], "lambda must be"),
+            (["rate-edges", "--d", "inf"], "d must be finite and >= 0, got inf"),
+            (["rate-edges", "--d", "nan"], "d must be finite and >= 0, got nan"),
+            (["rate-edges", "--d=-1"], "d must be finite and >= 0, got -1.0"),
+            (["rate-degree-fixed", "--degree-law", "3:1", "--d", "inf"], "d must be"),
+            (["rate-degree-fixed", "--degree-law", "3:1", "--d", "nan"], "d must be"),
+            (["rate-degree-fixed", "--degree-law", "3:1", "--d=-2"], "d must be"),
+        ],
+    )
+    def test_rate_parameter_not_finite_or_out_of_range_exit1(
+        self, capsys, regular3_law, argv, message
+    ):
+        # a NaN rate is not valid JSON, and a negative mean degree is no
+        # ensemble: both are refused, not printed
+        if argv[0] in ("rate-binomial", "rate-edges"):
+            argv = argv + ["--law", regular3_law]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_sample_bipartite_negative_depth_exit1(self, capsys):
         argv = ["sample-bipartite", "--p1", "2:1", "--p2", "3:1", "--depth", "-2"]
         code, out, err = run(capsys, *argv)

@@ -1,11 +1,17 @@
 """Entropy functional and rate function tests."""
 
+import heapq
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ugwldp import oracle
+from ugwldp.cli import main
 from ugwldp.entropy import (
     INF,
     discontinuity_bound,
@@ -25,11 +31,13 @@ from ugwldp.entropy import (
 )
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
+    empirical_distribution,
     mean_degree,
     poisson_law,
     truncate_law,
 )
-from ugwldp.ugw import marginal_ugw
+from ugwldp.rooted import SimpleGraph
+from ugwldp.ugw import SupportExplosionError, marginal_ugw
 
 HALF = Fraction(1, 2)
 UNIFORM12 = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF})
@@ -202,6 +210,97 @@ class TestIncrements:
                 assert ugw_entropy(rho) <= entropy_constant(d) + 1e-12
 
 
+def prufer_tree(n, rng):
+    """A uniform labeled tree on n >= 2 vertices, decoded with a leaf heap."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return SimpleGraph.from_edges(n, edges)
+
+
+@pytest.fixture(scope="module")
+def wide_tree_law():
+    # 2309 classes, whose one-step extension has 1176302: beyond the
+    # default support_cap of marginal_ugw
+    return empirical_distribution(prufer_tree(10000, random.Random(1)), 3)
+
+
+class TestIncrementsBeyondTheCap:
+    def test_extension_exceeds_the_cap(self, wide_tree_law):
+        with pytest.raises(SupportExplosionError):
+            marginal_ugw(truncate_law(wide_tree_law, 2), 3)
+
+    def test_increments_answer(self, wide_tree_law):
+        incs = entropy_increments(wide_tree_law)
+        assert len(incs) == 3
+        assert all(math.isfinite(x) and x >= -1e-12 for x in incs)
+        deg = wide_tree_law.degree_law()
+        assert incs[0] == relative_entropy_poisson(deg, float(mean_degree(wide_tree_law)))
+
+    def test_cli_delta_answers(self, wide_tree_law, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        wide_tree_law.dump(path)
+        assert main(["delta", "--law", str(path)]) == 0
+        incs = json.loads(capsys.readouterr().out)["increments"]
+        assert len(incs) == 3 and all(math.isfinite(x) for x in incs)
+
+
+@st.composite
+def degree_laws_1to4(draw):
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    ws = draw(st.lists(st.integers(1, 5), min_size=len(ks), max_size=len(ks)))
+    return NeighborhoodLaw.from_degree_law({k: Fraction(w, sum(ws)) for k, w in zip(ks, ws)})
+
+
+@st.composite
+def ugw_mixtures(draw):
+    """w rho_a + (1 - w) rho_b for depth-2 marginals rho_a, rho_b."""
+    a = marginal_ugw(draw(degree_laws_1to4()), 2)
+    b = marginal_ugw(draw(degree_laws_1to4()), 2)
+    w = Fraction(draw(st.integers(1, 9)), 10)
+    weights = {}
+    for law, share in ((a, w), (b, 1 - w)):
+        for cls, p in law.items():
+            weights[cls] = weights.get(cls, 0) + share * p
+    return NeighborhoodLaw(2, weights)
+
+
+@st.composite
+def small_tree_laws(draw):
+    """Depth-2 empirical law of a tree on 2..12 vertices, degrees <= 4."""
+    n = draw(st.integers(2, 12))
+    degree = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = draw(st.sampled_from([u for u in range(v) if degree[u] < 4]))
+        degree[u] += 1
+        degree[v] += 1
+        edges.append((u, v))
+    return empirical_distribution(SimpleGraph.from_edges(n, edges), 2)
+
+
+class TestIncrementsAgainstTheOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(P=st.one_of(ugw_mixtures(), small_tree_laws()))
+    def test_second_increment_is_the_kl_definition(self, P):
+        want = oracle.kl_increment(truncate_law(P, 1), P)
+        assert abs(entropy_increments(P)[1] - want) <= 1e-12
+
+    def test_kl_increment_joins_consecutive_depths(self):
+        with pytest.raises(ValueError, match="consecutive"):
+            oracle.kl_increment(UNIFORM12, marginal_ugw(UNIFORM12, 3))
+
+
 class TestRates:
     def test_fixed_degrees_zero_at_marginal(self):
         P = {1: HALF, 2: HALF}
@@ -259,6 +358,24 @@ class TestRates:
             assert rate_binomial(law, 1.7) >= -1e-12
             assert rate_degree_er(P, 1.7) >= -1e-12
             assert rate_degree_fixed(P, sum(k * p for k, p in P.items())) >= -1e-12
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0, -1.5])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        law = NeighborhoodLaw.from_degree_law({3: Fraction(1)})
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            rate_binomial(law, lam)
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            rate_degree_er({3: 1}, lam)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, -1, -2.0])
+    def test_d_must_be_finite_and_nonnegative(self, d):
+        law = NeighborhoodLaw.from_degree_law({3: Fraction(1)})
+        with pytest.raises(ValueError, match="d must be finite and >= 0"):
+            rate_fixed_edges(law, d)
+        with pytest.raises(ValueError, match="d must be finite and >= 0"):
+            rate_degree_fixed({3: 1}, d)
+        with pytest.raises(ValueError, match="d must be finite and >= 0"):
+            entropy_constant(d)
 
 
 class TestDiscontinuityBound:

@@ -69,6 +69,24 @@ def test_law_arithmetic_makes_no_type_test():
     assert calls == []
 
 
+def test_entropy_builds_no_marginal():
+    # the entropy increments are drops of ugw_entropy along the truncation
+    # tower, so the entropy module needs no one-step extension of a law
+    (path,) = [path for path in SOURCES if path.name == "entropy.py"]
+    text = path.read_text(encoding="utf-8")
+    imports = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        imports += [f"{name}:{node.lineno}" for name in names if name.split(".")[-1] == "ugw"]
+    assert imports == []
+    assert "marginal_ugw" not in text
+
+
 def test_bipartite_sampler_has_no_loop_of_its_own():
     # the alternating two-law tree is the two-color multi-type tree, so
     # sample_ugw_bipartite draws through sample_ugw_colored and holds no

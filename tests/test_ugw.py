@@ -481,6 +481,35 @@ class TestColored:
         with pytest.raises(ValueError, match="depth must be an int"):
             sample_ugw_bipartite({2: 1}, {3: 1}, k, random.Random(0))
 
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ({((2,),): 1, ((3,),): 1}, "total mass 2, not 1"),
+            ({((2,),): Fraction(3, 2), ((0,),): Fraction(-1, 2)}, "negative weight"),
+            ({((2,),): 0.5, ((3,),): 0.5 + 1e-11}, "total mass"),
+            ({((2,),): HALF, ((3,),): Fraction(1, 3)}, "total mass 5/6, not 1"),
+            ({((2,),): 0.5, ((3,),): float("nan")}, "total mass nan, not 1"),
+        ],
+    )
+    def test_base_law_not_a_probability_law_rejected(self, base, message):
+        # a base law is never renormalized or read as counts
+        with pytest.raises(ValueError, match=message):
+            ColoredOffspringLaw(1, base)
+
+    def test_float_mass_within_tolerance_accepted(self):
+        P = ColoredOffspringLaw(1, {((2,),): 0.5, ((3,),): 0.5 + 1e-13})
+        assert sample_ugw_colored(P, 1, random.Random(0)).n in (3, 4)
+
+    def test_bipartite_degree_law_not_a_probability_law_rejected(self):
+        with pytest.raises(ValueError, match="total mass"):
+            sample_ugw_bipartite({2: 1, 3: 1}, {2: Fraction(1)}, 3, random.Random(0))
+
+    def test_equal_laws_hash_equal(self):
+        a = ColoredOffspringLaw(2, {((2, 0), (0, 0)): Fraction(1, 4), ZERO2: Fraction(3, 4)})
+        b = ColoredOffspringLaw(2, {ZERO2: Fraction(3, 4), ((2, 0), (0, 0)): Fraction(1, 4)})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, _bipartite_law({2: 1}, {3: 1})}) == 2
+
     def test_single_color_matches_tree_sampler(self):
         deg = {0: Fraction(1, 4), 1: Fraction(1, 4), 3: HALF}
         P1 = ColoredOffspringLaw(1, {((k,),): p for k, p in deg.items()})
