@@ -204,10 +204,16 @@ def rate_fixed_degrees(Q: NeighborhoodLaw, P) -> float:
 
 
 def rate_fixed_edges(Q: NeighborhoodLaw, d) -> float:
-    """Rate under the uniform ensemble with a pinned edge count."""
+    """Rate under the uniform ensemble with a pinned edge count.
+
+    At d = 0 the only graph has no edge, so the law with mean 0, all mass
+    on the isolated root, is hit with probability 1: rate 0.
+    """
     _check_parameter("d", d, positive=False)
     if not _means_match(mean_degree(Q), d):
         return INF
+    if float(d) == 0:
+        return 0.0
     return entropy_constant(d) - ugw_entropy(Q)
 
 

@@ -288,7 +288,7 @@ def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
     vertex-indexed adjacency: an O(n + m) arc table, O(h * m * d log d)
     for the tree balls, d the largest degree, O(n + m) for the 2-core, a
     girth BFS per vertex within distance h of it, and a canonical labeling
-    for each ball that holds a cycle.
+    of each cyclic ball's core, the ball without its pendant trees.
     """
     if G.n == 0:
         raise ValueError("empirical distribution of an empty vertex set")

@@ -17,10 +17,12 @@ Two encodings are used:
   dropping or adding a root child, truncation, edge types) is tuple
   algebra on those two, in O(size of the tree) with no traversal.
 * general rooted graphs (neighborhoods containing cycles): the vertex
-  count and the adjacency bits under the order that
+  count and the adjacency bits under a canonical order.  The pendant
+  trees are folded into the colour of the core vertex each hangs from;
   :func:`canonical_labeling`, an individualization-refinement search with
-  the distance to the root as vertex color, picks.  Its cost is set by the
-  symmetry of the ball, not by a factorial of its size.
+  the distance to the root and the folded trees as vertex colour, orders
+  the core, and the trees follow in preorder.  The cost is set by the
+  symmetry of the core, not by a factorial of its size.
 
 Labeled graphs come in through :func:`canonical_from_adjacency`, which
 reads a ball, or one side of an edge, by one bounded BFS, :func:`_ball`.
@@ -324,7 +326,11 @@ def canonical_labeling(n, colors, arcs):
     Cost: a refinement is at most n rounds of O((n + len(arcs)) log n).
     A graph with little symmetry is settled by refinement and a few
     leaves; the number of leaves grows with the symmetry, about cubically
-    in the size of a class of twin vertices.
+    in the size of a class of twin vertices.  No twins are reduced here:
+    :func:`canonical_from_adjacency` folds pendant trees, twin leaves
+    among them, into the colours before it calls this, and twins that
+    are not pendant (the k middle vertices of K_{2,k}) still cost about
+    cubically.
     """
     # (label, cell) pairs sort as the integers label rank * n + cell.
     label_rank = {lab: i * n for i, lab in enumerate(sorted(set(arcs.values())))}
@@ -452,9 +458,12 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     from labels, as LabeledRootedGraph.adj.  With `cut` given, a
     neighbour of root, the edge {root, cut} is treated as absent: the
     result is the class of root's side of that edge, truncated at depth h.
-    The traversal costs O(size of the ball); a ball with a cycle adds the
-    cost of :func:`canonical_labeling`.  Raises EdgeAbsentError when cut
-    is not adjacent to root.
+    The traversal costs O(size of the ball).  A ball with a cycle adds a
+    canonical labeling of the ball's core: its pendant trees are peeled
+    off and folded, as sorted parenthesis strings, into the colour of the
+    core vertex they hang from, and only the core goes through
+    :func:`canonical_labeling`.  Raises EdgeAbsentError when cut is not
+    adjacent to root.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
@@ -470,15 +479,44 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     m = sum(len(nb) for nb in sub.values()) // 2
     if m == n - 1:
         return _tree_class(h, _tree_paren(sub, root))
-    verts = list(keep)
-    index = {v: i for i, v in enumerate(verts)}
-    arcs = {(index[v], index[u]): 1 for v in verts for u in sub[v]}
-    _, order, _ = canonical_labeling(n, [dist[v] for v in verts], arcs)
+    # Peel non-root leaves until the core is left: the root and the cycles,
+    # with the paths between them.  Each peeled vertex hangs from the one
+    # neighbour still there, after every vertex that hangs from it.
+    deg = {v: len(nb) for v, nb in sub.items()}
+    peeled = [v for v, k in deg.items() if k == 1 and v != root]
+    parent = {}
+    for v in peeled:
+        (u,) = [u for u in sub[v] if u not in parent]
+        parent[v] = u
+        deg[u] -= 1
+        if deg[u] == 1 and u != root:
+            peeled.append(u)
+    kids = {v: [] for v in sub}
+    paren = {}
+    for v in peeled:
+        kids[v].sort(key=paren.__getitem__)
+        paren[v] = "(" + "".join(paren[c] for c in kids[v]) + ")"
+        kids[parent[v]].append(v)
+    core = [v for v in sub if v not in parent]
+    index = {v: i for i, v in enumerate(core)}
+    for v in core:
+        kids[v].sort(key=paren.__getitem__)
+    colors = [(dist[v], tuple(paren[c] for c in kids[v])) for v in core]
+    arcs = {(index[v], index[u]): 1 for v in core for u in sub[v] if u in index}
+    _, order, _ = canonical_labeling(len(core), colors, arcs)
     # The root is the only vertex at distance 0, so it stays at position 0.
-    layout = [verts[i] for i in order]
+    # After the core, each core vertex's hanging trees follow in preorder,
+    # children in the order of their strings: a tree's layout is its string.
+    layout = [core[i] for i in order]
+    for v in layout[: len(core)]:
+        stack = kids[v][::-1]
+        while stack:
+            u = stack.pop()
+            layout.append(u)
+            stack += kids[u][::-1]
     pos = {v: i for i, v in enumerate(layout)}
     bits = 0
-    for v in verts:
+    for v in layout:
         for u in sub[v]:
             if pos[v] < pos[u]:
                 bits |= 1 << (pos[v] * n + pos[u])
@@ -520,6 +558,23 @@ def _arcs(adj):
     return start, to, back
 
 
+class _MessageTable:
+    """The messages on the arcs: arc a carries ids[a], an index into table.
+
+    msg[a] is the class table[ids[a]], and iterating msg gives the class
+    of every arc in order; the message passes read ids and table directly.
+    """
+
+    __slots__ = ("ids", "table")
+
+    def __init__(self, ids, table):
+        self.ids = ids
+        self.table = table
+
+    def __getitem__(self, a):
+        return self.table[self.ids[a]]
+
+
 def _messages(adj, k):
     """Depth-k messages on every arc of the vertex-indexed adj, in flat lists.
 
@@ -527,35 +582,42 @@ def _messages(adj, k):
     Returns (start, to, back, msg), the first three the O(n + m) arc table
     of :func:`_arcs`: the arcs out of v are the a with start[v] <= a <
     start[v + 1], arc a leads to to[a], and back[a] is its reverse arc.
-    msg[a] is the tree class of the side of to[a] without that edge,
-    unfolded into a tree to depth k.  msg_0 is the single vertex, and
-    msg_k(u -> v) joins the msg_{k-1}(v -> w) over w != u as root
-    subtrees: the tree-isomorphism recursion of Aho, Hopcroft & Ullman
-    (1974) run as colour refinement.  Where the side is a tree to depth k
-    the unfolding is the side itself.  Each round joins once per distinct
-    multiset of messages into a vertex, and within it once per distinct
-    message dropped from it.  Cost O(n + k * m * d log d), d the largest
-    degree, plus the size of each distinct class.
+    msg is a :class:`_MessageTable`: msg.ids[a] is a small int, the index
+    in msg.table, the distinct depth-k messages in order of first join, of
+    the tree class of the side of to[a] without that edge, unfolded into a
+    tree to depth k.  msg_0 is the single vertex, and msg_k(u -> v) joins
+    the msg_{k-1}(v -> w) over w != u as root subtrees: the
+    tree-isomorphism recursion of Aho, Hopcroft & Ullman (1974) run as
+    colour refinement.  Where the side is a tree to depth k the unfolding
+    is the side itself.  A vertex's key is its sorted tuple of ids; each
+    round joins once per distinct key, and within it once per distinct
+    message dropped from it, and reads the classes only then.  Cost O(n +
+    k * m * d log d), d the largest degree, plus the size of each distinct
+    class.
     """
     start, to, back = _arcs(adj)
-    msg = [_tree_class(0, "()")] * len(to)
+    table = [_tree_class(0, "()")]
+    ids = [0] * len(to)
     for depth in range(1, k + 1):
         drops = {}
-        new = [None] * len(to)
+        index = {}  # class -> its id in this round's table
+        new = [0] * len(to)
         for v in range(len(adj)):
             lo, hi = start[v], start[v + 1]
-            kids = msg[lo:hi]
-            key = tuple(sorted([c.id for c in kids]))
+            key = tuple(sorted(ids[lo:hi]))
             drop = drops.get(key)
             if drop is None:
                 drop = drops[key] = {}
-                for p, c in enumerate(kids):
-                    if c not in drop:
-                        drop[c] = _join(depth, kids[:p] + kids[p + 1 :])
+                kids = [table[i] for i in key]
+                for p, i in enumerate(key):
+                    if i not in drop:
+                        c = _join(depth, kids[:p] + kids[p + 1 :])
+                        drop[i] = index.setdefault(c, len(index))
             for a in range(lo, hi):
-                new[back[a]] = drop[msg[a]]
-        msg = new
-    return start, to, back, msg
+                new[back[a]] = drop[ids[a]]
+        table = list(index)
+        ids = new
+    return start, to, back, _MessageTable(ids, table)
 
 
 def _short_cycle_at(adj, root, g):
@@ -647,17 +709,18 @@ def _join_at_vertices(start, msg, h):
     """Depth-h class of every vertex, joined from the depth-(h-1) messages msg.
 
     (start, msg) are those of :func:`_messages`: the arcs out of v are
-    the a with start[v] <= a < start[v + 1], and msg[a] is the side of
-    arc a.  Joins once per distinct multiset of messages into a vertex.
+    the a with start[v] <= a < start[v + 1], and msg.ids[a] indexes the
+    side of arc a in msg.table.  Joins once per distinct sorted tuple of
+    ids into a vertex.
     """
+    ids, table = msg.ids, msg.table
     joined = {}
     out = []
     for v in range(len(start) - 1):
-        kids = msg[start[v] : start[v + 1]]
-        key = tuple(sorted([c.id for c in kids]))
+        key = tuple(sorted(ids[start[v] : start[v + 1]]))
         got = joined.get(key)
         if got is None:
-            got = joined[key] = _join(h, kids)
+            got = joined[key] = _join(h, [table[i] for i in key])
         out.append(got)
     return out
 
@@ -672,8 +735,8 @@ def ball_classes(adj, h):
     bounded BFS from each such vertex (:func:`_short_cycle_at`) finds the
     balls that do, and only their entries are replaced, by
     canonical_from_adjacency.  Cost: that of tree_classes, plus O(n + m)
-    for the core, the BFS of every ball near it, and the canonical
-    labeling of the cyclic balls.
+    for the core, the BFS of every ball near it, and a canonical labeling
+    of each cyclic ball's core.
     """
     out = dict(enumerate(tree_classes(adj, h)))
     for v in _near_core(adj, h):

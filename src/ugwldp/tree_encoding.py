@@ -72,7 +72,7 @@ def neighborhood_vector(G: SimpleGraph, h: int):
     """Depth-h class of every vertex, in vertex order.
 
     Read from :func:`rooted.ball_classes`: O(h * m * d log d), d the
-    largest degree, plus a canonical labeling per ball with a cycle.
+    largest degree, plus a canonical labeling of each cyclic ball's core.
     """
     classes = ball_classes(G.adjacency(), h)
     return [classes[v] for v in range(G.n)]
@@ -108,10 +108,12 @@ def _encoding(G: SimpleGraph, h: int):
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
     start, to, back, msg = _messages(G.adjacency(), h - 1)
-    classes = tuple(sorted(set(msg), key=lambda c: c.wire()))
+    ids, table = msg.ids, msg.table
+    used = sorted(set(ids), key=lambda i: table[i].wire())
+    classes = tuple(table[i] for i in used)
     L = len(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    col = [index[c] for c in msg]
+    rank = {i: r for r, i in enumerate(used)}
+    col = [rank[i] for i in ids]
     mats = {}
     rows = []
     for u in range(G.n):

@@ -381,6 +381,14 @@ class TestEntropyCommands:
         assert code == 0
         assert abs(json.loads(out)["value"]) <= 1e-8
 
+    def test_rate_edges_at_mean_degree_zero(self, capsys, tmp_path):
+        # With no edges the all-isolated law is the only outcome: rate 0.
+        path = tmp_path / "isolated.json"
+        NeighborhoodLaw.from_degree_law({0: 1}).dump(path)
+        code, out, _ = run(capsys, "rate-edges", "--law", str(path), "--d", "0")
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
+
     def test_rate_degrees_infinite(self, capsys, regular3_law):
         code, out, _ = run(
             capsys, "rate-degrees", "--law", regular3_law, "--degree-law", "2:1"

@@ -325,6 +325,16 @@ class TestRates:
         want = entropy_constant(3) - ugw_entropy(Q)
         assert abs(rate_fixed_edges(Q, 3) - want) < 1e-15
 
+    def test_fixed_edges_at_mean_degree_zero(self):
+        # Like the three other rates, a value and no error for the
+        # all-isolated law, the one law with mean degree 0.
+        zero = NeighborhoodLaw.from_degree_law({0: 1})
+        assert rate_fixed_edges(zero, 0) == 0.0
+        assert rate_fixed_edges(zero, 0.0) == 0.0
+        assert rate_fixed_edges(zero, 1) == INF
+        assert rate_fixed_degrees(zero, {0: 1}) == 0.0
+        assert rate_degree_fixed({0: 1}, 0) == 0.0
+
     def test_binomial(self):
         lam = 2.0
         poi = poisson_law(lam, tail=1e-14)
