@@ -115,7 +115,7 @@ def _emit(args, payload):
 
 def _fmt_value(x):
     # a scalar is finite or +inf: the entropy functionals are finite on
-    # admissible laws, and the rates refuse a parameter that is not finite
+    # admissible tree laws, and the rates refuse a parameter that is not finite
     return "+inf" if x == ent.INF else x
 
 
@@ -268,34 +268,22 @@ def _cmd_sample(args):
             },
         )
         return 0
+    # the law is loaded, and a bad one exits 3, before any draw
     if args.command == "sample-ugw":
-        law = _load_law(args.law)
-        tree = sample_ugw(law, args.depth, rng)
-        edges = _write_tree(args, tree)
-        _emit(
-            args,
-            {
-                "seed": args.seed,
-                "depth": args.depth,
-                "n_vertices": len(tree.adj),
-                "n_edges": len(edges),
-            },
-        )
-        return 0
-    if args.command == "sample-bipartite":
+        tree = sample_ugw(_load_law(args.law), args.depth, rng)
+    else:
         tree = sample_ugw_bipartite(args.p1, args.p2, args.depth, rng)
-        edges = _write_tree(args, tree)
-        _emit(
-            args,
-            {
-                "seed": args.seed,
-                "depth": args.depth,
-                "n_vertices": len(tree.adj),
-                "n_edges": len(edges),
-            },
-        )
-        return 0
-    raise AssertionError(args.command)
+    edges = _write_tree(args, tree)
+    _emit(
+        args,
+        {
+            "seed": args.seed,
+            "depth": args.depth,
+            "n_vertices": len(tree.adj),
+            "n_edges": len(edges),
+        },
+    )
+    return 0
 
 
 # Commands that print one scalar {"value": ...}.
@@ -325,21 +313,16 @@ def _cmd_entropy(args):
 def _cmd_experiment(args):
     if args.command == "cycles":
         rows = exp.cycles_experiment(args.d, args.n, args.samples, args.seed)
-        _emit(args, {"rows": rows})
-        return 0
-    if args.command == "converge":
+    elif args.command == "converge":
         n_list = [int(x) for x in args.n_list.split(",")]
         rows = exp.converge_experiment(
             args.degree_law, n_list, args.samples, args.depth, args.seed
         )
-        _emit(args, {"rows": rows})
-        return 0
-    if args.command == "concentrate":
+    else:
         n_list = [int(x) for x in args.n_list.split(",")]
         rows = exp.concentrate_experiment(args.d, n_list, args.samples, args.seed)
-        _emit(args, {"rows": rows})
-        return 0
-    raise AssertionError(args.command)
+    _emit(args, {"rows": rows})
+    return 0
 
 
 def main(argv=None) -> int:
@@ -357,7 +340,7 @@ def main(argv=None) -> int:
     except RejectionExhaustedError as exc:
         sys.stderr.write(f"sampling failed: {exc}\n")
         return 2
-    except InvalidLawExit as exc:
+    except (InvalidLawExit, ent.CyclicLawError) as exc:
         sys.stderr.write(f"invalid law: {exc}\n")
         return 3
     except ValueError as exc:

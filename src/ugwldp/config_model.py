@@ -513,13 +513,7 @@ def sample_G_Dh(
 
 
 def double_factorial(n):
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return math.prod(range(n, 0, -2))
 
 
 def config_space_size(D: DegreeSequence) -> int:
@@ -532,29 +526,24 @@ def config_space_size(D: DegreeSequence) -> int:
 
 
 def _b_factor(H: ColoredMultigraph) -> int:
-    """Product of per-edge-slot multiplicities distinguishing configurations."""
+    """Product of per-edge-slot multiplicities distinguishing configurations.
+
+    One pass over the stored weights, each slot read from one of its two
+    keys: m! where c[0] < c[1], or c is diagonal and u < v, and (m/2)!
+    2^(m/2) for a diagonal loop, which counts each of its m/2 loops twice.
+    """
     out = 1
-    for c in bijection_colors(H.L):
-        for u in range(H.n):
-            for v in range(H.n):
-                out *= math.factorial(H.omega(c, u, v))
-    for c in matching_colors(H.L):
-        for u in range(H.n):
-            loops = H.omega(c, u, u) // 2
-            out *= math.factorial(loops) * 2**loops
-            for v in range(u + 1, H.n):
-                out *= math.factorial(H.omega(c, u, v))
+    for (c, u, v), m in H.w.items():
+        if c[0] < c[1] or c[0] == c[1] and u < v:
+            out *= math.factorial(m)
+        elif c[0] == c[1] and u == v:
+            out *= math.factorial(m // 2) * 2 ** (m // 2)
     return out
 
 
 def degree_factorials(D: DegreeSequence) -> int:
     """Product of D(u, c)! over vertices u and colors c: the slot orderings."""
-    out = 1
-    for mat in D.mats:
-        for row in mat:
-            for x in row:
-                out *= math.factorial(x)
-    return out
+    return math.prod(math.factorial(x) for mat in D.mats for row in mat for x in row)
 
 
 def fiber_size(D: DegreeSequence, H: ColoredMultigraph) -> int:

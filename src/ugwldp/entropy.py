@@ -8,7 +8,10 @@ functions of the uniform fixed-degree, uniform fixed-edge and binomial
 ensembles are differences of such values.
 
 Conventions: 0 log 0 = 0; constraint violations yield +inf rates; a d or
-lambda that is not finite, or out of range, raises ValueError.
+lambda that is not finite, or out of range, raises ValueError.  A law
+with mass on a class that holds a cycle has rate +inf under every
+ensemble; its entropy would be -inf, and asking for it raises
+CyclicLawError.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .neighborhood import (
     root_edge_types,
     truncate_law,
 )
+from .rooted import GENERAL
 
 INF = float("inf")
 
@@ -36,6 +40,20 @@ def _check_parameter(name, x, positive: bool) -> float:
     if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x}")
     return x
+
+
+class CyclicLawError(ValueError):
+    """Raised for the entropy of a law with mass on a class that holds a cycle."""
+
+
+def _on_trees(P) -> bool:
+    return all(c.kind != GENERAL for c in P)
+
+
+def _check_trees(P) -> None:
+    for c in P:
+        if c.kind == GENERAL:
+            raise CyclicLawError(f"law is not supported on trees: class {c.wire()} holds a cycle")
 
 
 def entropy_constant(d) -> float:
@@ -115,6 +133,7 @@ def ugw_entropy_terms(P: NeighborhoodLaw) -> dict:
     rep = is_admissible(P)
     if not rep:
         raise ValueError(f"law is not admissible: {rep.violations[:3]}")
+    _check_trees(P)
     d = float(rep.mean_degree)
     if d <= 0:
         raise ValueError("entropy needs positive mean degree")
@@ -158,10 +177,11 @@ def entropy_increments(P: NeighborhoodLaw) -> list:
     drop ugw_entropy(rho_{k-1}) - ugw_entropy(rho_k) along the truncation
     tower, equal to the KL form of oracle.kl_increment because the branch-law
     factors of the one-step extension cancel.  A depth-0 law, or a level that
-    is not admissible, raises ValueError.
+    is not admissible, raises ValueError, and a cyclic class CyclicLawError.
     """
     if P.depth < 1:
         raise ValueError("entropy increments need a law of depth >= 1")
+    _check_trees(P)
     tower = [P]
     while tower[0].depth > 1:
         tower.insert(0, truncate_law(tower[0], tower[0].depth - 1))
@@ -186,9 +206,12 @@ def _means_match(a, b) -> bool:
 def rate_fixed_degrees(Q: NeighborhoodLaw, P) -> float:
     """LDP rate of hitting depth-h law Q under the uniform fixed-degree ensemble.
 
-    Infinite unless Q's degree marginal equals the ensemble's degree law P;
-    otherwise the entropy drop from depth 1 to depth h.
+    Infinite unless Q is on trees and its degree marginal equals the
+    ensemble's degree law P; otherwise the entropy drop from depth 1 to
+    depth h.
     """
+    if not _on_trees(Q):
+        return INF
     deg_law = dict(_degree_law(P))
     q1 = Q.degree_law()
     keys = set(deg_law) | set(q1)
@@ -210,7 +233,7 @@ def rate_fixed_edges(Q: NeighborhoodLaw, d) -> float:
     on the isolated root, is hit with probability 1: rate 0.
     """
     _check_parameter("d", d, positive=False)
-    if not _means_match(mean_degree(Q), d):
+    if not (_on_trees(Q) and _means_match(mean_degree(Q), d)):
         return INF
     if float(d) == 0:
         return 0.0
@@ -220,6 +243,8 @@ def rate_fixed_edges(Q: NeighborhoodLaw, d) -> float:
 def rate_binomial(Q: NeighborhoodLaw, lam: float) -> float:
     """Rate under the binomial (independent-edge) ensemble with mean lam."""
     _check_parameter("lambda", lam, positive=True)
+    if not _on_trees(Q):
+        return INF
     d = float(mean_degree(Q))
     if d == 0:
         return lam / 2

@@ -6,12 +6,13 @@ This module encodes those classes into interned, hashable handles
 neighborhoods, branching recursions, exact counting) can use plain dict
 lookups and identity comparison in its hot loops.
 
-Two encodings are used:
+Two encodings are used, and one fold of a ball's pendant trees gives both:
+trees are its one-vertex-core case, where the peel leaves the root alone.
 
-* rooted trees: the classic recursive parenthesis string, where a node's
-  encoding is ``"(" + <children encodings, sorted> + ")"``.  Linear time,
-  unique, and printable (``"()"`` is the isolated root).  A tree class is
-  thus the multiset of its root subtrees: :attr:`CanonicalClass.children`
+* rooted trees: the classic parenthesis string, where a node's encoding
+  is ``"(" + <children encodings, sorted> + ")"``.  Linear time, unique,
+  and printable (``"()"`` is the isolated root).  A tree class is thus
+  the multiset of its root subtrees: :attr:`CanonicalClass.children`
   reads them off the top-level groups of the string, and :func:`_join`
   builds a class from them.  Every operation on tree classes (subtrees,
   dropping or adding a root child, truncation, edge types) is tuple
@@ -255,46 +256,30 @@ def _ball(adj, root, h, cut=None):
     return dist
 
 
-def _tree_paren(adj_sets, root):
-    """Recursive parenthesis encoding of a labeled rooted tree."""
-
-    def enc(v, parent):
-        subs = sorted(enc(w, v) for w in adj_sets[v] if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return enc(root, None)
-
-
 def _parse_paren(s):
-    """Parse a parenthesis encoding into (rep_adj, n). Root gets id 0."""
-    adj: list[set[int]] = []
+    """Parse a parenthesis encoding into rep, root at id 0, with a stack of open vertices.
 
-    def new_node():
-        adj.append(set())
-        return len(adj) - 1
-
-    pos = 0
-
-    def parse(parent):
-        nonlocal pos
-        if pos >= len(s) or s[pos] != "(":
+    Ids go in preorder, so each vertex lists its parent, then its children.
+    """
+    adj = []
+    stack = []
+    for ch in s:
+        if adj and not stack:
+            raise ValueError(f"trailing characters in tree encoding: {s!r}")
+        if ch == "(":
+            v = len(adj)
+            adj.append([])
+            if stack:
+                adj[stack[-1]].append(v)
+                adj[v].append(stack[-1])
+            stack.append(v)
+        elif ch == ")" and stack:
+            stack.pop()
+        else:
             raise ValueError(f"bad tree encoding: {s!r}")
-        pos += 1
-        me = new_node()
-        if parent is not None:
-            adj[me].add(parent)
-            adj[parent].add(me)
-        while pos < len(s) and s[pos] == "(":
-            parse(me)
-        if pos >= len(s) or s[pos] != ")":
-            raise ValueError(f"bad tree encoding: {s!r}")
-        pos += 1
-        return me
-
-    parse(None)
-    if pos != len(s):
-        raise ValueError(f"trailing characters in tree encoding: {s!r}")
-    return tuple(tuple(sorted(nb)) for nb in adj)
+    if stack or not adj:
+        raise ValueError(f"bad tree encoding: {s!r}")
+    return tuple(map(tuple, adj))
 
 
 def canonical_labeling(n, colors, arcs):
@@ -439,15 +424,21 @@ def _join(depth, kids):
 
 
 def _decode_general(encoding):
+    """The rep of a general encoding: n, then bit i * n + j of each edge, i < j.
+
+    Reads the set bits byte by byte; rows come in order, so lists are sorted.
+    """
     n = int.from_bytes(encoding[:2], "little")
-    bits = int.from_bytes(encoding[2:], "little")
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bits >> (i * n + j) & 1:
-                adj[i].add(j)
-                adj[j].add(i)
-    return tuple(tuple(sorted(nb)) for nb in adj)
+    adj = [[] for _ in range(n)]
+    for k, byte in enumerate(encoding[2:] if n else b""):
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            i, j = divmod(8 * k + low.bit_length() - 1, n)
+            if i < j:
+                adj[i].append(j)
+                adj[j].append(i)
+    return tuple(map(tuple, adj))
 
 
 def canonical_from_adjacency(adj, root, h, cut=None):
@@ -458,12 +449,12 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     from labels, as LabeledRootedGraph.adj.  With `cut` given, a
     neighbour of root, the edge {root, cut} is treated as absent: the
     result is the class of root's side of that edge, truncated at depth h.
-    The traversal costs O(size of the ball).  A ball with a cycle adds a
-    canonical labeling of the ball's core: its pendant trees are peeled
-    off and folded, as sorted parenthesis strings, into the colour of the
-    core vertex they hang from, and only the core goes through
-    :func:`canonical_labeling`.  Raises EdgeAbsentError when cut is not
-    adjacent to root.
+    The traversal costs O(size of the ball).  Its pendant trees are peeled
+    off with their sorted parenthesis strings; when the root alone is left,
+    the ball is a tree and the root's string is its class.  Otherwise the
+    strings are folded into the colour of the core vertex they hang from,
+    and only the core goes through :func:`canonical_labeling`.  Raises
+    EdgeAbsentError when cut is not adjacent to root.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
@@ -475,33 +466,30 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     if cut in sub:
         sub[root].discard(cut)
         sub[cut].discard(root)
-    n = len(keep)
-    m = sum(len(nb) for nb in sub.values()) // 2
-    if m == n - 1:
-        return _tree_class(h, _tree_paren(sub, root))
     # Peel non-root leaves until the core is left: the root and the cycles,
-    # with the paths between them.  Each peeled vertex hangs from the one
-    # neighbour still there, after every vertex that hangs from it.
+    # with the paths between them.  A vertex is peeled after every vertex
+    # that hangs from it, and hangs from the one neighbour still there.
     deg = {v: len(nb) for v, nb in sub.items()}
     peeled = [v for v, k in deg.items() if k == 1 and v != root]
-    parent = {}
-    for v in peeled:
-        (u,) = [u for u in sub[v] if u not in parent]
-        parent[v] = u
-        deg[u] -= 1
-        if deg[u] == 1 and u != root:
-            peeled.append(u)
     kids = {v: [] for v in sub}
     paren = {}
     for v in peeled:
+        (u,) = [u for u in sub[v] if u not in paren]
         kids[v].sort(key=paren.__getitem__)
         paren[v] = "(" + "".join(paren[c] for c in kids[v]) + ")"
-        kids[parent[v]].append(v)
-    core = [v for v in sub if v not in parent]
-    index = {v: i for i, v in enumerate(core)}
+        kids[u].append(v)
+        deg[u] -= 1
+        if deg[u] == 1 and u != root:
+            peeled.append(u)
+    core = [v for v in sub if v not in paren]
     for v in core:
         kids[v].sort(key=paren.__getitem__)
+    if len(core) == 1:
+        # A tree: the root alone is left, and its string is the class.
+        return _tree_class(h, "(" + "".join(paren[c] for c in kids[root]) + ")")
+    index = {v: i for i, v in enumerate(core)}
     colors = [(dist[v], tuple(paren[c] for c in kids[v])) for v in core]
+    n = len(sub)
     arcs = {(index[v], index[u]): 1 for v in core for u in sub[v] if u in index}
     _, order, _ = canonical_labeling(len(core), colors, arcs)
     # The root is the only vertex at distance 0, so it stays at position 0.
@@ -515,12 +503,8 @@ def canonical_from_adjacency(adj, root, h, cut=None):
             layout.append(u)
             stack += kids[u][::-1]
     pos = {v: i for i, v in enumerate(layout)}
-    bits = 0
-    for v in layout:
-        for u in sub[v]:
-            if pos[v] < pos[u]:
-                bits |= 1 << (pos[v] * n + pos[u])
     rep = tuple(tuple(sorted(pos[u] for u in sub[v])) for v in layout)
+    bits = sum(1 << (i * n + j) for i, nb in enumerate(rep) for j in nb if i < j)
     enc = n.to_bytes(2, "little") + bits.to_bytes(max((n * n + 7) // 8, 1), "little")
     return _intern(GENERAL, h, enc, rep)
 
@@ -757,7 +741,8 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
     """Inverse of :meth:`CanonicalClass.wire`.
 
     Tree encodings carry no depth of their own, so the caller supplies it
-    (defaulting to the tree's own radius).
+    (defaulting to the tree's own radius).  Either wire is canonicalized
+    anew from its representative: a hand-written one need not be canonical.
     """
     if wire.startswith("("):
         rep = _parse_paren(wire)
@@ -765,20 +750,17 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
         d = radius if depth is None else depth
         if d < radius:
             raise ValueError(f"declared depth {d} below radius {radius}")
-        # Re-encode: hand-written subtrees need not be in sorted order.
-        return _tree_class(d, _tree_paren(rep, 0))
-    if wire.startswith("G"):
+    elif wire.startswith("G"):
         head, _, hexpart = wire.partition(":")
         d = int(head[1:])
         if depth is not None and depth != d:
             raise ValueError(f"depth mismatch: {depth} vs {wire!r}")
-        enc = bytes.fromhex(hexpart)
-        rep = _decode_general(enc)
+        rep = _decode_general(bytes.fromhex(hexpart))
         if len(_ball(rep, 0, d)) != len(rep):
             raise ValueError(f"encoding not connected within depth {d}: {wire!r}")
-        # Re-canonicalize: hand-written hex need not be in minimal form.
-        return canonical_from_adjacency(rep, 0, d)
-    raise ValueError(f"unrecognized class encoding: {wire!r}")
+    else:
+        raise ValueError(f"unrecognized class encoding: {wire!r}")
+    return canonical_from_adjacency(rep, 0, d)
 
 
 def _radius(rep):

@@ -14,8 +14,13 @@ from fractions import Fraction
 from . import config_model as cm
 from . import oracle
 from .entropy import (
+    INF,
+    CyclicLawError,
     entropy_constant,
     entropy_increments,
+    rate_binomial,
+    rate_fixed_degrees,
+    rate_fixed_edges,
     relative_entropy_poisson,
     ugw_entropy,
 )
@@ -197,7 +202,16 @@ def check_entropy(quick=False):
                 if gap > 1e-12 or inc < -1e-12:
                     return False, f"increment {inc} at depth {b.depth}, {gap} off kl_increment"
                 n_levels += 1
-    return True, f"{n_laws} degree laws plus {n_levels} increments against oracle.kl_increment"
+    # the triangle's law, all mass on a cyclic class: +inf rates, no entropy
+    k3 = empirical_distribution(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 2)
+    rates = (rate_binomial(k3, 2.0), rate_fixed_edges(k3, 2), rate_fixed_degrees(k3, {2: 1}))
+    if rates != (INF,) * 3:
+        return False, f"rates {rates} of a law with mass on a cycle"
+    try:
+        return False, f"entropy {ugw_entropy(k3)} of a law with mass on a cycle"
+    except CyclicLawError:
+        pass
+    return True, f"{n_laws} degree laws, {n_levels} increments vs oracle.kl_increment, cyclic K3"
 
 
 def check_acceptance_fraction(quick=False):

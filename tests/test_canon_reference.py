@@ -35,7 +35,6 @@ from ugwldp.config_model import (
 from ugwldp.rooted import (
     GENERAL,
     _ball,
-    _tree_paren,
     canonical_from_adjacency,
     canonical_labeling,
     parse_class,
@@ -44,6 +43,16 @@ from ugwldp.rooted import (
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
 _MAX_LABELINGS = 2_000_000
+
+
+def _tree_paren(adj_sets, root):
+    """Recursive parenthesis encoding of a labeled rooted tree."""
+
+    def enc(v, parent):
+        subs = sorted(enc(w, v) for w in adj_sets[v] if w != parent)
+        return "(" + "".join(subs) + ")"
+
+    return enc(root, None)
 
 
 def reference_refine_partition(adj_sets, order, dist):

@@ -13,8 +13,8 @@ from ugwldp.config_model import (
     read_colored_graph,
     write_degree_file,
 )
-from ugwldp.neighborhood import NeighborhoodLaw, poisson_law
-from ugwldp.rooted import LabeledRootedGraph, canonicalize
+from ugwldp.neighborhood import NeighborhoodLaw, empirical_distribution, poisson_law
+from ugwldp.rooted import LabeledRootedGraph, SimpleGraph, canonicalize
 
 
 @pytest.fixture
@@ -427,6 +427,36 @@ class TestEntropyCommands:
         assert code == 0, err
         incs = json.loads(out)["increments"]
         assert len(incs) == 3 and all(abs(x) < 1e-12 for x in incs[1:])
+
+
+class TestCyclicLaws:
+    """A law with mass on a cyclic class: J refuses it, every rate is +inf."""
+
+    @pytest.fixture
+    def triangle_law(self, tmp_path):
+        path = tmp_path / "k3.json"
+        empirical_distribution(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 2).dump(path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["jh", "delta"])
+    def test_entropy_exit3(self, capsys, triangle_law, command):
+        code, out, err = run(capsys, command, "--law", triangle_law)
+        assert code == 3 and out == ""
+        assert err.startswith("invalid law: ") and "G2:03002600" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate-binomial", "--lam", "2"],
+            ["rate-edges", "--d", "2"],
+            ["rate-degrees", "--degree-law", "2:1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rate_is_infinite(self, capsys, triangle_law, argv):
+        code, out, _ = run(capsys, *argv, "--law", triangle_law)
+        assert code == 0
+        assert json.loads(out)["value"] == "+inf"
 
 
 class TestExperimentsAndVerify:

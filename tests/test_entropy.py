@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ugwldp import oracle
 from ugwldp.cli import main
 from ugwldp.entropy import (
     INF,
+    CyclicLawError,
     discontinuity_bound,
     entropy_constant,
     entropy_increments,
@@ -32,11 +34,12 @@ from ugwldp.entropy import (
 from ugwldp.neighborhood import (
     NeighborhoodLaw,
     empirical_distribution,
+    is_admissible,
     mean_degree,
     poisson_law,
     truncate_law,
 )
-from ugwldp.rooted import SimpleGraph
+from ugwldp.rooted import GENERAL, SimpleGraph
 from ugwldp.ugw import SupportExplosionError, marginal_ugw
 
 HALF = Fraction(1, 2)
@@ -386,6 +389,51 @@ class TestRates:
             rate_degree_fixed({3: 1}, d)
         with pytest.raises(ValueError, match="d must be finite and >= 0"):
             entropy_constant(d)
+
+
+def cyclic_laws():
+    """Empirical laws with mass on a class that holds a cycle."""
+    k3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    c4 = SimpleGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    # a triangle beside a path: 3/6 of the mass on trees
+    mixed = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    return {
+        "K3": empirical_distribution(k3, 2),
+        "K3-depth1": empirical_distribution(k3, 1),
+        "C4": empirical_distribution(c4, 2),
+        "mixed": empirical_distribution(mixed, 2),
+    }
+
+
+CYCLIC = cyclic_laws()
+
+
+class TestCyclicSupport:
+    """The rate is finite only on laws supported on trees."""
+
+    def test_laws(self):
+        assert [c.wire() for c in CYCLIC["K3"]] == ["G2:03002600"]
+        mixed = CYCLIC["mixed"]
+        assert sum(p for c, p in mixed.items() if c.kind == GENERAL) == HALF
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC))
+    def test_every_rate_is_infinite(self, name):
+        Q = CYCLIC[name]
+        # the means match, so each rate was finite before
+        assert rate_binomial(Q, 2.0) == INF
+        assert rate_fixed_edges(Q, mean_degree(Q)) == INF
+        assert rate_fixed_degrees(Q, Q.degree_law()) == INF
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC))
+    @pytest.mark.parametrize("fn", [ugw_entropy, ugw_entropy_terms, entropy_increments])
+    def test_entropy_raises_naming_the_class(self, name, fn):
+        Q = CYCLIC[name]
+        (cyclic,) = {c for c in Q if c.kind == GENERAL}
+        with pytest.raises(CyclicLawError, match=re.escape(cyclic.wire())):
+            fn(Q)
+
+    def test_a_cyclic_law_is_still_admissible(self):
+        assert all(is_admissible(Q) for Q in CYCLIC.values())
 
 
 class TestDiscontinuityBound:

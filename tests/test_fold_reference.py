@@ -25,7 +25,6 @@ from ugwldp.rooted import (
     SimpleGraph,
     _ball,
     _decode_general,
-    _tree_paren,
     ball_classes,
     canonical_from_adjacency,
     canonical_labeling,
@@ -33,6 +32,16 @@ from ugwldp.rooted import (
 )
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _tree_paren(adj_sets, root):
+    """Recursive parenthesis encoding of a labeled rooted tree."""
+
+    def enc(v, parent):
+        subs = sorted(enc(w, v) for w in adj_sets[v] if w != parent)
+        return "(" + "".join(subs) + ")"
+
+    return enc(root, None)
 
 
 def reference_key(adj, root, h, cut=None):
