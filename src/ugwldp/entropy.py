@@ -20,7 +20,9 @@ import math
 from fractions import Fraction
 
 from .neighborhood import (
+    CyclicLawError,  # raised by _check_trees; importable from here as well
     NeighborhoodLaw,
+    _check_trees,
     edge_type_distribution,
     is_admissible,
     mean_degree,
@@ -42,18 +44,8 @@ def _check_parameter(name, x, positive: bool) -> float:
     return x
 
 
-class CyclicLawError(ValueError):
-    """Raised for the entropy of a law with mass on a class that holds a cycle."""
-
-
 def _on_trees(P) -> bool:
     return all(c.kind != GENERAL for c in P)
-
-
-def _check_trees(P) -> None:
-    for c in P:
-        if c.kind == GENERAL:
-            raise CyclicLawError(f"law is not supported on trees: class {c.wire()} holds a cycle")
 
 
 def entropy_constant(d) -> float:

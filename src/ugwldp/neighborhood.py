@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rooted import (
+    GENERAL,
     SimpleGraph,
     ball_classes,
     declare_depth,
@@ -94,6 +95,21 @@ def _check_depth(k) -> None:
     """Raise ValueError unless the depth k is an int (a bool is not a depth)."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"depth must be an int, got {k!r}")
+
+
+class CyclicLawError(ValueError):
+    """A law has mass on a class that holds a cycle where a tree law is needed.
+
+    Raised by the entropy functionals and by the branch-table build behind
+    the exact marginals and the sampler.
+    """
+
+
+def _check_trees(P) -> None:
+    """Raise CyclicLawError, naming the class, if P has mass on a cyclic class."""
+    for c in P:
+        if c.kind == GENERAL:
+            raise CyclicLawError(f"law is not supported on trees: class {c.wire()} holds a cycle")
 
 
 def _check_law_depth(depth) -> None:

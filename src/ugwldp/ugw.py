@@ -23,6 +23,7 @@ from math import comb
 from .neighborhood import (
     NeighborhoodLaw,
     _check_depth,
+    _check_trees,
     _dividable,
     _sum_by_key,
     _weights,
@@ -31,8 +32,6 @@ from .neighborhood import (
     root_edge_types,
 )
 from .rooted import (
-    TREE,
-    KindMismatchError,
     LabeledRootedGraph,
     _join,
     declare_depth,
@@ -77,10 +76,11 @@ def typed_branching_law(P: NeighborhoodLaw) -> TypedBranchingLaw:
     """All branch laws of P at once, with exact normalization checks.
 
     Built once per law object, and kept only once every check has passed:
-    an inadmissible law raises on every call.  For a rational law each entry
-    is summed as an integer numerator over the law's common denominator
-    and normalized as one Fraction(w, e), with e the intensity's numerator
-    over the same denominator.
+    an inadmissible law raises ValueError on every call, and a law with mass
+    on a class that holds a cycle raises CyclicLawError naming the class.
+    For a rational law each entry is summed as an integer numerator over
+    the law's common denominator and normalized as one Fraction(w, e), with
+    e the intensity's numerator over the same denominator.
     """
     return P._derive("branching", _build_branching)
 
@@ -90,12 +90,11 @@ def _build_branching(P):
     rep = is_admissible(P)
     if not rep:
         raise ValueError(f"law is not admissible: {rep.violations[:3]}")
+    _check_trees(P)
     types = root_edge_types(P)
     _, weights = _weights(P)
     acc: dict = {}
     for S, p in weights.items():
-        if S.kind != TREE:
-            raise KindMismatchError("branching laws are defined for tree laws")
         # one entry per distinct root subtree sub; seen from that child,
         # the root is a vertex of type (back, sub) whose subtree is tau
         for (sub, back), m in types[S].items():
@@ -330,7 +329,8 @@ class _Growth:
 
     Holds a draw table for the root block and one per edge type, and, for
     each (block, look-back) pair the sampler has reached, the carried
-    types of the block's root children.
+    types of the block's root children; for each block class it has hung
+    as a final block, that class's edges.
     """
 
     def __init__(self, P):
@@ -340,6 +340,7 @@ class _Growth:
             for key, law in typed_branching_law(P).table.items()
         }
         self.carried = {}
+        self.edges = {}
 
     def branch(self, own, back):
         got = self.branches.get((own, back))
@@ -359,6 +360,20 @@ class _Growth:
             got = self.carried[(tau, back)] = root_sides(tau, tau.depth, above)
         return got
 
+    def block_edges(self, tau):
+        """The (i, j) pairs with j > i of tau.rep, in rep order.
+
+        A tree's rep numbers its vertices in preorder, so each pair hangs
+        the new vertex j from the vertex i that an earlier pair (or, for
+        i = 0, the block's root) has already placed.
+        """
+        got = self.edges.get(tau)
+        if got is None:
+            got = self.edges[tau] = tuple(
+                (i, j) for i, nb in enumerate(tau.rep) for j in nb if j > i
+            )
+        return got
+
 
 def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedGraph:
     """Depth-k truncation of a UGW tree sample with depth-h law P.
@@ -372,9 +387,12 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     vertices are visited in their parents' order, then in block order.
 
     The branch tables are built once per law object; after that a draw
-    costs O(tree size), plus a one-time type computation for each
-    (block, look-back) pair the sampler meets for the first time.  A depth
-    k that is not an int raises ValueError.
+    costs O(tree size): each new vertex is one dict entry holding a
+    one-element set, and one add to its parent's set.  Each (block,
+    look-back) pair's child types and each final block class's edge list
+    are computed the first time the sampler meets them, once per law.  A
+    depth k that is not an int raises ValueError, and a law with mass on a
+    cyclic class raises CyclicLawError.
     """
     _check_depth(k)
     h = P.depth
@@ -384,22 +402,27 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
         raise ValueError("sampling requires an admissible law")
     growth = P._derive("growth", _Growth)
     tree = LabeledRootedGraph(root=0)
+    # every edge hangs a new vertex from one already placed, so it is
+    # written straight into the adjacency
+    adj = tree.adj
     frontier = [(0, growth.root.draw(rng), None)]
     for _ in range(k - h):
         nxt = []
         for v, tau, back in frontier:
             for own, own_back in growth.child_types(tau, back):
-                c = len(tree.adj)
-                tree.add_edge(v, c)
+                c = len(adj)
+                adj[c] = {v}
+                adj[v].add(c)
                 nxt.append((c, growth.branch(own, own_back).draw(rng), own_back))
         frontier = nxt
     for v, tau, _ in frontier:
-        base = len(tree.adj)
-        ids = [v, *range(base, base + len(tau.rep) - 1)]
-        for i, nb in enumerate(tau.rep):
-            for j in nb:
-                if j > i:
-                    tree.add_edge(ids[i], ids[j])
+        # the block's root is v, and its vertex j >= 1 gets the next free id off + j
+        off = len(adj) - 1
+        for i, j in growth.block_edges(tau):
+            u = off + i if i else v
+            w = off + j
+            adj[w] = {u}
+            adj[u].add(w)
     return tree
 
 
@@ -474,9 +497,12 @@ class ColoredRootedTree:
     types: dict  # vertex -> color (absent for the root)
 
     def colorblind(self) -> LabeledRootedGraph:
-        g = LabeledRootedGraph(root=self.root, vertices=range(self.n))
+        """The tree without its colors: the root, then vertices 0..n-1, as keys."""
+        g = LabeledRootedGraph(root=self.root)
+        adj = g.adj = {v: set() for v in (self.root, *range(self.n))}
         for v, p in self.parents.items():
-            g.add_edge(v, p)
+            adj[v].add(p)
+            adj[p].add(v)
         return g
 
 

@@ -458,6 +458,12 @@ class TestCyclicLaws:
         assert code == 0
         assert json.loads(out)["value"] == "+inf"
 
+    def test_sample_ugw_exit3(self, capsys, triangle_law):
+        code, out, err = run(capsys, "sample-ugw", "--law", triangle_law, "--depth", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("invalid law: ") and "G2:03002600" in err
+        assert "Traceback" not in err
+
 
 class TestExperimentsAndVerify:
     def test_cycles_csv(self, capsys):

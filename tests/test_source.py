@@ -109,3 +109,31 @@ def test_bipartite_sampler_has_no_loop_of_its_own():
         and node.func.id == "sample_ugw_colored"
         for node in ast.walk(func)
     )
+
+
+def test_tree_samplers_write_their_adjacency_in_place():
+    # every edge the tree samplers add hangs a new vertex from one already
+    # placed, so they write tree.adj directly: no per-edge method call
+    (path,) = [path for path in SOURCES if path.name == "ugw.py"]
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    (colored,) = [
+        node
+        for node in module.body
+        if isinstance(node, ast.ClassDef) and node.name == "ColoredRootedTree"
+    ]
+    funcs = {
+        f"{owner}{node.name}": node
+        for owner, body in (("", module.body), ("ColoredRootedTree.", colored.body))
+        for node in body
+        if isinstance(node, ast.FunctionDef) and node.name in ("sample_ugw", "colorblind")
+    }
+    assert set(funcs) == {"sample_ugw", "ColoredRootedTree.colorblind"}
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("add_edge", "_ensure")
+    ]
+    assert calls == []

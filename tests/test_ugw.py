@@ -1,6 +1,7 @@
 """Prescribed-neighborhood tree tests: branch laws, marginals, samplers."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugwldp import entropy
 from ugwldp.neighborhood import (
+    CyclicLawError,
     NeighborhoodLaw,
     edge_intensity_table,
     empirical_distribution,
@@ -418,6 +421,21 @@ class TestSampler:
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         with pytest.raises(ValueError):
             sample_ugw(NeighborhoodLaw(chain.depth, {chain: 1}), 3, random.Random(0))
+
+    def test_cyclic_law_raises_before_any_draw(self):
+        # the triangle's depth-2 law is admissible but has its mass on a
+        # cyclic class: the branch-table build names it, and the generator
+        # is left untouched
+        law = empirical_distribution(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 2)
+        (cyclic,) = law.support
+        assert is_admissible(law)
+        rng = random.Random(0)
+        state = rng.getstate()
+        for call in (lambda: sample_ugw(law, 3, rng), lambda: typed_branching_law(law)):
+            with pytest.raises(CyclicLawError, match=re.escape(cyclic.wire())):
+                call()
+        assert rng.getstate() == state
+        assert entropy.CyclicLawError is CyclicLawError and issubclass(CyclicLawError, ValueError)
 
 
 ZERO2 = ((0, 0), (0, 0))
