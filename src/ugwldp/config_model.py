@@ -649,58 +649,43 @@ def subgraph_count_expectation(
         sc = dH.S(c)
         if sc:
             ed = sum(float(p) * M[c[0] - 1][c[1] - 1] for M, p in limit.items())
+            if not ed:
+                return 0.0  # no weighted vertex has color c: the numerator is 0
             den *= ed ** (sc / 2)
     return num / den
 
 
-def cycle_family(L: int, h: int):
-    """Distinct colored motifs whose colorblind projection is a short cycle.
-
-    Loops have length 1 and parallel pairs length 2.  Deduplicated by
-    the canonical certificate of each motif.
-    """
-    out = []
-    seen = set()
-
-    def add(H):
-        key = (H.n, _colored_canon(H)[0])
-        if key not in seen:
-            seen.add(key)
-            out.append(H)
-
-    colors = all_colors(L)
-    if h >= 1:
-        for c in colors:
-            if c[0] > c[1]:
-                continue
-            H = ColoredMultigraph(L, 1)
-            H.add_edge(c, 0, 0)
-            add(H)
-    if h >= 2:
-        for c1 in colors:
-            for c2 in colors:
-                H = ColoredMultigraph(L, 2)
-                H.add_edge(c1, 0, 1)
-                H.add_edge(c2, 0, 1)
-                add(H)
-    for ell in range(3, h + 1):
-        for combo in itertools.product(colors, repeat=ell):
-            H = ColoredMultigraph(L, ell)
-            for idx in range(ell):
-                H.add_edge(combo[idx], idx, (idx + 1) % ell)
-            add(H)
-    return out
-
-
 def short_cycle_intensity(limit: dict, L: int, h: int) -> float:
-    """Sum of limiting motif intensities over the short-cycle family.
+    """Limiting mean number of cycles of length <= h, loops and double edges too.
 
-    Derived estimate: exp(-value) approximates the limiting acceptance
-    rate of the short-cycle rejection sampler.
+    exp(-value) is the limiting acceptance rate of the short-cycle
+    rejection sampler.  With e(c) = sum p(M) M[c] the mean of color c, a
+    color is live when e(c) e(conj c) > 0; over live colors, the walk
+    that enters a vertex through a conj(c) half-edge and leaves it through
+    a c' half-edge has weight
+    B[c][c'] = sum p(M) M[conj c] (M[c'] - [c' = conj c]) / sqrt(e(c) e(conj c)),
+    and an l-cycle is a closed walk up to its l rotations and 2
+    directions, so lambda_l = tr(B^l) / (2l).  A color that is not live
+    closes no cycle.  Cost: O(|limit| L^4) for B, then O(h L^6).
     """
-    return sum(
-        float(subgraph_count_expectation(H, limit=limit)) for H in cycle_family(L, h)
-    )
+    rows = [(float(p), [x for row in M for x in row]) for M, p in limit.items()]
+    mean = [sum(p * m[k] for p, m in rows) for k in range(L * L)]
+    bar = [(k % L) * L + k // L for k in range(L * L)]  # flat index of conj
+    live = [k for k in range(L * L) if mean[k] * mean[bar[k]] > 0]
+    B = [
+        [
+            sum(p * m[bar[k]] * (m[j] - (j == bar[k])) for p, m in rows)
+            / math.sqrt(mean[k] * mean[bar[k]])
+            for j in live
+        ]
+        for k in live
+    ]
+    total, walk = 0.0, B
+    for ell in range(1, h + 1):
+        if ell > 1:
+            walk = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in walk]
+        total += sum(walk[i][i] for i in range(len(live))) / (2 * ell)
+    return total
 
 
 def acceptance_estimate(limit: dict, L: int, h: int) -> float:

@@ -26,11 +26,12 @@ from ugwldp.config_model import (
     automorphism_count,
     ball_of,
     conj,
-    cycle_family,
     degree_sequence_of,
     explore_neighborhood,
     graph_of,
     sample_configuration,
+    short_cycle_intensity,
+    subgraph_count_expectation,
 )
 from ugwldp.rooted import (
     GENERAL,
@@ -147,7 +148,7 @@ def reference_automorphism_count(H):
 
 
 def reference_motif_key(H):
-    """The cycle_family dedupe key: least sorted entry list over relabelings."""
+    """A motif's dedupe key: least sorted entry list over relabelings."""
     return min(
         tuple(
             sorted(
@@ -193,6 +194,22 @@ def reference_cycle_family(L, h):
                 H.add_edge(combo[idx], idx, (idx + 1) % ell)
             add(H)
     return out
+
+
+def balanced_limit(L, rng):
+    """A limit law whose every color has mean > 0, equal to its conjugate's.
+
+    Three random count matrices, each beside its transpose at equal
+    weight, and the all-ones matrix.
+    """
+    limit = {tuple(tuple(1 for _ in range(L)) for _ in range(L)): 1.0}
+    for _ in range(3):
+        M = tuple(tuple(rng.randint(0, 3) for _ in range(L)) for _ in range(L))
+        w = rng.random()
+        for X in (M, tuple(zip(*M))):
+            limit[X] = limit.get(X, 0.0) + w
+    total = sum(limit.values())
+    return {M: w / total for M, w in limit.items()}
 
 
 def reference_signature(ball):
@@ -271,7 +288,7 @@ def colored_multigraphs(draw):
     return H
 
 
-def cycle_family_key(H):
+def colored_motif_key(H):
     return (H.n, _colored_canon(H)[0])
 
 
@@ -374,7 +391,7 @@ class TestColoredMultigraphs:
         motifs = [H, shuffled(H, perm), H2]
         assert same_partition(
             motifs,
-            cycle_family_key,
+            colored_motif_key,
             lambda x: (x.n, reference_motif_key(x)),
         )
 
@@ -383,12 +400,24 @@ class TestColoredMultigraphs:
         one.add_edge((1, 1), 0, 0)
         two.add_edge((1, 1), 0, 0)
         two.add_edge((1, 1), 1, 1)
-        assert cycle_family_key(one) != cycle_family_key(two)
+        assert colored_motif_key(one) != colored_motif_key(two)
         assert automorphism_count(one) == 1 and automorphism_count(two) == 2
 
-    def test_cycle_family_matches_reference(self):
-        for L, h in ((1, 4), (2, 3), (2, 4), (3, 3)):
-            assert cycle_family(L, h) == reference_cycle_family(L, h), (L, h)
+    def test_short_cycle_intensity_matches_reference_motif_sum(self):
+        # the closed form tr(B^l)/(2l) against the brute-force family's
+        # motifs, summed one limit intensity at a time
+        rng = random.Random(23)
+        # the last limit is unbalanced, e(c) != e(conj c): the sqrt split of
+        # each edge's denominator must match the motifs' prod e(c)^(S_c/2)
+        unbalanced = {((1, 2), (3, 1)): 0.25, ((2, 1), (1, 1)): 0.75}
+        cases = [(L, h, balanced_limit(L, rng)) for L, h in ((1, 4), (2, 3), (2, 4), (3, 3))]
+        for L, h, limit in cases + [(2, 3, unbalanced)]:
+            want = sum(
+                subgraph_count_expectation(H, limit=limit)
+                for H in reference_cycle_family(L, h)
+            )
+            got = short_cycle_intensity(limit, L, h)
+            assert abs(got - want) <= 1e-12 * want, (L, h, got, want)
 
     def test_triangle_with_six_leaves_each(self):
         assert automorphism_count(triangle_with_leaves(6)) == 2 * math.factorial(6) ** 2

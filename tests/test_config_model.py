@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from ugwldp.config_model import (
     cm_probability,
     colorblind,
     config_space_size,
-    cycle_family,
     degree_sequence_of,
     explore_neighborhood,
     fiber_size,
@@ -38,6 +38,7 @@ from ugwldp.config_model import (
     read_colored_graph,
     read_degree_file,
 )
+from ugwldp.experiments import cycles_experiment, regular_intensity
 from ugwldp.oracle import (
     enumerate_configurations,
     enumerate_graphs,
@@ -45,6 +46,7 @@ from ugwldp.oracle import (
     exact_cm_law,
 )
 from ugwldp.rooted import SimpleGraph
+from ugwldp.tree_encoding import encode
 
 
 def from_simple(G):
@@ -493,23 +495,40 @@ class TestMotifs:
         with pytest.raises(ValueError, match="odd count 1"):
             subgraph_count_expectation(H, degrees=DegreeSequence.single_color([2, 2, 2]))
 
-    def test_cycle_family_single_color(self):
-        fam1 = cycle_family(1, 1)
-        fam2 = cycle_family(1, 2)
-        fam3 = cycle_family(1, 3)
-        assert len(fam1) == 1 and len(fam2) == 2 and len(fam3) == 3
+    def test_regular_short_cycle_intensity(self):
         d = 3
         lam = short_cycle_intensity({((d,),): 1.0}, 1, 2)
         assert abs(lam - ((d - 1) / 2 + (d - 1) ** 2 / 4)) < 1e-12
         assert abs(acceptance_estimate({((d,),): 1.0}, 1, 2) - math.exp(-2)) < 1e-12
 
-    def test_cycle_family_two_colors(self):
-        # loops: 2 diagonal + 1 conjugate pair; doubled edges: multisets of
-        # ordered color pairs up to the flip symmetry
-        fam1 = cycle_family(2, 1)
-        assert len(fam1) == 3
-        fam2 = cycle_family(2, 2)
-        assert all(excess(H) == 0 for H in fam2)
+    def test_regular_intensity_agrees_with_the_experiments(self):
+        for d in range(1, 7):
+            limit = {((d,),): 1.0}
+            for h in range(1, 7):
+                want = sum(regular_intensity(d, ell) for ell in range(1, h + 1))
+                assert abs(short_cycle_intensity(limit, 1, h) - want) <= 1e-12 * max(1.0, want)
+            (rate,) = [
+                r for r in cycles_experiment(d, 10, 1, 0) if r["length"] == "simple_rate"
+            ]
+            assert abs(acceptance_estimate(limit, 1, 2) - rate["target"]) < 1e-12
+
+    def test_zero_mean_color_motif_has_zero_intensity(self):
+        # no weighted vertex has a (2, 2) half-edge, so no (2, 2) loop forms
+        limit = {((2, 1), (1, 0)): 0.5, ((1, 1), (1, 0)): 0.5}
+        H = ColoredMultigraph(2, 1)
+        H.add_edge((2, 2), 0, 0)
+        assert subgraph_count_expectation(H, limit=limit) == 0.0
+
+    def test_unused_color_of_an_encoded_path(self):
+        # encode(P6, 2) uses colors (1, 1), (1, 2) and (2, 1) only
+        P6 = SimpleGraph.from_edges(6, [(i, i + 1) for i in range(5)])
+        _, _, D = encode(P6, 2)
+        counts = Counter(D.mats)
+        limit = {M: c / D.n for M, c in counts.items()}
+        assert D.L == 2 and all(M[1][1] == 0 for M in limit)
+        for h in (2, 3, 5):
+            rate = acceptance_estimate(limit, D.L, h)
+            assert math.isfinite(rate) and 0 < rate <= 1
 
 
 def _count_loops(bar):

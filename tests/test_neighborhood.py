@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from ugwldp import rooted
 from ugwldp.neighborhood import (
+    AdmissibilityReport,
     NeighborhoodLaw,
     edge_intensity_table,
     edge_type_distribution,
@@ -172,6 +174,27 @@ class TestAdmissibility:
             G = SimpleGraph.from_edges(n, pairs[: rng.randint(0, len(pairs))])
             for h in (1, 2, 3):
                 assert is_admissible(empirical_distribution(G, h))
+
+    def test_cyclic_law_reaches_the_cut_bfs_edge_types(self, monkeypatch):
+        # the CLI's law loader and ugw_entropy_terms check admissibility
+        # before anything rejects a cyclic law, so edge_type_table's cut-BFS
+        # branch for general classes still has a program caller
+        k3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        P = empirical_distribution(k3, 2)
+        (cls,) = P.support
+        assert cls.kind == rooted.GENERAL
+        monkeypatch.setattr(cls, "_edge_types", {})
+        cuts = []
+        inner = rooted.canonical_from_adjacency
+
+        def spy(adj, root, h, cut=None):
+            cuts.append(cut)
+            return inner(adj, root, h, cut=cut)
+
+        monkeypatch.setattr(rooted, "canonical_from_adjacency", spy)
+        report = is_admissible(P)
+        assert isinstance(report, AdmissibilityReport) and report.ok
+        assert sorted(cuts) == [0, 0, 1, 2]
 
 
 class TestTvAndPoisson:

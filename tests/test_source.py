@@ -137,3 +137,25 @@ def test_tree_samplers_write_their_adjacency_in_place():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("add_edge", "_ensure")
     ]
     assert calls == []
+
+
+def test_short_cycle_intensity_enumerates_no_motif():
+    # the intensity is tr(B^l)/(2l) over a color transfer matrix: no motif
+    # is built, canonicalized or counted, and the motif family is gone
+    (path,) = [path for path in SOURCES if path.name == "config_model.py"]
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert "short_cycle_intensity" in defined and "cycle_family" not in defined
+    (func,) = [
+        node
+        for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "short_cycle_intensity"
+    ]
+    banned = {"_colored_canon", "canonical_labeling", "subgraph_count_expectation", "product"}
+    calls = [
+        f"{ast.unparse(node.func)}:{node.lineno}"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in banned
+    ]
+    assert calls == []
