@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .rooted import SimpleGraph, _ball, _has_short_cycle, canonical_labeling
+from .rooted import SimpleGraph, _ball, _check_int, _has_short_cycle, canonical_labeling
 
 Color = tuple  # (i, j), 1-based
 
@@ -81,20 +81,20 @@ class DegreeSequence:
     @staticmethod
     def from_rows(L, rows):
         """One row of exactly L * L ints per vertex: its matrix, row by row."""
-        if L < 1:
-            raise ValueError(f"L must be >= 1, got {L}")
+        _check_int("L", L, 1)
         for u, row in enumerate(rows):
             if len(row) != L * L:
                 raise ValueError(f"row {u} has {len(row)} entries, expected {L * L}")
-        mats = tuple(
-            tuple(tuple(int(x) for x in row[i * L : (i + 1) * L]) for i in range(L))
-            for row in rows
-        )
+            for x in row:
+                _check_int("degree", x)
+        mats = tuple(tuple(tuple(row[i * L : (i + 1) * L]) for i in range(L)) for row in rows)
         return DegreeSequence(L, mats)
 
     @staticmethod
     def single_color(degrees):
-        return DegreeSequence(1, tuple(((int(d),),) for d in degrees))
+        for d in degrees:
+            _check_int("degree", d)
+        return DegreeSequence(1, tuple(((d,),) for d in degrees))
 
     @property
     def n(self):
@@ -285,8 +285,7 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
     of the underlying simple graph is tested on the vertex-indexed
     G.adjacency() by :func:`rooted._has_short_cycle`.
     """
-    if h < 1:
-        raise ValueError("cycle length bound must be >= 1")
+    _check_int("h", h, 1)
     for (u, v), m in G.w.items():
         if u == v and m > 0:
             return True
@@ -462,11 +461,9 @@ def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=N
     max_attempts caps the attempts: an int >= 1, or None for 100000;
     anything else raises ValueError before the first draw.
     """
-    if h < 2:
-        raise ValueError("short-cycle-free sampling needs h >= 2")
+    _check_int("h", h, 2)
     cap = 100_000 if max_attempts is None else max_attempts
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"max_attempts must be an int >= 1, got {max_attempts!r}")
+    _check_int("max_attempts", cap, 1)
     pools = D.owners
     for attempt in range(1, cap + 1):
         joined = set()
@@ -668,6 +665,8 @@ def short_cycle_intensity(limit: dict, L: int, h: int) -> float:
     directions, so lambda_l = tr(B^l) / (2l).  A color that is not live
     closes no cycle.  Cost: O(|limit| L^4) for B, then O(h L^6).
     """
+    _check_int("L", L, 1)
+    _check_int("h", h, 1)
     rows = [(float(p), [x for row in M for x in row]) for M, p in limit.items()]
     mean = [sum(p * m[k] for p, m in rows) for k in range(L * L)]
     bar = [(k % L) * L + k // L for k in range(L * L)]  # flat index of conj
@@ -730,6 +729,10 @@ def explore_neighborhood(
     then O(ball * L^2) per call, plus one O(log n) bisect per revealed
     half-edge; nothing of size n is built per call.
     """
+    _check_int("v", v, 0)
+    if v >= D.n:
+        raise ValueError(f"v must be < {D.n}, got {v!r}")
+    _check_int("depth", depth, 0)
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
     offsets = D.offsets
@@ -805,6 +808,10 @@ def ball_of(G: ColoredMultigraph, v: int, depth: int) -> ExploredNeighborhood:
     Produces the same structure as :func:`explore_neighborhood` so the two
     can be compared by signature.
     """
+    _check_int("v", v, 0)
+    if v >= G.n:
+        raise ValueError(f"v must be < {G.n}, got {v!r}")
+    _check_int("depth", depth, 0)
     dist = _ball(colorblind(G).adjacency(), v, depth)
     edges = [(a, b, c) for c, a, b in G.edges() if a in dist and b in dist]
     is_tree = len(edges) == len(dist) - 1 and all(u != w for u, w, _ in edges)

@@ -21,6 +21,7 @@ from .config_model import (
     sample_configuration,
 )
 from .neighborhood import NeighborhoodLaw, empirical_distribution, tv_distance
+from .rooted import _check_int
 from .ugw import marginal_ugw
 
 
@@ -71,13 +72,6 @@ def regular_intensity(d: int, ell: int) -> float:
     return (d - 1) ** ell / (2 * ell)
 
 
-def _require_positive(**params):
-    """Raise ValueError naming the first parameter below 1."""
-    for name, value in params.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _fan_out(worker, samples, seed):
     """One derived seed per sample; results in sample order."""
     return [worker(seed * 1_000_003 + i) for i in range(samples)]
@@ -92,9 +86,11 @@ def cycles_experiment(d: int, n: int, samples: int, seed: int):
     pair and project and O(n d^2) to count.  Rows 1..4 give each length's
     mean, its standard error and the limiting mean (d-1)^l / (2l); the
     last row gives the share of simple samples against exp(-l1 - l2).
-    Raises ValueError naming d, n or samples if it is below 1.
+    Raises ValueError naming d, n or samples unless it is an int >= 1.
     """
-    _require_positive(d=d, n=n, samples=samples)
+    _check_int("d", d, 1)
+    _check_int("n", n, 1)
+    _check_int("samples", samples, 1)
     D = DegreeSequence.single_color([d] * n)
 
     def one(s):
@@ -138,7 +134,10 @@ def degree_sequence_for_law(P_deg: dict, n: int) -> DegreeSequence:
     Largest-remainder rounding of n * P(k); if the total is odd, one vertex
     is moved between two support values of different parity.
     """
-    items = sorted((int(k), Fraction(p)) for k, p in P_deg.items() if p)
+    _check_int("n", n, 1)
+    for k in P_deg:
+        _check_int("degree", k)
+    items = sorted((k, Fraction(p)) for k, p in P_deg.items() if p)
     counts = {k: int(n * p) for k, p in items}
     rem = sorted(
         ((n * p - counts[k], k) for k, p in items), reverse=True
@@ -170,11 +169,12 @@ def converge_experiment(P_deg: dict, n_list, samples: int, depth: int, seed: int
     Each sample is a graph with no loop or double edge: the simple graph
     of the sample_G_Dh attempt loop at h = 2, handed to
     empirical_distribution as drawn.  Raises ValueError naming samples,
-    depth or an n_list entry if it is below 1.
+    depth or an n_list entry unless it is an int >= 1.
     """
-    _require_positive(
-        samples=samples, depth=depth, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}
-    )
+    _check_int("samples", samples, 1)
+    _check_int("depth", depth, 1)
+    for i, n in enumerate(n_list):
+        _check_int(f"n_list[{i}]", n, 1)
     law = NeighborhoodLaw.from_degree_law(
         {k: Fraction(p) for k, p in P_deg.items()}
     )
@@ -217,7 +217,10 @@ def concentration_envelope_delta(theta: int, L: int, k: int, mean_half_edges: fl
 
 def concentrate_experiment(d: int, n_list, samples: int, seed: int):
     """Frequency concentration of the plain depth-1 star class."""
-    _require_positive(d=d, samples=samples, **{f"n_list[{i}]": n for i, n in enumerate(n_list)})
+    _check_int("d", d, 1)
+    _check_int("samples", samples, 1)
+    for i, n in enumerate(n_list):
+        _check_int(f"n_list[{i}]", n, 1)
     rows = []
     for n in n_list:
         D = DegreeSequence.single_color([d] * n)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .rooted import (
     GENERAL,
     SimpleGraph,
+    _check_int,
     ball_classes,
     declare_depth,
     edge_type_table,
@@ -91,12 +92,6 @@ def _dividable(P, table):
     return {key: w.numerator * (den // w.denominator) for key, w in table.items()}, Fraction
 
 
-def _check_depth(k) -> None:
-    """Raise ValueError unless the depth k is an int (a bool is not a depth)."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"depth must be an int, got {k!r}")
-
-
 class CyclicLawError(ValueError):
     """A law has mass on a class that holds a cycle where a tree law is needed.
 
@@ -110,13 +105,6 @@ def _check_trees(P) -> None:
     for c in P:
         if c.kind == GENERAL:
             raise CyclicLawError(f"law is not supported on trees: class {c.wire()} holds a cycle")
-
-
-def _check_law_depth(depth) -> None:
-    """Raise ValueError unless a law's depth is an int >= 0."""
-    _check_depth(depth)
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth!r}")
 
 
 def _check_mode(mode) -> None:
@@ -152,7 +140,7 @@ class NeighborhoodLaw:
 
     def __init__(self, depth, support, mode=RATIONAL):
         _check_mode(mode)
-        _check_law_depth(depth)
+        _check_int("depth", depth, 0)
         self.depth = depth
         self.mode = mode
         pairs = []
@@ -262,7 +250,7 @@ class NeighborhoodLaw:
         depth = obj["depth"]
         mode = obj["mode"]
         _check_mode(mode)
-        _check_law_depth(depth)
+        _check_int("depth", depth, 0)
         support = {}
         for entry in obj["support"]:
             cls = parse_class(entry["class"], depth if entry["class"][0] == "(" else None)
@@ -401,7 +389,7 @@ def tv_distance(P: NeighborhoodLaw, Q: NeighborhoodLaw):
 
 def truncate_law(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
     """Push the law through depth-k truncation of its support classes."""
-    _check_depth(k)
+    _check_int("depth", k, 0)
     if k > P.depth:
         raise ValueError(f"cannot deepen a law from {P.depth} to {k}")
     if k == P.depth:

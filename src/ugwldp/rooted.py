@@ -61,6 +61,15 @@ class KindMismatchError(TypeError):
 TREE = "tree"
 GENERAL = "general"
 
+
+def _check_int(name, value, least=None):
+    """The package's one check of an integer parameter: an int, not a bool, and >= least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 class LabeledRootedGraph:
     """A finite rooted graph with integer vertex labels (simple, undirected).
 
@@ -107,8 +116,11 @@ class SimpleGraph:
 
     @staticmethod
     def from_edges(n, edges):
+        _check_int("n", n, 0)
         out = set()
         for u, v in edges:
+            _check_int("vertex", u)
+            _check_int("vertex", v)
             if u == v:
                 raise ValueError("loops not allowed in a simple graph")
             if not (0 <= u < n and 0 <= v < n):
@@ -155,15 +167,12 @@ class CanonicalClass:
     part of equality, hashing or pickles.
     """
 
-    __slots__ = (
-        "kind", "depth", "encoding", "id", "rep", "_children", "_truncations", "_edge_types"
-    )
+    __slots__ = ("kind", "depth", "encoding", "rep", "_children", "_truncations", "_edge_types")
 
-    def __init__(self, kind, depth, encoding, cid, rep):
+    def __init__(self, kind, depth, encoding, rep):
         self.kind = kind
         self.depth = depth
         self.encoding = encoding
-        self.id = cid
         self.rep = rep
         self._children = None
         self._truncations = {}  # h -> truncate(self, h), for h < depth
@@ -221,7 +230,7 @@ def _intern(kind, depth, encoding, rep):
     with _INTERN_LOCK:
         got = _INTERN.get(key)
         if got is None:
-            got = CanonicalClass(kind, depth, encoding, len(_INTERN), rep)
+            got = CanonicalClass(kind, depth, encoding, rep)
             _INTERN[key] = got
         return got
 
@@ -419,7 +428,7 @@ def _join(depth, kids):
     """
     if depth == 0:
         return _tree_class(0, "()")
-    subs = sorted(truncate(k, depth - 1).encoding for k in kids)
+    subs = sorted(_cut(k, depth - 1).encoding for k in kids)
     return _tree_class(depth, "(" + "".join(subs) + ")")
 
 
@@ -456,8 +465,7 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     and only the core goes through :func:`canonical_labeling`.  Raises
     EdgeAbsentError when cut is not adjacent to root.
     """
-    if h < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_int("depth", h, 0)
     if cut is not None and cut not in adj[root]:
         raise EdgeAbsentError(f"{{{root}, {cut}}} is not an edge")
     dist = _ball(adj, root, h, cut)
@@ -683,8 +691,7 @@ def tree_classes(adj, h):
     2h + 1.  No cycle is looked for.  Cost: one message pass, O(n + h * m
     * d log d), d the largest degree, plus the size of each distinct class.
     """
-    if h < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_int("depth", h, 0)
     start, _, _, msg = _messages(adj, h - 1)
     return _join_at_vertices(start, msg, h)
 
@@ -770,6 +777,7 @@ def _radius(rep):
 
 def declare_depth(g: CanonicalClass, h: int) -> CanonicalClass:
     """The same structure re-declared at truncation depth h >= depth(g)."""
+    _check_int("depth", h, 0)
     if h == g.depth:
         return g
     if h < g.depth:
@@ -785,18 +793,29 @@ def truncate(g: CanonicalClass, h: int) -> CanonicalClass:
     its representative, on the first call per (g, h); the result is kept
     on g, so later calls cost O(1).
     """
-    if h < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_int("depth", h, 0)
+    return _cut(g, h)
+
+
+def _cut(g, h):
+    """truncate for an int h >= 0: subtrees are cut first, off a stack, so no join recurses."""
     if h >= g.depth:
         return g
-    got = g._truncations.get(h)
-    if got is None:
-        if g.kind == TREE:
-            got = _join(h, g.children)
-        else:
-            got = canonical_from_adjacency(g.rep, 0, h)
-        g._truncations[h] = got
-    return got
+    if h not in g._truncations:
+        if g.kind != TREE:
+            g._truncations[h] = canonical_from_adjacency(g.rep, 0, h)
+        stack = [(g, h)]
+        while stack:
+            c, k = stack.pop()
+            if k not in c._truncations:
+                # a depth-0 join reads no child; a child, at depth c.depth - 1, is cut at k - 1
+                kids = c.children if k else ()
+                todo = [(s, k - 1) for s in kids if k - 1 not in s._truncations]
+                if todo:
+                    stack += [(c, k), *todo]
+                else:
+                    c._truncations[k] = _join(k, kids)
+    return g._truncations[h]
 
 
 def split_at_edge(g: LabeledRootedGraph, u: int, v: int) -> LabeledRootedGraph:
@@ -877,8 +896,7 @@ def edge_type_table(g: CanonicalClass, h: int) -> dict:
     cut BFS per root edge; the table is kept on g, and each call returns
     a fresh copy of it, O(root degree).
     """
-    if h < 1:
-        raise ValueError("edge types need h >= 1")
+    _check_int("depth", h, 1)
     if g.depth < h:
         raise ValueError(
             f"class truncated at depth {g.depth} cannot answer depth-{h} edge types"
@@ -911,8 +929,8 @@ def edge_type_count(
 
 def star(k: int, depth: int = 1) -> CanonicalClass:
     """The rooted star with k leaf children, declared at `depth`."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int("k", k, 0)
+    _check_int("depth", depth, 0)
     if depth < 1 and k > 0:
         raise ValueError("a star with children needs depth >= 1")
     return _tree_class(depth, "(" + "()" * k + ")")

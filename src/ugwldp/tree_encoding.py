@@ -28,10 +28,10 @@ from .config_model import (
     has_cycle_leq,
     matching_colors,
 )
-from .neighborhood import _check_depth
 from .oracle import enumerate_configurations
 from .rooted import (
     SimpleGraph,
+    _check_int,
     _has_short_cycle,
     _join_at_vertices,
     _messages,
@@ -84,9 +84,7 @@ def is_h_treelike(G: SimpleGraph, h: int) -> bool:
     One girth BFS per vertex of the 2-core, on G's vertex-indexed adjacency.
     Raises ValueError for a depth h that is not an int >= 0.
     """
-    _check_depth(h)
-    if h < 0:
-        raise ValueError(f"depth must be >= 0, got {h!r}")
+    _check_int("depth", h, 0)
     return not _has_short_cycle(G.adjacency(), 2 * h + 1)
 
 
@@ -102,9 +100,7 @@ def _encoding(G: SimpleGraph, h: int):
     adds 1 to D's entry (col[a], col[back[a]]) at u, in one O(n + m) pass;
     vertices with the same multiset of entries share one matrix.
     """
-    _check_depth(h)
-    if h < 1:
-        raise ValueError(f"depth must be >= 1, got {h!r}")
+    _check_int("depth", h, 1)
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
     start, to, back, msg = _messages(G.adjacency(), h - 1)
@@ -163,8 +159,7 @@ def verify_neighborhood_preservation(
     * d log d) message pass on G, D in O(n + m), then one draw and one
     message pass per sample.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a positive int, got {samples!r}")
+    _check_int("samples", samples, 1)
     (start, _, _), msg, _, _, D = _encoding(G, h)
     want = Counter(_join_at_vertices(start, msg, h))
     for _ in range(samples):
@@ -189,8 +184,7 @@ def count_short_cycle_free(D: DegreeSequence, h: int) -> int:
     Counts accepted configurations and divides by the constant fiber size
     of simple colored graphs (h >= 2 makes every accepted graph simple).
     """
-    if h < 2:
-        raise ValueError("needs h >= 2 so accepted graphs are simple")
+    _check_int("h", h, 2)  # so that accepted graphs are simple
     accepted = 0
     for sigma in enumerate_configurations(D):
         if not has_cycle_leq(colorblind_of(sigma), h):
@@ -208,7 +202,8 @@ def log_matchings(s: int) -> float:
 
     Uses the closed form (s-1)!! = s! / (2^(s/2) (s/2)!) for even s >= 0.
     """
-    if s < 0 or s % 2:
+    _check_int("s", s, 0)
+    if s % 2:
         raise ValueError(f"needs an even half-edge count, got {s}")
     return math.lgamma(s + 1) - (s // 2) * math.log(2) - math.lgamma(s // 2 + 1)
 

@@ -22,7 +22,6 @@ from math import comb
 
 from .neighborhood import (
     NeighborhoodLaw,
-    _check_depth,
     _check_trees,
     _dividable,
     _sum_by_key,
@@ -33,6 +32,7 @@ from .neighborhood import (
 )
 from .rooted import (
     LabeledRootedGraph,
+    _check_int,
     _join,
     declare_depth,
     drop_root_child,
@@ -125,13 +125,13 @@ def _child_types(table):
     return [(s, s_comp, n_a) for (s, s_comp), n_a in ordered]
 
 
-def _extend_block(block, table, branching, out, weight, exact):
+def _extend_block(block, table, branching, out, weight):
     """One-step extension of a depth-h block to depth h+1; table is its root edge-type table.
 
     Appends one (depth-(h+1) class, weight) pair per pick to the list out.
-    With exact set, for a rational law, weight and each branch-law option
-    are integer numerators (an option's over its law's common denominator,
-    see :func:`_weights`), so every product is an integer; for a float law
+    For a rational law, weight and each branch-law option are integer
+    numerators (an option's over its law's common denominator, see
+    :func:`_weights`), so every product is an integer; for a float law
     they are the laws' own floats, multiplied in the same order (1 * x is
     x to the bit).
     """
@@ -139,10 +139,8 @@ def _extend_block(block, table, branching, out, weight, exact):
     groups = []
     for s, s_comp, n_a in _child_types(table):
         law = branching.law(s, s_comp)
-        opts = law.sorted_items()
-        if exact:
-            nums = _weights(law)[1]
-            opts = [(tau, nums[tau]) for tau, _ in opts]
+        nums = _weights(law)[1]
+        opts = [(tau, nums[tau]) for tau, _ in law.sorted_items()]
         combos = []
         for combo in _multisets(len(opts), n_a):
             w = _multinomial(n_a, combo)
@@ -231,13 +229,14 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
 
     Iterates the one-step multinomial extension from depth h up to k.
     Raises SupportExplosionError before a step whose support, counted by
-    :func:`_extension_size`, would exceed support_cap, and ValueError for a
-    depth k that is not an int.  On a rational law a step multiplies
-    integer numerators only: every pick's weight is an integer over the
-    lcm of the blocks' denominators, and the step builds one Fraction per
-    class of the result.  A float law multiplies its weights in order.
+    :func:`_extension_size`, would exceed support_cap, and ValueError when
+    k or support_cap is not an int >= 0.  On a rational law a step
+    multiplies integer numerators only: every pick's weight is an integer
+    over the lcm of the blocks' denominators, and the step builds one
+    Fraction per class of the result; a float law multiplies in order.
     """
-    _check_depth(k)
+    _check_int("depth", k, 0)
+    _check_int("support_cap", support_cap, 0)
     if k < P.depth:
         raise ValueError(f"target depth {k} below law depth {P.depth}")
     law = P
@@ -253,7 +252,7 @@ def marginal_ugw(P: NeighborhoodLaw, k: int, support_cap: int = 10**6) -> Neighb
         den, weights = _block_weights(law, types, branching)
         picks = []
         for block, w in weights.items():
-            _extend_block(block, types[block], branching, picks, w, den is not None)
+            _extend_block(block, types[block], branching, picks, w)
         law = NeighborhoodLaw(law.depth + 1, _sum_by_key(picks, den), mode=P.mode)
     return law
 
@@ -391,10 +390,10 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     one-element set, and one add to its parent's set.  Each (block,
     look-back) pair's child types and each final block class's edge list
     are computed the first time the sampler meets them, once per law.  A
-    depth k that is not an int raises ValueError, and a law with mass on a
-    cyclic class raises CyclicLawError.
+    depth k that is not an int >= 0 raises ValueError, and a law with mass
+    on a cyclic class raises CyclicLawError.
     """
-    _check_depth(k)
+    _check_int("depth", k, 0)
     h = P.depth
     if k < h:
         raise ValueError(f"output depth {k} below law depth {h}")
@@ -509,11 +508,9 @@ class ColoredRootedTree:
 def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> ColoredRootedTree:
     """Multi-type tree: root offspring from the base law, then per-color branch laws.
 
-    Raises ValueError for a depth k that is not an int, or is negative.
+    Raises ValueError for a depth k that is not an int >= 0.
     """
-    _check_depth(k)
-    if k < 0:
-        raise ValueError(f"output depth {k} is negative")
+    _check_int("depth", k, 0)
     colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
     hats = {c: _DrawTable(sorted(colored_branch_law(P, c).items())) for c in colors}
     base = _DrawTable(sorted(P.base.items()))

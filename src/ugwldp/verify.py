@@ -31,14 +31,9 @@ from .neighborhood import (
     mean_degree,
     truncate_law,
 )
-from .oracle import (
-    brute_ugw_marginal,
-    enumerate_configurations,
-    exact_acceptance_fraction,
-    exact_equivalent_count,
-)
+from .oracle import brute_ugw_marginal, exact_acceptance_fraction, exact_equivalent_count
 from .rooted import SimpleGraph
-from .tree_encoding import count_equivalent_graphs, is_h_treelike
+from .tree_encoding import count_equivalent_graphs, count_short_cycle_free, is_h_treelike
 from .ugw import consistency_check, edge_law_identity, marginal_ugw
 
 
@@ -219,12 +214,8 @@ def check_acceptance_fraction(quick=False):
     rng = random.Random(99)
     for D in cases:
         alpha = exact_acceptance_fraction(D, 2)
-        space = cm.config_space_size(D)
-        accepted = 0
-        for sigma in enumerate_configurations(D):
-            if not cm.has_cycle_leq(cm.colorblind_of(sigma), 2):
-                accepted += 1
-        if Fraction(accepted, space) != alpha:
+        accepted = count_short_cycle_free(D, 2) * cm.degree_factorials(D)
+        if Fraction(accepted, cm.config_space_size(D)) != alpha:
             return False, "cycle detectors disagree"
         if alpha > 0:
             G, _ = cm.sample_G_Dh(D, 2, rng, max_attempts=100000)

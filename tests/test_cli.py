@@ -281,7 +281,7 @@ class TestExitCodes:
         argv = ["sample-bipartite", "--p1", "2:1", "--p2", "3:1", "--depth", "-2"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: output depth -2 is negative\n"
+        assert err == "error: depth must be >= 0, got -2\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -343,7 +343,7 @@ class TestExitCodes:
         argv = ["sample-gdh", "--degrees", tiny_cycle_degrees, "--girth", "3"]
         code, out, err = run(capsys, *argv, "--max-attempts", cap)
         assert code == 1 and out == ""
-        assert err == f"error: max_attempts must be an int >= 1, got {cap}\n"
+        assert err == f"error: max_attempts must be >= 1, got {cap}\n"
 
     def test_unknown_law_mode_exit3(self, capsys, tmp_path):
         blob = NeighborhoodLaw.from_degree_law({3: Fraction(1)}).to_json()

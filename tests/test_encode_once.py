@@ -34,7 +34,8 @@ def test_bad_depth_is_rejected_by_name(name, h):
 def test_bad_sample_count_is_rejected_by_name(samples):
     rng = random.Random(0)
     state = rng.getstate()
-    with pytest.raises(ValueError, match=f"samples must be a positive int, got {samples!r}"):
+    form = "must be >= 1" if type(samples) is int else "must be an int"
+    with pytest.raises(ValueError, match=f"samples {form}, got {samples!r}"):
         verify_neighborhood_preservation(TREE, 2, samples, rng)
     assert rng.getstate() == state
 

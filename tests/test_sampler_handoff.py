@@ -123,5 +123,5 @@ def test_simple_graph_is_the_projection_of_sample_G_Dh(D, h):
 
 
 def test_simple_sample_keeps_the_argument_checks():
-    with pytest.raises(ValueError, match="h >= 2"):
+    with pytest.raises(ValueError, match="h must be >= 2, got 1"):
         _simple_sample(ONE_COLOR, 1, random.Random(0))

@@ -159,3 +159,34 @@ def test_short_cycle_intensity_enumerates_no_motif():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in banned
     ]
     assert calls == []
+
+
+def test_integer_parameters_have_one_check():
+    # rooted._check_int is the only code that asks whether an integer
+    # parameter is an int (a bool is not), and the checks it replaced are gone
+    (rooted,) = [path for path in SOURCES if path.name == "rooted.py"]
+    (check,) = [
+        node
+        for node in ast.parse(rooted.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_int"
+    ]
+    bool_tests = []
+    defined = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node))
+            ):
+                bool_tests.append((path.name, node.lineno))
+    inside = [
+        (name, line)
+        for name, line in bool_tests
+        if name == "rooted.py" and check.lineno <= line <= check.end_lineno
+    ]
+    assert inside and bool_tests == inside
+    assert not defined & {"_check_depth", "_check_law_depth", "_require_positive"}

@@ -162,6 +162,16 @@ class TestPreservation:
 
 
 class TestCounting:
+    def test_verify_checks_the_counter_itself(self, monkeypatch):
+        # verify's short-cycle-acceptance check reads count_short_cycle_free,
+        # not a loop of its own, against the brute-force acceptance fraction
+        from ugwldp import tree_encoding, verify
+
+        assert verify.check_acceptance_fraction(quick=True)[0]
+        count = tree_encoding.count_short_cycle_free
+        monkeypatch.setattr(verify, "count_short_cycle_free", lambda D, h: count(D, h) + 1)
+        assert verify.check_acceptance_fraction(quick=True) == (False, "cycle detectors disagree")
+
     def test_orderings(self):
         from ugwldp.config_model import DegreeSequence
 

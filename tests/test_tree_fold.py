@@ -24,6 +24,7 @@ from ugwldp.rooted import (
     canonical_from_adjacency,
     canonicalize,
     parse_class,
+    truncate,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -133,6 +134,28 @@ def test_deep_wire_string():
     got = parse_class(wire)
     assert got.kind == TREE and got.depth == 999 and got.encoding == wire
     assert parse_class(wire, 1000).depth == 1000
+
+
+def test_deep_truncation():
+    # the subtrees are truncated off a stack, bottom up, so no call recurses
+    deep = parse_class("(" * 1000 + ")" * 1000)
+    assert deep.depth == 999 > 500
+    got = truncate(deep, 500)
+    assert got.depth == 500 and got.encoding == "(" * 501 + ")" * 501
+    assert deep._truncations[500] is got and truncate(deep, 500) is got
+    # each level below keeps its own truncation, as the recursive joins did
+    child = deep.children[0]
+    assert child._truncations[499] is got.children[0]
+
+
+@SETTINGS
+@given(adj=trees(), h=st.integers(0, 6))
+def test_truncating_a_tree_class_is_canonicalizing_the_smaller_ball(adj, h):
+    for r in adj:
+        full = canonical_from_adjacency(adj, r, len(adj))
+        for k in range(h + 1):
+            want = canonical_from_adjacency(adj, r, k)
+            assert truncate(full, k) is (want if k < full.depth else full)
 
 
 @pytest.mark.parametrize("text", ["", "x", "(", ")(", "(x)", "(()", "(()]"])

@@ -487,7 +487,7 @@ class TestColored:
     def test_negative_depth_rejected(self):
         P = ColoredOffspringLaw(1, {((3,),): Fraction(1)})
         assert sample_ugw_colored(P, 0, random.Random(0)).n == 1
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             sample_ugw_colored(P, -1, random.Random(0))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
@@ -613,5 +613,5 @@ class TestBipartite:
 
     def test_negative_depth_rejected(self):
         assert len(sample_ugw_bipartite({2: 1}, {3: 1}, 0, random.Random(0)).adj) == 1
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
             sample_ugw_bipartite({2: 1}, {3: 1}, -2, random.Random(0))
