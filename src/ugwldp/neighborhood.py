@@ -19,6 +19,7 @@ from .rooted import (
     GENERAL,
     SimpleGraph,
     _check_int,
+    _redeclare,
     ball_classes,
     declare_depth,
     edge_type_table,
@@ -159,7 +160,7 @@ class NeighborhoodLaw:
                 raise ValueError(
                     f"support class of depth {cls.depth} in a depth-{depth} law"
                 )
-            pairs.append((declare_depth(cls, depth), p))
+            pairs.append((_redeclare(cls, depth), p))
         cleaned = dict(pairs)
         if len(cleaned) < len(pairs):
             cleaned = _sum_by_key(pairs)

@@ -463,9 +463,17 @@ def canonical_from_adjacency(adj, root, h, cut=None):
     the ball is a tree and the root's string is its class.  Otherwise the
     strings are folded into the colour of the core vertex they hang from,
     and only the core goes through :func:`canonical_labeling`.  Raises
-    EdgeAbsentError when cut is not adjacent to root.
+    ValueError, before any traversal, when root is not a vertex of adj (an
+    int with 0 <= root < len(adj) for a list or tuple, a key for a
+    mapping), and EdgeAbsentError when cut is not adjacent to root.
     """
     _check_int("depth", h, 0)
+    if isinstance(adj, (list, tuple)):
+        _check_int("root", root, 0)
+        if root >= len(adj):
+            raise ValueError(f"root must be < {len(adj)}, got {root!r}")
+    elif root not in adj:
+        raise ValueError(f"root {root!r} is not a vertex of adj")
     if cut is not None and cut not in adj[root]:
         raise EdgeAbsentError(f"{{{root}, {cut}}} is not an edge")
     dist = _ball(adj, root, h, cut)
@@ -778,10 +786,15 @@ def _radius(rep):
 def declare_depth(g: CanonicalClass, h: int) -> CanonicalClass:
     """The same structure re-declared at truncation depth h >= depth(g)."""
     _check_int("depth", h, 0)
+    if h < g.depth:
+        return _cut(g, h)
+    return _redeclare(g, h)
+
+
+def _redeclare(g, h):
+    """declare_depth for an int h >= depth(g), unchecked, as the law constructor calls it."""
     if h == g.depth:
         return g
-    if h < g.depth:
-        return truncate(g, h)
     return _intern(g.kind, h, g.encoding, g.rep)
 
 

@@ -326,10 +326,11 @@ class _DrawTable:
 class _Growth:
     """Sampling tables of one admissible law, kept on the law object.
 
-    Holds a draw table for the root block and one per edge type, and, for
-    each (block, look-back) pair the sampler has reached, the carried
-    types of the block's root children; for each block class it has hung
-    as a final block, that class's edges.
+    Holds a draw table for the root block and one per edge type; for each
+    (block, look-back) pair the sampler has reached, the block's root
+    children resolved to their look-back types and branch tables, once
+    per law; and for each block class it has hung as a final block, that
+    class's edges.
     """
 
     def __init__(self, P):
@@ -338,7 +339,7 @@ class _Growth:
             key: _DrawTable(law.sorted_items())
             for key, law in typed_branching_law(P).table.items()
         }
-        self.carried = {}
+        self.plans = {}
         self.edges = {}
 
     def branch(self, own, back):
@@ -353,10 +354,26 @@ class _Growth:
         back is the look-back type of tau's root, hung on the root's parent
         edge; None for the root block, whose root has no parent.
         """
-        got = self.carried.get((tau, back))
+        above = () if back is None else (back,)
+        return root_sides(tau, tau.depth, above)
+
+    def children(self, tau, back):
+        """tau's root children under look-back back, each resolved to its draw.
+
+        One (own_back, cumulative, total, items, last) tuple per child, in
+        :meth:`child_types` order, read off the child's branch table: a
+        draw is items[min(bisect_right(cumulative, r * total), last)], as
+        :meth:`_DrawTable.draw` makes it.  Built on the first call per
+        pair, so a missing branch raises MissingBranchError from there.
+        """
+        got = self.plans.get((tau, back))
         if got is None:
-            above = () if back is None else (back,)
-            got = self.carried[(tau, back)] = root_sides(tau, tau.depth, above)
+            got = []
+            for own, own_back in self.child_types(tau, back):
+                table = self.branch(own, own_back)
+                items = table.items
+                got.append((own_back, table.cumulative, table.total, items, len(items) - 1))
+            got = self.plans[(tau, back)] = tuple(got)
         return got
 
     def block_edges(self, tau):
@@ -387,9 +404,12 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
 
     The branch tables are built once per law object; after that a draw
     costs O(tree size): each new vertex is one dict entry holding a
-    one-element set, and one add to its parent's set.  Each (block,
-    look-back) pair's child types and each final block class's edge list
-    are computed the first time the sampler meets them, once per law.  A
+    one-element set, one add to its parent's set and, below the final
+    round, one rng.random() bisected into its branch table.  Each (block,
+    look-back) pair's children are resolved to their look-back types and
+    branch tables, and each final block class's edge list is computed,
+    the first time the sampler meets them, once per law; a growth round
+    looks up one plan per frontier vertex and nothing per child.  A
     depth k that is not an int >= 0 raises ValueError, and a law with mass
     on a cyclic class raises CyclicLawError.
     """
@@ -405,14 +425,17 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     # written straight into the adjacency
     adj = tree.adj
     frontier = [(0, growth.root.draw(rng), None)]
+    rand = rng.random
     for _ in range(k - h):
         nxt = []
         for v, tau, back in frontier:
-            for own, own_back in growth.child_types(tau, back):
+            nb = adj[v]
+            for own_back, cumulative, total, items, last in growth.children(tau, back):
                 c = len(adj)
                 adj[c] = {v}
-                adj[v].add(c)
-                nxt.append((c, growth.branch(own, own_back).draw(rng), own_back))
+                nb.add(c)
+                i = bisect_right(cumulative, rand() * total)
+                nxt.append((c, items[i if i < last else last], own_back))
         frontier = nxt
     for v, tau, _ in frontier:
         # the block's root is v, and its vertex j >= 1 gets the next free id off + j

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -300,3 +301,27 @@ class TestSerialization:
         assert any(cls.kind == "general" for cls in P)
         back = NeighborhoodLaw.from_json(P.to_json())
         assert back == P
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_law_build_checks_its_depth_once(mode, monkeypatch):
+    # the support classes are re-declared to the law's depth unchecked, so a
+    # law of k classes makes as many integer checks as a law of one
+    laws = {k: {star(d, 1): Fraction(1, k) for d in range(k)} for k in (1, 4, 16)}
+    calls = []
+    real = rooted._check_int
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ugwldp" and hasattr(mod, "_check_int"):
+            monkeypatch.setattr(mod, "_check_int", counted)
+    made = {}
+    for k, support in laws.items():
+        calls.clear()
+        P = NeighborhoodLaw(2, support, mode=mode)
+        assert len(P) == k and all(cls.depth == 2 for cls in P)
+        made[k] = len(calls)
+    assert made == {k: made[1] for k in laws}

@@ -9,11 +9,13 @@ import random
 
 import pytest
 
+from ugwldp import rooted
 from ugwldp.rooted import (
     EdgeAbsentError,
     KindMismatchError,
     LabeledRootedGraph,
     _radius,
+    canonical_from_adjacency,
     canonicalize,
     declare_depth,
     edge_type_count,
@@ -303,3 +305,36 @@ class TestEdgeTypes:
         with pytest.raises(ValueError):
             edge_type_table(c, 2)
         assert edge_type_table(declare_depth(c, 2), 2)
+
+
+class TestCanonicalFromAdjacencyRoot:
+    PATH3 = [[1], [0, 2], [1]]
+
+    @pytest.mark.parametrize(
+        "adj, root, message",
+        [
+            (PATH3, -1, "root must be >= 0, got -1"),
+            (PATH3, 3, "root must be < 3, got 3"),
+            (tuple(PATH3), 3, "root must be < 3, got 3"),
+            (PATH3, True, "root must be an int, got True"),
+            (PATH3, 1.0, "root must be an int, got 1.0"),
+            ({"a": {"b"}, "b": {"a"}}, "c", "root 'c' is not a vertex of adj"),
+            ({0: {1}, 1: {0}}, 2, "root 2 is not a vertex of adj"),
+        ],
+    )
+    def test_root_outside_adj_rejected_before_traversal(self, adj, root, message, monkeypatch):
+        walked = []
+        real = rooted._ball
+        monkeypatch.setattr(rooted, "_ball", lambda *a: walked.append(a) or real(*a))
+        with pytest.raises(ValueError, match=message):
+            canonical_from_adjacency(adj, root, 2)
+        with pytest.raises(ValueError, match=message):
+            canonical_from_adjacency(adj, root, 2, cut=0)
+        assert walked == []
+
+    def test_every_vertex_of_list_and_mapping_accepted(self):
+        labels = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        for v, label in enumerate("abc"):
+            want = canonical_from_adjacency(self.PATH3, v, 2)
+            assert canonical_from_adjacency(labels, label, 2) is want
+            assert canonical_from_adjacency(tuple(self.PATH3), v, 2) is want

@@ -139,6 +139,31 @@ def test_tree_samplers_write_their_adjacency_in_place():
     assert calls == []
 
 
+def test_sample_ugw_looks_up_nothing_per_child():
+    # each (block, look-back) pair's children are resolved to their branch
+    # tables once per law (_Growth.children), so no loop of sample_ugw asks
+    # for a child's types, its branch table or a table's draw
+    (path,) = [path for path in SOURCES if path.name == "ugw.py"]
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "sample_ugw"
+    ]
+    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+    assert loops
+    calls = [
+        f"{getattr(node.func, 'attr', getattr(node.func, 'id', None))}:{node.lineno}"
+        for loop in loops
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("branch", "draw", "child_types")
+    ]
+    assert calls == []
+
+
 def test_short_cycle_intensity_enumerates_no_motif():
     # the intensity is tr(B^l)/(2l) over a color transfer matrix: no motif
     # is built, canonicalized or counted, and the motif family is gone

@@ -22,6 +22,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugwldp.entropy import _log_factorial_term, ugw_entropy
 from ugwldp.neighborhood import (
@@ -42,7 +44,13 @@ from ugwldp.rooted import (
     star,
     truncate,
 )
-from ugwldp.ugw import marginal_ugw, sample_ugw, typed_branching_law
+from ugwldp.ugw import (
+    MissingBranchError,
+    _Growth,
+    marginal_ugw,
+    sample_ugw,
+    typed_branching_law,
+)
 from ugwldp.verify import marginal_law_pool
 
 
@@ -215,6 +223,75 @@ def test_fresh_law_object_each_draw():
         want = reference_sample_ugw(ref_law, 4, rng_ref)
         assert rng_lib.getstate() == rng_ref.getstate()
         assert canonicalize(got, 4) is canonicalize(want, 4)
+
+
+def reference_growth_loop(P, k, rng, growth):
+    """sample_ugw's rounds with a lookup per child: child types, then branch(...).draw(rng).
+
+    growth is a _Growth of P that the library sampler never reads, so its
+    per-(block, look-back) plans play no part here.
+    """
+    h = P.depth
+    tree = LabeledRootedGraph(root=0)
+    adj = tree.adj
+    frontier = [(0, growth.root.draw(rng), None)]
+    for _ in range(k - h):
+        nxt = []
+        for v, tau, back in frontier:
+            for own, own_back in growth.child_types(tau, back):
+                c = len(adj)
+                adj[c] = {v}
+                adj[v].add(c)
+                nxt.append((c, growth.branch(own, own_back).draw(rng), own_back))
+        frontier = nxt
+    for v, tau, _ in frontier:
+        off = len(adj) - 1
+        for i, j in growth.block_edges(tau):
+            u = off + i if i else v
+            adj[off + j] = {u}
+            adj[u].add(off + j)
+    return tree
+
+
+POOL = [P for P, _h, _k in marginal_law_pool()]
+POOL_GROWTH = [_Growth(P) for P in POOL]
+
+
+def _listing(tree):
+    return [(v, sorted(nb)) for v, nb in tree.adj.items()]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, len(POOL) - 1),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_plan_matches_per_child_lookups(index, extra, seed):
+    """Same vertex ids, adjacency key order, neighbours and generator state."""
+    P = POOL[index]
+    k = P.depth + extra
+    rng_lib, rng_ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got = sample_ugw(P, k, rng_lib)
+        want = reference_growth_loop(P, k, rng_ref, POOL_GROWTH[index])
+        assert _listing(got) == _listing(want)
+        assert rng_lib.getstate() == rng_ref.getstate()
+
+
+def test_missing_branch_raises_in_both_samplers():
+    """A branch table without a type the sampler reaches raises, plan or no plan."""
+    P = marginal_ugw(NeighborhoodLaw.from_degree_law(DEGREE_LAWS[2]), 2)
+    probe = _Growth(P)
+    block = probe.root.draw(random.Random(0))
+    (own, back), *_ = probe.child_types(block, None)
+    del typed_branching_law(P).table[(own, back)]
+    assert is_admissible(P)
+    for _ in range(2):
+        with pytest.raises(MissingBranchError, match="no branch law"):
+            sample_ugw(P, P.depth + 1, random.Random(0))
+        with pytest.raises(MissingBranchError, match="no branch law"):
+            reference_growth_loop(P, P.depth + 1, random.Random(0), _Growth(P))
 
 
 class TestCompiledOnce:
