@@ -5,6 +5,8 @@ enumeration, literal formula evaluation) so the closed-form
 implementations elsewhere have something independent to agree with.
 Oracles share only the canonical-class machinery and the definitional
 configuration-to-graph map; they are allowed to be exponentially slow.
+An integer parameter (h, k, limit) that is not an int >= 0, a bool
+included, raises ValueError before any enumeration.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ from .rooted import (
 )
 
 
+def _count(name, value):
+    """The oracle's own integer check, apart from the library's: an int >= 0, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+
+
 def enumerate_graphs(n: int, m: int):
     """All simple graphs on {0..n-1} with exactly m edges."""
     if n > 8:
@@ -64,6 +72,7 @@ def _all_matchings(points):
 
 def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
     """Every configuration of D exactly once (guarded by the space size)."""
+    _count("limit", limit)
     if config_space_size(D) > limit:
         raise ValueError("configuration space beyond the oracle limit")
     colors = matching_colors(D.L) + bijection_colors(D.L)
@@ -86,6 +95,7 @@ def exact_cm_law(D: DegreeSequence, limit: int = 10**6):
 
 def exact_fiber_sizes(D: DegreeSequence, limit: int = 10**6):
     """Configurations per projected graph, and the total configuration count."""
+    _count("limit", limit)
     total = 0
     counts = {}
     for sigma in enumerate_configurations(D):
@@ -118,6 +128,8 @@ def _has_short_cycle_brute(G: Multigraph, h: int) -> bool:
 
 def exact_acceptance_fraction(D: DegreeSequence, h: int, limit: int = 10**6) -> Fraction:
     """Fraction of configurations whose projection has no cycle <= h."""
+    _count("h", h)
+    _count("limit", limit)
     total = 0
     good = 0
     for sigma in enumerate_configurations(D):
@@ -137,6 +149,7 @@ def _ball_law(G: SimpleGraph, h: int) -> Counter:
 
 def exact_equivalent_count(G: SimpleGraph, h: int) -> int:
     """Graphs on [n] with the same edge count and depth-h law, by full scan."""
+    _count("h", h)
     if G.n > 7:
         raise ValueError("equivalent-graph scan is capped at n <= 7")
     target = _ball_law(G, h)
@@ -202,6 +215,7 @@ def brute_ugw_marginal(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
     of a grandchild is rebuilt explicitly from the sampled block and the
     parent's truncated view.
     """
+    _count("k", k)
     h = P.depth
     if k < h:
         raise ValueError("target depth below the law depth")

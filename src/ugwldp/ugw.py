@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -304,91 +303,123 @@ def edge_law_identity(P: NeighborhoodLaw) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _DrawTable:
-    """Weighted draws from [(item, weight)] in a fixed item order.
+def _table(pairs):
+    """Draw table of [(item, weight)] in a fixed item order: (cumulative, total, items, last).
 
-    A draw scales one rng.random() by the total weight and returns the
-    first item whose cumulative float weight exceeds it.
+    A draw scales one rng.random() by the total weight and takes
+    items[min(bisect_right(cumulative, r * total), last)], the first item
+    whose cumulative float weight exceeds it.
+    """
+    items = [item for item, _ in pairs]
+    cumulative = list(itertools.accumulate(float(w) for _, w in pairs))
+    return cumulative, float(sum(w for _, w in pairs)), items, len(items) - 1
+
+
+class _Plan:
+    """Compiled draws of one multi-type tree law, as :func:`_grow` reads them.
+
+    root is the root item's draw table and tables holds one per vertex
+    type, each a :func:`_table` tuple.  sides(item, carried) lists, in
+    the tree's child order, the (type, carry) pair of each child of a
+    vertex that drew item and carried `carried` from its parent;
+    leaves(item) lists the (i, j) edges, j > i, of the final block a
+    frontier vertex hangs for item.  Each (item, carried) pair's children,
+    resolved to their draw tables, and each item's final-block edges are
+    kept the first time the loop needs them, so a missing type raises
+    MissingBranchError from there.
     """
 
-    __slots__ = ("items", "cumulative", "total")
+    __slots__ = ("root", "tables", "sides", "leaves", "kids", "edges")
 
-    def __init__(self, items):
-        self.items = [item for item, _ in items]
-        self.cumulative = list(itertools.accumulate(float(w) for _, w in items))
-        self.total = float(sum(w for _, w in items))
-
-    def draw(self, rng: random.Random):
-        i = bisect_right(self.cumulative, rng.random() * self.total)
-        return self.items[min(i, len(self.items) - 1)]
-
-
-class _Growth:
-    """Sampling tables of one admissible law, kept on the law object.
-
-    Holds a draw table for the root block and one per edge type; for each
-    (block, look-back) pair the sampler has reached, the block's root
-    children resolved to their look-back types and branch tables, once
-    per law; and for each block class it has hung as a final block, that
-    class's edges.
-    """
-
-    def __init__(self, P):
-        self.root = _DrawTable(P.sorted_items())
-        self.branches = {
-            key: _DrawTable(law.sorted_items())
-            for key, law in typed_branching_law(P).table.items()
-        }
-        self.plans = {}
+    def __init__(self, root, tables, sides, leaves):
+        self.root = root
+        self.tables = tables
+        self.sides = sides
+        self.leaves = leaves
+        self.kids = {}
         self.edges = {}
 
-    def branch(self, own, back):
-        got = self.branches.get((own, back))
-        if got is None:
-            raise MissingBranchError(f"no branch law for type {(own, back)}")
-        return got
-
-    def child_types(self, tau, back):
-        """(own, look-back) types of tau's root children, in tau.rep[0] order.
-
-        back is the look-back type of tau's root, hung on the root's parent
-        edge; None for the root block, whose root has no parent.
-        """
-        above = () if back is None else (back,)
-        return root_sides(tau, tau.depth, above)
-
-    def children(self, tau, back):
-        """tau's root children under look-back back, each resolved to its draw.
-
-        One (own_back, cumulative, total, items, last) tuple per child, in
-        :meth:`child_types` order, read off the child's branch table: a
-        draw is items[min(bisect_right(cumulative, r * total), last)], as
-        :meth:`_DrawTable.draw` makes it.  Built on the first call per
-        pair, so a missing branch raises MissingBranchError from there.
-        """
-        got = self.plans.get((tau, back))
+    def children(self, item, carried):
+        """One (carry, cumulative, total, items, last) tuple per child."""
+        got = self.kids.get((item, carried))
         if got is None:
             got = []
-            for own, own_back in self.child_types(tau, back):
-                table = self.branch(own, own_back)
-                items = table.items
-                got.append((own_back, table.cumulative, table.total, items, len(items) - 1))
-            got = self.plans[(tau, back)] = tuple(got)
+            for kind, carry in self.sides(item, carried):
+                table = self.tables.get(kind)
+                if table is None:
+                    raise MissingBranchError(f"no branch law for type {kind}")
+                got.append((carry, *table))
+            got = self.kids[(item, carried)] = tuple(got)
         return got
 
-    def block_edges(self, tau):
-        """The (i, j) pairs with j > i of tau.rep, in rep order.
-
-        A tree's rep numbers its vertices in preorder, so each pair hangs
-        the new vertex j from the vertex i that an earlier pair (or, for
-        i = 0, the block's root) has already placed.
-        """
-        got = self.edges.get(tau)
+    def block_edges(self, item):
+        got = self.edges.get(item)
         if got is None:
-            got = self.edges[tau] = tuple(
-                (i, j) for i, nb in enumerate(tau.rep) for j in nb if j > i
-            )
+            got = self.edges[item] = tuple(self.leaves(item))
         return got
+
+
+def _grow(plan, rounds, rng):
+    """One tree of plan's law: the root's draw, `rounds` growth rounds, then the final blocks.
+
+    A round gives each frontier vertex its children, in frontier order,
+    and draws each child's item as it is placed.  Every edge hangs a new
+    vertex from one already placed, so it is written straight into
+    tree.adj: one set per new vertex and one add to its parent's set.  A
+    final block's vertex j >= 1 gets the next free id, len(adj) - 1 + j,
+    and its vertex 0 is the frontier vertex itself.
+    """
+    tree = LabeledRootedGraph(root=0)
+    adj = tree.adj
+    rand = rng.random
+    children = plan.children
+    cumulative, total, items, last = plan.root
+    i = bisect_right(cumulative, rand() * total)
+    frontier = [(0, items[i if i < last else last], None)]
+    for _ in range(rounds):
+        nxt = []
+        for v, item, carried in frontier:
+            nb = adj[v]
+            for carry, cumulative, total, items, last in children(item, carried):
+                c = len(adj)
+                adj[c] = {v}
+                nb.add(c)
+                i = bisect_right(cumulative, rand() * total)
+                nxt.append((c, items[i if i < last else last], carry))
+        frontier = nxt
+    for v, item, _ in frontier:
+        off = len(adj) - 1
+        for i, j in plan.block_edges(item):
+            u = off + i if i else v
+            w = off + j
+            adj[w] = {u}
+            adj[u].add(w)
+    return tree
+
+
+def _ugw_plan(P):
+    """sample_ugw's plan: items are depth-h tree classes, types their branch-law keys.
+
+    A final block's edges are the (i, j) pairs with j > i of its rep, in
+    rep order.  A tree's rep numbers its vertices in preorder, so each
+    pair hangs the new vertex j from a vertex i already placed.
+    """
+    return _Plan(
+        _table(P.sorted_items()),
+        {key: _table(law.sorted_items()) for key, law in typed_branching_law(P).table.items()},
+        _ugw_sides,
+        lambda tau: [(i, j) for i, nb in enumerate(tau.rep) for j in nb if j > i],
+    )
+
+
+def _ugw_sides(tau, back):
+    """tau's root children as ((own, look-back), look-back), in tau.rep[0] order.
+
+    back is the look-back type of tau's root, hung on the root as one more
+    child; None for the root block, whose root has no parent.
+    """
+    above = () if back is None else (back,)
+    return [((own, own_back), own_back) for own, own_back in root_sides(tau, tau.depth, above)]
 
 
 def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedGraph:
@@ -400,18 +431,16 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
     carried from the block the vertex's parent drew: a child's own type is
     its subtree in that block, and its look-back type is the rest of the
     block with the parent's look-back type hung above it.  Frontier
-    vertices are visited in their parents' order, then in block order.
+    vertices are visited in their parents' order, then in block order;
+    after k - h rounds each frontier vertex hangs the rest of its block.
 
-    The branch tables are built once per law object; after that a draw
-    costs O(tree size): each new vertex is one dict entry holding a
-    one-element set, one add to its parent's set and, below the final
-    round, one rng.random() bisected into its branch table.  Each (block,
-    look-back) pair's children are resolved to their look-back types and
-    branch tables, and each final block class's edge list is computed,
-    the first time the sampler meets them, once per law; a growth round
-    looks up one plan per frontier vertex and nothing per child.  A
-    depth k that is not an int >= 0 raises ValueError, and a law with mass
-    on a cyclic class raises CyclicLawError.
+    The draw tables are compiled once per law object into the plan that
+    :func:`_grow`, the one growth loop, runs; after that a draw costs
+    O(tree size): each new vertex is one dict entry holding a one-element
+    set, one add to its parent's set and, below the final round, one
+    rng.random() bisected into its branch table.  A depth k that is not an
+    int >= 0 raises ValueError, and a law with mass on a cyclic class
+    raises CyclicLawError.
     """
     _check_int("depth", k, 0)
     h = P.depth
@@ -419,33 +448,7 @@ def sample_ugw(P: NeighborhoodLaw, k: int, rng: random.Random) -> LabeledRootedG
         raise ValueError(f"output depth {k} below law depth {h}")
     if not is_admissible(P):
         raise ValueError("sampling requires an admissible law")
-    growth = P._derive("growth", _Growth)
-    tree = LabeledRootedGraph(root=0)
-    # every edge hangs a new vertex from one already placed, so it is
-    # written straight into the adjacency
-    adj = tree.adj
-    frontier = [(0, growth.root.draw(rng), None)]
-    rand = rng.random
-    for _ in range(k - h):
-        nxt = []
-        for v, tau, back in frontier:
-            nb = adj[v]
-            for own_back, cumulative, total, items, last in growth.children(tau, back):
-                c = len(adj)
-                adj[c] = {v}
-                nb.add(c)
-                i = bisect_right(cumulative, rand() * total)
-                nxt.append((c, items[i if i < last else last], own_back))
-        frontier = nxt
-    for v, tau, _ in frontier:
-        # the block's root is v, and its vertex j >= 1 gets the next free id off + j
-        off = len(adj) - 1
-        for i, j in growth.block_edges(tau):
-            u = off + i if i else v
-            w = off + j
-            adj[w] = {u}
-            adj[u].add(w)
-    return tree
+    return _grow(P._derive("plan", _ugw_plan), k - h, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -509,50 +512,30 @@ def colored_branch_law(P: ColoredOffspringLaw, c) -> dict:
     return out
 
 
-@dataclass
-class ColoredRootedTree:
-    """Rooted tree whose non-root vertices carry the color of their parent edge."""
+def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> LabeledRootedGraph:
+    """Depth-k multi-type tree: root offspring from the base law, then per-color branch laws.
 
-    n: int
-    root: int
-    parents: dict  # vertex -> parent
-    types: dict  # vertex -> color (absent for the root)
-
-    def colorblind(self) -> LabeledRootedGraph:
-        """The tree without its colors: the root, then vertices 0..n-1, as keys."""
-        g = LabeledRootedGraph(root=self.root)
-        adj = g.adj = {v: set() for v in (self.root, *range(self.n))}
-        for v, p in self.parents.items():
-            adj[v].add(p)
-            adj[p].add(v)
-        return g
-
-
-def sample_ugw_colored(P: ColoredOffspringLaw, k: int, rng: random.Random) -> ColoredRootedTree:
-    """Multi-type tree: root offspring from the base law, then per-color branch laws.
-
-    Raises ValueError for a depth k that is not an int >= 0.
+    A vertex's type is the color of its parent edge.  It draws an L x L
+    count matrix, the root from the base law and a vertex of color c from
+    :func:`colored_branch_law` (P, c), and has M[c] children of color c,
+    listed in color order.  Vertices are numbered in breadth-first order
+    and draw in that order; the depth-(k-1) vertices' children are leaves
+    and draw nothing, and at k = 0 the lone root draws nothing.  Returns
+    the tree without its colors, grown by :func:`_grow` from draw tables
+    built on every call.  Raises ValueError for a depth k that is not an
+    int >= 0.
     """
     _check_int("depth", k, 0)
+    if k == 0:
+        return LabeledRootedGraph(root=0)
     colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
-    hats = {c: _DrawTable(sorted(colored_branch_law(P, c).items())) for c in colors}
-    base = _DrawTable(sorted(P.base.items()))
-    parents: dict = {}
-    types: dict = {}
-    n = 1
-    frontier = deque([(0, None, 0)])  # (vertex, type, depth)
-    while frontier:
-        v, ctype, depth = frontier.popleft()
-        if depth >= k:
-            continue
-        M = (base if ctype is None else hats[ctype]).draw(rng)
-        for c in colors:
-            for _ in range(_mat_get(M, c)):
-                parents[n] = v
-                types[n] = c
-                frontier.append((n, c, depth + 1))
-                n += 1
-    return ColoredRootedTree(n, 0, parents, types)
+    plan = _Plan(
+        _table(sorted(P.base.items())),
+        {c: _table(sorted(colored_branch_law(P, c).items())) for c in colors},
+        lambda M, _: [(c, None) for c in colors for _ in range(_mat_get(M, c))],
+        lambda M: [(0, j) for j in range(1, sum(map(sum, M)) + 1)],
+    )
+    return _grow(plan, k - 1, rng)
 
 
 def _bipartite_law(P1, P2) -> ColoredOffspringLaw:
@@ -581,4 +564,4 @@ def sample_ugw_bipartite(P1, P2, k: int, rng: random.Random) -> LabeledRootedGra
     P_i; deeper type-i vertices reproduce by the size-biased law of P_i.
     One :func:`sample_ugw_colored` draw from :func:`_bipartite_law`.
     """
-    return sample_ugw_colored(_bipartite_law(P1, P2), k, rng).colorblind()
+    return sample_ugw_colored(_bipartite_law(P1, P2), k, rng)

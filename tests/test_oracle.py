@@ -115,3 +115,41 @@ class TestBruteMarginal:
             "((())())": Fraction(2, 9),
             "((())(()))": Fraction(2, 9),
         }
+
+
+class TestIntegerParameters:
+    """A bool, float or negative h, k or limit raises before any enumeration."""
+
+    D = DegreeSequence.single_color([2, 2, 2])
+
+    def test_valid_values_still_answer(self):
+        assert exact_acceptance_fraction(self.D, 3) == 0
+        assert exact_acceptance_fraction(self.D, 2, limit=15) == Fraction(8, 15)
+
+    @pytest.mark.parametrize("h", [True, False, 2.0, 2.5, -1])
+    def test_acceptance_fraction_depth(self, h):
+        # h = True ran as h = 1 and returned 8/15
+        with pytest.raises(ValueError, match="h must be an int >= 0"):
+            exact_acceptance_fraction(self.D, h)
+
+    @pytest.mark.parametrize("limit", [True, 10.0**6, -1])
+    def test_limit(self, limit):
+        with pytest.raises(ValueError, match="limit must be an int >= 0"):
+            exact_acceptance_fraction(self.D, 2, limit)
+        with pytest.raises(ValueError, match="limit must be an int >= 0"):
+            exact_cm_law(self.D, limit)
+        with pytest.raises(ValueError, match="limit must be an int >= 0"):
+            next(enumerate_configurations(self.D, limit))
+
+    @pytest.mark.parametrize("h", [True, 1.0, -1])
+    def test_equivalent_count_depth(self, h):
+        G = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="h must be an int >= 0"):
+            exact_equivalent_count(G, h)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, -1])
+    def test_brute_marginal_depth(self, k):
+        # k = 2.5 ran into a RecursionError
+        P = NeighborhoodLaw.from_degree_law({1: HALF, 2: HALF})
+        with pytest.raises(ValueError, match="k must be an int >= 0"):
+            brute_ugw_marginal(P, k)

@@ -111,55 +111,55 @@ def test_bipartite_sampler_has_no_loop_of_its_own():
     )
 
 
-def test_tree_samplers_write_their_adjacency_in_place():
-    # every edge the tree samplers add hangs a new vertex from one already
-    # placed, so they write tree.adj directly: no per-edge method call
+def _ugw_functions(*names):
     (path,) = [path for path in SOURCES if path.name == "ugw.py"]
     module = ast.parse(path.read_text(encoding="utf-8"))
-    (colored,) = [
-        node
-        for node in module.body
-        if isinstance(node, ast.ClassDef) and node.name == "ColoredRootedTree"
+    funcs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    return [funcs[name] for name in names]
+
+
+def _called(node):
+    return [
+        (getattr(call.func, "attr", getattr(call.func, "id", None)), call.lineno)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
     ]
-    funcs = {
-        f"{owner}{node.name}": node
-        for owner, body in (("", module.body), ("ColoredRootedTree.", colored.body))
-        for node in body
-        if isinstance(node, ast.FunctionDef) and node.name in ("sample_ugw", "colorblind")
-    }
-    assert set(funcs) == {"sample_ugw", "ColoredRootedTree.colorblind"}
-    calls = [
-        f"{name}:{node.lineno}"
-        for name, func in funcs.items()
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, (ast.Attribute, ast.Name))
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("add_edge", "_ensure")
-    ]
+
+
+def test_tree_samplers_write_their_adjacency_in_place():
+    # every edge the tree samplers add hangs a new vertex from one already
+    # placed, so their one growth loop, _grow, writes tree.adj directly: no
+    # per-edge method call
+    (grow,) = _ugw_functions("_grow")
+    calls = [f"{name}:{line}" for name, line in _called(grow) if name in ("add_edge", "_ensure")]
     assert calls == []
 
 
+def test_tree_samplers_share_one_growth_loop():
+    # sample_ugw and sample_ugw_colored compile their tables into a plan and
+    # hand it to _grow; neither holds a loop of its own
+    for func in _ugw_functions("sample_ugw", "sample_ugw_colored"):
+        loops = [
+            f"{func.name}:{node.lineno}"
+            for node in ast.walk(func)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+        ]
+        assert loops == []
+        assert "_grow" in [name for name, _ in _called(func)]
+
+
 def test_sample_ugw_looks_up_nothing_per_child():
-    # each (block, look-back) pair's children are resolved to their branch
-    # tables once per law (_Growth.children), so no loop of sample_ugw asks
-    # for a child's types, its branch table or a table's draw
-    (path,) = [path for path in SOURCES if path.name == "ugw.py"]
-    module = ast.parse(path.read_text(encoding="utf-8"))
-    (func,) = [
-        node
-        for node in module.body
-        if isinstance(node, ast.FunctionDef) and node.name == "sample_ugw"
-    ]
-    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+    # each (item, carried type) pair's children are resolved to their draw
+    # tables once per plan (_Plan.children), so no loop of _grow asks for a
+    # child's types, its table or a table's draw
+    (grow,) = _ugw_functions("_grow")
+    loops = [node for node in ast.walk(grow) if isinstance(node, ast.For)]
     assert loops
     calls = [
-        f"{getattr(node.func, 'attr', getattr(node.func, 'id', None))}:{node.lineno}"
+        f"{name}:{line}"
         for loop in loops
-        for node in ast.walk(loop)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, (ast.Attribute, ast.Name))
-        and getattr(node.func, "attr", getattr(node.func, "id", None))
-        in ("branch", "draw", "child_types")
+        for name, line in _called(loop)
+        if name in ("sides", "get", "branch", "draw", "child_types", "root_sides")
     ]
     assert calls == []
 

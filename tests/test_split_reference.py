@@ -38,7 +38,7 @@ from ugwldp.rooted import (
     split_at_edge,
     truncate,
 )
-from ugwldp.ugw import _assemble, _child_types, _Growth, marginal_ugw
+from ugwldp.ugw import _assemble, _child_types, _ugw_sides, marginal_ugw
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -391,13 +391,13 @@ class TestTreeAlgebra:
     def test_carried_types_with_a_hung_look_back(self):
         pairs = 0
         for Q in _marginals():
-            growth = _Growth(Q)
             support = Q.sorted_items()
             backs = [None] + [truncate(b, Q.depth - 1) for b, _ in support[:6]]
             for block, _ in support:
                 for back in backs:
                     want = reference_carried_types(block, back)
-                    assert growth.child_types(block, back) == want
+                    assert [kind for kind, _ in _ugw_sides(block, back)] == want
+                    assert [carry for _, carry in _ugw_sides(block, back)] == [b for _, b in want]
                     above = () if back is None else (back,)
                     assert root_sides(block, block.depth, above) == want
                     pairs += 1

@@ -477,23 +477,23 @@ class TestColored:
     def test_deterministic_regular(self):
         P = ColoredOffspringLaw(1, {((3,),): Fraction(1)})
         t = sample_ugw_colored(P, 3, random.Random(0))
-        assert t.n == 1 + 3 + 6 + 12
+        assert len(t.adj) == 1 + 3 + 6 + 12
 
     def test_all_zero_law(self):
         P = ColoredOffspringLaw(1, {((0,),): Fraction(1)})
         t = sample_ugw_colored(P, 5, random.Random(0))
-        assert t.n == 1
+        assert len(t.adj) == 1
 
     def test_negative_depth_rejected(self):
         P = ColoredOffspringLaw(1, {((3,),): Fraction(1)})
-        assert sample_ugw_colored(P, 0, random.Random(0)).n == 1
+        assert len(sample_ugw_colored(P, 0, random.Random(0)).adj) == 1
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             sample_ugw_colored(P, -1, random.Random(0))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
     def test_depth_not_an_int_rejected(self, k):
         P = ColoredOffspringLaw(1, {((2,),): Fraction(1)})
-        assert sample_ugw_colored(P, 2, random.Random(0)).n == 5
+        assert len(sample_ugw_colored(P, 2, random.Random(0)).adj) == 5
         with pytest.raises(ValueError, match="depth must be an int"):
             sample_ugw_colored(P, k, random.Random(0))
         with pytest.raises(ValueError, match="depth must be an int"):
@@ -516,7 +516,7 @@ class TestColored:
 
     def test_float_mass_within_tolerance_accepted(self):
         P = ColoredOffspringLaw(1, {((2,),): 0.5, ((3,),): 0.5 + 1e-13})
-        assert sample_ugw_colored(P, 1, random.Random(0)).n in (3, 4)
+        assert len(sample_ugw_colored(P, 1, random.Random(0)).adj) in (3, 4)
 
     def test_bipartite_degree_law_not_a_probability_law_rejected(self):
         with pytest.raises(ValueError, match="total mass"):
@@ -534,7 +534,7 @@ class TestColored:
         law = NeighborhoodLaw.from_degree_law(deg)
         rng = random.Random(11)
         N = 20000
-        colored = [sample_ugw_colored(P1, 2, rng).colorblind() for _ in range(N)]
+        colored = [sample_ugw_colored(P1, 2, rng) for _ in range(N)]
         emp_c = empirical_law(colored, 2)
         target = marginal_ugw(law, 2)
         assert float(tv_distance(emp_c, target)) < 0.01

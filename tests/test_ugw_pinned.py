@@ -13,7 +13,13 @@ from fractions import Fraction
 import pytest
 
 from ugwldp.neighborhood import NeighborhoodLaw
-from ugwldp.ugw import marginal_ugw, sample_ugw, sample_ugw_bipartite
+from ugwldp.ugw import (
+    ColoredOffspringLaw,
+    marginal_ugw,
+    sample_ugw,
+    sample_ugw_bipartite,
+    sample_ugw_colored,
+)
 
 LAWS = {
     # the bench's ugw-sample law
@@ -44,6 +50,37 @@ BIPARTITE = {
     6: "20f7adaad59d7c2ae1460e229b4c760b94f1cbc4b90d161d6664e774997e0599",
 }
 
+A = ((0, 2, 0), (0, 0, 1), (1, 0, 0))
+COLORED_LAWS = {
+    "L1": ColoredOffspringLaw(
+        1, {((0,),): Fraction(1, 4), ((1,),): Fraction(1, 4), ((3,),): Fraction(1, 2)}
+    ),
+    # A and its transpose balance each other, the other matrices are symmetric,
+    # and color (3, 3) has mean zero
+    "L3": ColoredOffspringLaw(
+        3,
+        {
+            A: Fraction(1, 6),
+            tuple(zip(*A)): Fraction(1, 6),
+            ((1, 0, 0), (0, 0, 1), (0, 1, 0)): Fraction(1, 4),
+            ((0, 0, 0), (0, 1, 0), (0, 0, 0)): Fraction(1, 4),
+            ((0, 0, 0), (0, 0, 0), (0, 0, 0)): Fraction(1, 6),
+        },
+    ),
+}
+
+# SHA-256 per (law, output depth) of sample_ugw_colored
+COLORED = {
+    ("L1", 0): "adff98aebe25db13fce8010fe79562ce8f27a6eeb2409c0b01dd1015cebf635d",
+    ("L1", 1): "b2cf14263d28e97acab4f39267fc0cef5b6aa7c03e6e64ba556dbd3732f35d6a",
+    ("L1", 3): "bcdd5ebd6e992d9c4546f06a5a9ddd51bbddeac71191b5a65b6a46a745162fc0",
+    ("L1", 5): "02827bd4f70be50824476f999ff6a7d26a5c87ea1e8e60f5e7a38ebc44024467",
+    ("L3", 0): "adff98aebe25db13fce8010fe79562ce8f27a6eeb2409c0b01dd1015cebf635d",
+    ("L3", 1): "139185b2b32d62ddbf03b4ab4f146a8574c5eb7d5f16b8857006feebe76129ba",
+    ("L3", 3): "a1d0be589c8a54fd3082980167e07e6003640190ab38959d8770d4fb643e1193",
+    ("L3", 5): "58f28edb12b2cf6670296d33f3eb75fa29df8b182f89e04dfdb009c9151ac546",
+}
+
 
 def digest(sample):
     h = hashlib.sha256()
@@ -68,15 +105,21 @@ def test_sample_ugw_bipartite_pinned(k):
     assert got == BIPARTITE[k]
 
 
+@pytest.mark.parametrize("name, k", list(COLORED), ids=lambda x: str(x))
+def test_sample_ugw_colored_pinned(name, k):
+    law = COLORED_LAWS[name]
+    assert digest(lambda rng: sample_ugw_colored(law, k, rng)) == COLORED[(name, k)]
+
+
 def test_block_edges_are_kept_once_per_class():
     law = LAWS["rational"]()
     rng = random.Random(3)
     for _ in range(50):
         sample_ugw(law, 4, rng)
-    growth = law._derive("growth", None)
-    edges = growth.edges
+    plan = law._derive("plan", None)
+    edges = plan.edges
     # one entry per distinct block class drawn: root blocks and branch blocks
-    drawable = set(law.support).union(*(table.items for table in growth.branches.values()))
+    drawable = set(law.support).union(*(items for _, _, items, _ in plan.tables.values()))
     assert edges and set(edges) <= drawable
     for tau, pairs in edges.items():
         assert pairs == tuple((i, j) for i, nb in enumerate(tau.rep) for j in nb if j > i)

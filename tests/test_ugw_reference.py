@@ -13,12 +13,15 @@ edge-type tables and subtree counts, as the library did before it read
 one table of root edge types per law.
 """
 
+import itertools
 import json
 import math
 import pickle
 import random
 import sys
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -40,15 +43,19 @@ from ugwldp.rooted import (
     children_subtrees,
     drop_root_child,
     edge_type_table,
+    root_sides,
     split_at_edge,
     star,
     truncate,
 )
 from ugwldp.ugw import (
+    ColoredOffspringLaw,
     MissingBranchError,
-    _Growth,
+    _mat_get,
+    colored_branch_law,
     marginal_ugw,
     sample_ugw,
+    sample_ugw_colored,
     typed_branching_law,
 )
 from ugwldp.verify import marginal_law_pool
@@ -225,36 +232,68 @@ def test_fresh_law_object_each_draw():
         assert canonicalize(got, 4) is canonicalize(want, 4)
 
 
-def reference_growth_loop(P, k, rng, growth):
-    """sample_ugw's rounds with a lookup per child: child types, then branch(...).draw(rng).
+class _DrawTable:
+    """Weighted draws from [(item, weight)] in a fixed item order.
 
-    growth is a _Growth of P that the library sampler never reads, so its
-    per-(block, look-back) plans play no part here.
+    A draw scales one rng.random() by the total weight and returns the
+    first item whose cumulative float weight exceeds it.
     """
+
+    __slots__ = ("items", "cumulative", "total")
+
+    def __init__(self, items):
+        self.items = [item for item, _ in items]
+        self.cumulative = list(itertools.accumulate(float(w) for _, w in items))
+        self.total = float(sum(w for _, w in items))
+
+    def draw(self, rng: random.Random):
+        i = bisect_right(self.cumulative, rng.random() * self.total)
+        return self.items[min(i, len(self.items) - 1)]
+
+
+def reference_tables(P):
+    """A draw table for the root block and one per branch-law key of P."""
+    branches = {key: _DrawTable(law.sorted_items()) for key, law in typed_branching_law(P).table.items()}
+    return _DrawTable(P.sorted_items()), branches
+
+
+def reference_growth_loop(P, k, rng, tables):
+    """sample_ugw's rounds with a lookup per child: its types, then its table's draw.
+
+    tables come from :func:`reference_tables`, built apart from the law's
+    compiled plan, and each child's types are read off root_sides.
+    """
+    root, branches = tables
     h = P.depth
     tree = LabeledRootedGraph(root=0)
     adj = tree.adj
-    frontier = [(0, growth.root.draw(rng), None)]
+    frontier = [(0, root.draw(rng), None)]
     for _ in range(k - h):
         nxt = []
         for v, tau, back in frontier:
-            for own, own_back in growth.child_types(tau, back):
+            above = () if back is None else (back,)
+            for own, own_back in root_sides(tau, tau.depth, above):
                 c = len(adj)
                 adj[c] = {v}
                 adj[v].add(c)
-                nxt.append((c, growth.branch(own, own_back).draw(rng), own_back))
+                table = branches.get((own, own_back))
+                if table is None:
+                    raise MissingBranchError(f"no branch law for type {(own, own_back)}")
+                nxt.append((c, table.draw(rng), own_back))
         frontier = nxt
     for v, tau, _ in frontier:
         off = len(adj) - 1
-        for i, j in growth.block_edges(tau):
-            u = off + i if i else v
-            adj[off + j] = {u}
-            adj[u].add(off + j)
+        for i, nb in enumerate(tau.rep):
+            for j in nb:
+                if j > i:
+                    u = off + i if i else v
+                    adj[off + j] = {u}
+                    adj[u].add(off + j)
     return tree
 
 
 POOL = [P for P, _h, _k in marginal_law_pool()]
-POOL_GROWTH = [_Growth(P) for P in POOL]
+POOL_TABLES = [reference_tables(P) for P in POOL]
 
 
 def _listing(tree):
@@ -274,7 +313,7 @@ def test_compiled_plan_matches_per_child_lookups(index, extra, seed):
     rng_lib, rng_ref = random.Random(seed), random.Random(seed)
     for _ in range(3):
         got = sample_ugw(P, k, rng_lib)
-        want = reference_growth_loop(P, k, rng_ref, POOL_GROWTH[index])
+        want = reference_growth_loop(P, k, rng_ref, POOL_TABLES[index])
         assert _listing(got) == _listing(want)
         assert rng_lib.getstate() == rng_ref.getstate()
 
@@ -282,16 +321,101 @@ def test_compiled_plan_matches_per_child_lookups(index, extra, seed):
 def test_missing_branch_raises_in_both_samplers():
     """A branch table without a type the sampler reaches raises, plan or no plan."""
     P = marginal_ugw(NeighborhoodLaw.from_degree_law(DEGREE_LAWS[2]), 2)
-    probe = _Growth(P)
-    block = probe.root.draw(random.Random(0))
-    (own, back), *_ = probe.child_types(block, None)
+    root, _ = reference_tables(P)
+    block = root.draw(random.Random(0))
+    (own, back), *_ = root_sides(block, block.depth)
     del typed_branching_law(P).table[(own, back)]
     assert is_admissible(P)
     for _ in range(2):
         with pytest.raises(MissingBranchError, match="no branch law"):
             sample_ugw(P, P.depth + 1, random.Random(0))
         with pytest.raises(MissingBranchError, match="no branch law"):
-            reference_growth_loop(P, P.depth + 1, random.Random(0), _Growth(P))
+            reference_growth_loop(P, P.depth + 1, random.Random(0), reference_tables(P))
+
+
+# ---------------------------------------------------------------------------
+# The colored sampler against its breadth-first reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ColoredRootedTree:
+    """Rooted tree whose non-root vertices carry the color of their parent edge."""
+
+    n: int
+    root: int
+    parents: dict  # vertex -> parent
+    types: dict  # vertex -> color (absent for the root)
+
+    def colorblind(self) -> LabeledRootedGraph:
+        """The tree without its colors: the root, then vertices 0..n-1, as keys."""
+        g = LabeledRootedGraph(root=self.root)
+        adj = g.adj = {v: set() for v in (self.root, *range(self.n))}
+        for v, p in self.parents.items():
+            adj[v].add(p)
+            adj[p].add(v)
+        return g
+
+
+def reference_sample_ugw_colored(P, k, rng):
+    """A deque BFS that draws each vertex's matrix from tables built per call."""
+    colors = [(i, j) for i in range(1, P.L + 1) for j in range(1, P.L + 1)]
+    hats = {c: _DrawTable(sorted(colored_branch_law(P, c).items())) for c in colors}
+    base = _DrawTable(sorted(P.base.items()))
+    parents: dict = {}
+    types: dict = {}
+    n = 1
+    frontier = deque([(0, None, 0)])  # (vertex, type, depth)
+    while frontier:
+        v, ctype, depth = frontier.popleft()
+        if depth >= k:
+            continue
+        M = (base if ctype is None else hats[ctype]).draw(rng)
+        for c in colors:
+            for _ in range(_mat_get(M, c)):
+                parents[n] = v
+                types[n] = c
+                frontier.append((n, c, depth + 1))
+                n += 1
+    return ColoredRootedTree(n, 0, parents, types).colorblind()
+
+
+@st.composite
+def colored_laws(draw):
+    """A balanced offspring law: each matrix and its transpose share a weight.
+
+    A matrix holds at most four children.  One color and its conjugate
+    may be left out of every matrix, so that they have mean zero.
+    """
+    L = draw(st.integers(1, 3))
+    colors = [(i, j) for i in range(1, L + 1) for j in range(1, L + 1)]
+    dead = draw(st.none() | st.sampled_from(colors))
+    live = [c for c in colors if dead not in (c, c[::-1])]
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    exact = draw(st.booleans())
+    total = 2 * sum(weights)
+    base = {}
+    for w in weights:
+        rows = [[0] * L for _ in range(L)]
+        for i, j in draw(st.lists(st.sampled_from(live), max_size=4)) if live else ():
+            rows[i - 1][j - 1] += 1
+        M = tuple(map(tuple, rows))
+        for X in (M, tuple(zip(*M))):
+            base[X] = base.get(X, 0) + (Fraction(w, total) if exact else w / total)
+    return ColoredOffspringLaw(L, base)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(P=colored_laws(), seed=st.integers(0, 2**32 - 1))
+def test_colored_sampler_matches_bfs_reference(P, seed):
+    """Same vertex ids, adjacency key order, neighbours and generator state at k = 0..5."""
+    rng_lib, rng_ref = random.Random(seed), random.Random(seed)
+    for k in range(6):
+        for _ in range(3):
+            got = sample_ugw_colored(P, k, rng_lib)
+            want = reference_sample_ugw_colored(P, k, rng_ref)
+            assert _listing(got) == _listing(want)
+            assert rng_lib.getstate() == rng_ref.getstate()
 
 
 class TestCompiledOnce:
