@@ -19,6 +19,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rooted import SimpleGraph, _ball, _check_int, _has_short_cycle, canonical_labeling
 
@@ -233,38 +234,87 @@ def degree_sequence_of(G: ColoredMultigraph) -> DegreeSequence:
 
 
 class Multigraph:
-    """Undirected multigraph: symmetric weights, even diagonal (two per loop)."""
+    """Undirected multigraph on 0..n-1, stored as its vertex-indexed adjacency.
 
-    __slots__ = ("n", "w")
+    adj[u] maps each neighbour v != u to the multiplicity of the edge uv,
+    so adj[u][v] == adj[v][u] and iterating adj[u] gives u's neighbours,
+    as the girth code of :mod:`rooted` reads them; loops[u] counts the
+    loops at u.  Multigraph(n, w) builds it from a weight dict whose keys
+    are (u, v) with 0 <= u <= v < n and whose counts are ints >= 1, two
+    per loop on the diagonal; anything else raises ValueError.  The
+    projections :func:`colorblind` and :func:`colorblind_of` write adj and
+    loops directly, and the readers of the cycle statistics take them as
+    stored.  `w` derives the weight dict back, in O(n + edges log deg)
+    per read, for the file writer and the brute-force oracle.
+    """
+
+    __slots__ = ("n", "adj", "loops")
 
     def __init__(self, n, w=None):
-        self.n = n
-        self.w = dict(w or {})  # (u, v) with u <= v -> count; (u,u) even
+        _check_int("n", n, 0)
+        adj = [{} for _ in range(n)]
+        loops = [0] * n
+        for key, m in (w or {}).items():
+            u, v = key
+            _check_int("vertex", u, 0)
+            _check_int("vertex", v, 0)
+            if u > v or v >= n:
+                raise ValueError(f"weight key {key!r} is not (u, v) with u <= v < {n}")
+            _check_int(f"weight of {key!r}", m, 1)
+            if u == v:
+                if m % 2:
+                    raise ValueError(f"weight of loop {key!r} is odd: a loop weighs 2, got {m}")
+                loops[u] = m // 2
+            else:
+                adj[u][v] = adj[v][u] = m
+        self.n, self.adj, self.loops = n, adj, loops
+
+    @classmethod
+    def _of(cls, n, adj, loops):
+        """The multigraph of a prepared adjacency and loop list, taken as they are."""
+        G = cls.__new__(cls)
+        G.n, G.adj, G.loops = n, adj, loops
+        return G
+
+    @property
+    def w(self):
+        """The weight dict, derived and read-only: (u, v) with u <= v -> count, in sorted order.
+
+        A loop weighs 2, so the count at (u, u) is 2 * loops[u].
+        """
+        out = {}
+        for u, (nbrs, k) in enumerate(zip(self.adj, self.loops)):
+            if k:
+                out[(u, u)] = 2 * k
+            for v in sorted(nbrs):
+                if v > u:
+                    out[(u, v)] = nbrs[v]
+        return MappingProxyType(out)
 
     def weight(self, u, v):
-        return self.w.get((min(u, v), max(u, v)), 0)
+        return 2 * self.loops[u] if u == v else self.adj[u].get(v, 0)
 
     def adjacency(self):
-        """A list indexed by vertex: adj[v] maps each neighbour of v to the edge multiplicity.
-
-        Loops are left out, so iterating adj[v] gives v's neighbours, as the
-        girth code of :mod:`rooted` reads a vertex-indexed adjacency.
-        """
-        adj = [{} for _ in range(self.n)]
-        for (u, v), m in self.w.items():
-            if u == v:
-                continue
-            adj[u][v] = m
-            adj[v][u] = m
-        return adj
+        """The stored vertex-indexed adjacency adj itself, as SimpleGraph.adjacency() lists it."""
+        return self.adj
 
 
 def colorblind(G: ColoredMultigraph) -> Multigraph:
-    out = {}
-    for (c, u, v), m in G.w.items():
-        if u <= v:
-            out[(u, v)] = out.get((u, v), 0) + m
-    return Multigraph(G.n, out)
+    """Forget the colors of G: one pass over its weights writes adj and loops.
+
+    A key (c, u, v) with u < v adds its weight to the edge uv, and its
+    twin (conj c, v, u) is skipped; the loop weights at u, two per loop
+    over the keys (c, u, u), are summed and halved.  Cost O(n + |G.w|).
+    """
+    adj = [{} for _ in range(G.n)]
+    loops = [0] * G.n
+    for (_, u, v), m in G.w.items():
+        if u < v:
+            au = adj[u]
+            au[v] = adj[v][u] = au.get(v, 0) + m
+        elif u == v:
+            loops[u] += m
+    return Multigraph._of(G.n, adj, [k // 2 for k in loops])
 
 
 def colorblind_simple(G: ColoredMultigraph):
@@ -281,21 +331,19 @@ def colorblind_simple(G: ColoredMultigraph):
 def has_cycle_leq(G: Multigraph, h: int) -> bool:
     """Any cycle of length <= h: loops count as 1, double edges as 2.
 
-    Loops and double edges are read off the weights; for h >= 3 the girth
-    of the underlying simple graph is tested on the vertex-indexed
-    G.adjacency() by :func:`rooted._has_short_cycle`.
+    Loops are read off G.loops and double edges off G.adj; for h >= 3 the
+    girth of the underlying simple graph is tested on G.adj itself by
+    :func:`rooted._has_short_cycle`.  Cost O(n + edges), plus that girth
+    test.
     """
     _check_int("h", h, 1)
-    for (u, v), m in G.w.items():
-        if u == v and m > 0:
-            return True
-    if h >= 2:
-        for (u, v), m in G.w.items():
-            if u != v and m >= 2:
-                return True
+    if any(G.loops):
+        return True
+    if h >= 2 and any(m >= 2 for nbrs in G.adj for m in nbrs.values()):
+        return True
     if h < 3:
         return False
-    return _has_short_cycle(G.adjacency(), h)
+    return _has_short_cycle(G.adj, h)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +462,24 @@ def graph_of(sigma: Configuration) -> ColoredMultigraph:
 def colorblind_of(sigma: Configuration) -> Multigraph:
     """colorblind(graph_of(sigma)), in one pass over the pairs of sigma.
 
-    Colors are forgotten: a loop adds 2 to (u, u), any other pair adds 1
-    to (min, max).  The weights equal the two-step projection's, entry for
-    entry; only the dict's insertion order may differ.
+    Colors are forgotten: a loop adds 1 to loops[u], any other pair adds 1
+    to the multiplicity at adj[u][v] and adj[v][u].  The result equals the
+    two-step projection's, neighbour for neighbour and in the same order.
+    Cost O(n + pairs).
     """
-    w: dict = {}
+    n = sigma.D.n
+    adj = [{} for _ in range(n)]
+    loops = [0] * n
     for (_, u, _), (_, v, _) in itertools.chain(*sigma.pairs.values()):
-        key = (u, v) if u <= v else (v, u)
-        w[key] = w.get(key, 0) + (2 if u == v else 1)
-    return Multigraph(sigma.D.n, w)
+        if u == v:
+            loops[u] += 1
+            continue
+        au = adj[u]
+        if v in au:
+            au[v] = adj[v][u] = au[v] + 1
+        else:
+            au[v] = adj[v][u] = 1
+    return Multigraph._of(n, adj, loops)
 
 
 def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:
@@ -812,7 +869,7 @@ def ball_of(G: ColoredMultigraph, v: int, depth: int) -> ExploredNeighborhood:
     if v >= G.n:
         raise ValueError(f"v must be < {G.n}, got {v!r}")
     _check_int("depth", depth, 0)
-    dist = _ball(colorblind(G).adjacency(), v, depth)
+    dist = _ball(colorblind(G).adj, v, depth)
     edges = [(a, b, c) for c, a, b in G.edges() if a in dist and b in dist]
     is_tree = len(edges) == len(dist) - 1 and all(u != w for u, w, _ in edges)
     return ExploredNeighborhood(v, dist, edges, is_tree)
@@ -882,7 +939,8 @@ def read_colored_graph(path) -> ColoredMultigraph:
 
 
 def write_colorblind(path, G: Multigraph):
+    """Header "n", then one line "u v m" per weight G.w[(u, v)] = m, in sorted order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{G.n}\n")
-        for (u, v), m in sorted(G.w.items()):
+        for (u, v), m in G.w.items():
             fh.write(f"{u} {v} {m}\n")

@@ -30,41 +30,37 @@ def cycle_counts(bar) -> dict:
 
     A cycle counts once per choice of edges, so it weighs the product of
     its edges' multiplicities: an edge of multiplicity m holds C(m, 2)
-    2-cycles, and each loop is a 1-cycle.  One pass over bar.w counts the
-    loops and parallel pairs and builds the vertex-indexed multiplicity
-    adjacency, with each vertex's upper neighbours (u > x) listed apart.
-    Triangles are counted from their least vertex x over x < u < w.  A
-    4-cycle is counted from its least vertex x: the 2-paths x-u-w with
-    u, w > x are grouped by their far end w, and each new path of weight
-    p pairs with the running weight s of the earlier ones, adding s * p.
-    Cost O(sum of deg^2).
+    2-cycles, and each loop is a 1-cycle.  The loops are summed off
+    bar.loops; everything else is read off the stored adjacency bar.adj,
+    from each vertex x to its upper neighbours u > x.  An edge x-u counts
+    its parallel pairs there, once.  Triangles are counted from their least
+    vertex x over x < u < w.  A 4-cycle is counted from its least vertex
+    x: the 2-paths x-u-w with u, w > x are grouped by their far end w, and
+    each new path of weight p pairs with the running weight s of the
+    earlier ones, adding s * p.  Cost O(n + sum of deg^2), with nothing
+    rebuilt.
     """
-    adj = [{} for _ in range(bar.n)]
-    up = [[] for _ in range(bar.n)]
-    loops = parallel = triangles = squares = 0
-    for (u, v), m in bar.w.items():  # u <= v in every Multigraph key
-        if u == v:
-            loops += m // 2
-            continue
-        parallel += m * (m - 1) // 2
-        adj[u][v] = m
-        adj[v][u] = m
-        up[u].append(v)
-    for x, ux in enumerate(up):
-        ax = adj[x]
+    adj = bar.adj
+    parallel = triangles = squares = 0
+    for x, ax in enumerate(adj):
         far: dict = {}  # w -> summed weight of the 2-paths x-u-w so far
-        for u in ux:
-            mxu = ax[u]
+        for u, mxu in ax.items():
+            if u < x:
+                continue
+            parallel += mxu * (mxu - 1) // 2
             for w, muw in adj[u].items():
                 if w <= x:
                     continue
                 p = mxu * muw
                 if w > u and w in ax:
                     triangles += p * ax[w]
-                s = far.get(w, 0)
-                squares += s * p
-                far[w] = s + p
-    return {1: loops, 2: parallel, 3: triangles, 4: squares}
+                if w in far:
+                    s = far[w]
+                    squares += s * p
+                    far[w] = s + p
+                else:
+                    far[w] = p
+    return {1: sum(bar.loops), 2: parallel, 3: triangles, 4: squares}
 
 
 def regular_intensity(d: int, ell: int) -> float:
@@ -230,12 +226,12 @@ def concentrate_experiment(d: int, n_list, samples: int, seed: int):
             # no loops anywhere in the ball, no edges among the neighbors
             rng = random.Random(s)
             bar = colorblind_of(sample_configuration(D, rng))
-            adj = bar.adjacency()
+            adj, loops = bar.adj, bar.loops
             hits = 0
             for v, nbrs in enumerate(adj):
-                if (v, v) in bar.w or len(nbrs) != d or any(m != 1 for m in nbrs.values()):
+                if loops[v] or len(nbrs) != d or any(m != 1 for m in nbrs.values()):
                     continue
-                if any((u, u) in bar.w for u in nbrs):
+                if any(loops[u] for u in nbrs):
                     continue
                 ns = sorted(nbrs)
                 if any(w in adj[u] for i, u in enumerate(ns) for w in ns[i + 1 :]):

@@ -6,7 +6,8 @@ implementations elsewhere have something independent to agree with.
 Oracles share only the canonical-class machinery and the definitional
 configuration-to-graph map; they are allowed to be exponentially slow.
 An integer parameter (h, k, limit) that is not an int >= 0, a bool
-included, raises ValueError before any enumeration.
+included, raises ValueError before any enumeration; so does a cycle
+bound h below 1, which has no cycle to count.
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ def _has_short_cycle_brute(G: Multigraph, h: int) -> bool:
 
 
 def exact_acceptance_fraction(D: DegreeSequence, h: int, limit: int = 10**6) -> Fraction:
-    """Fraction of configurations whose projection has no cycle <= h."""
+    """Fraction of configurations whose projection has no cycle <= h, for h >= 1."""
     _count("h", h)
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h!r}")
     _count("limit", limit)
     total = 0
     good = 0

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, exit codes, file outputs."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -519,3 +520,41 @@ class TestExperimentsAndVerify:
         code, out, _ = run(capsys, "verify", "--quick")
         assert code != 0
         assert "FAIL broken-identity" in out
+
+
+class TestColorblindOut:
+    """The bytes of --colorblind-out at fixed seeds: "n", then "u v m" lines, sorted."""
+
+    DIGESTS = {
+        # 3-regular on 20 vertices: one double edge (4 7)
+        ("sample-cm", "d3", 5): "1c78ff29495ae404bb915c690de478fbf463e80774aed3fe99e56ac8fc0478e9",
+        # two colors, degree 6 on 6 vertices: loops (0 0 4 is two loops) and double edges
+        ("sample-cm", "d2", 2): "5880a08aa3c206d3c23214064aa8d870baf417cd6762d340cbd9d3b615cf29c2",
+        ("sample-gdh", "d3", 5): "52ec5c7134a56548e37c917e4ac1a00e2808620ae86faff490c71892674129df",
+        ("sample-gdh", "d4", 7): "382970f7ce7a7d5ea4e98969e76f01d18997f799cfcf16f3cbf8c90c376b0bc8",
+    }
+    GIRTH = {"d3": "4", "d4": "3"}
+
+    @pytest.fixture
+    def degree_files(self, tmp_path):
+        sequences = {
+            "d3": DegreeSequence.single_color([3] * 20),
+            "d2": DegreeSequence.from_rows(2, [[2, 1, 1, 2]] * 6),
+            "d4": DegreeSequence.from_rows(2, [[1, 1, 1, 1]] * 12),
+        }
+        paths = {}
+        for name, D in sequences.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            write_degree_file(paths[name], D)
+        return paths
+
+    @pytest.mark.parametrize("command, degrees, seed", sorted(DIGESTS))
+    def test_pinned_bytes(self, capsys, tmp_path, degree_files, command, degrees, seed):
+        out = tmp_path / "bar.txt"
+        argv = [command, "--degrees", str(degree_files[degrees]), "--seed", str(seed)]
+        if command == "sample-gdh":
+            argv += ["--girth", self.GIRTH[degrees]]
+        code, _, _ = run(capsys, *argv, "--colorblind-out", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[command, degrees, seed]

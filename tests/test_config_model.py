@@ -288,6 +288,57 @@ class TestCycles:
         assert not has_cycle_leq(bar, 1)
         assert has_cycle_leq(bar, 2)
 
+    def test_library_and_oracle_refuse_h0(self):
+        # a cycle bound below 1 has no cycle to count; the oracle returned
+        # 8/15 here, its answer at h = 1
+        D = DegreeSequence.single_color([2, 2, 2])
+        bar = Multigraph(1, {(0, 0): 2})
+        with pytest.raises(ValueError, match="h must be >= 1, got 0"):
+            has_cycle_leq(bar, 0)
+        with pytest.raises(ValueError, match="h must be >= 1, got 0"):
+            exact_acceptance_fraction(D, 0)
+        assert exact_acceptance_fraction(D, 1) == Fraction(8, 15)
+
+
+class TestMultigraphWeights:
+    """Multigraph(n, w) takes only the documented weight dict."""
+
+    def test_stores_the_vertex_indexed_adjacency(self):
+        bar = Multigraph(3, {(0, 0): 4, (0, 1): 2, (1, 2): 1})
+        assert bar.adj == [{1: 2}, {0: 2, 2: 1}, {1: 1}]
+        assert bar.loops == [2, 0, 0]
+        assert bar.w == {(0, 0): 4, (0, 1): 2, (1, 2): 1}
+        assert bar.weight(1, 0) == 2 and bar.weight(0, 0) == 4 and bar.weight(0, 2) == 0
+
+    def test_w_is_read_only(self):
+        bar = Multigraph(2, {(0, 1): 1})
+        with pytest.raises(TypeError):
+            bar.w[(0, 1)] = 2
+        with pytest.raises(AttributeError):
+            bar.w = {}
+        assert bar.adj == [{1: 1}, {0: 1}]
+
+    def test_key_above_the_diagonal(self):
+        # read weight(0, 1) == 0, while cycle_counts counted a parallel pair
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            Multigraph(2, {(1, 0): 2})
+
+    @pytest.mark.parametrize("key", [(0, 2), (2, 2), (-1, 0), (0, 5)])
+    def test_vertex_out_of_range(self, key):
+        # raised IndexError, or read a negative vertex from the list's end
+        with pytest.raises(ValueError):
+            Multigraph(2, {key: 2})
+
+    @pytest.mark.parametrize("m", [0, -1, 1.0, True, "1"])
+    def test_count_not_an_int_of_at_least_one(self, m):
+        with pytest.raises(ValueError, match="weight of"):
+            Multigraph(2, {(0, 1): m})
+
+    def test_odd_diagonal_weight(self):
+        # counted 0 loops in cycle_counts, while has_cycle_leq(., 1) was True
+        with pytest.raises(ValueError, match="odd"):
+            Multigraph(1, {(0, 0): 1})
+
 
 class TestRejectionSampler:
     def test_immediate_accept(self):

@@ -215,3 +215,35 @@ def test_integer_parameters_have_one_check():
     ]
     assert inside and bool_tests == inside
     assert not defined & {"_check_depth", "_check_law_depth", "_require_positive"}
+
+
+def test_multigraph_readers_keep_one_format():
+    # a Multigraph stores only its vertex-indexed adjacency (adj, loops), so
+    # the cycle counters read it as stored: no weight dict `.w`, no
+    # `.adjacency()` copy, and no per-vertex list of their own, neither a
+    # comprehension nor a `[{}] * n` or `[0] * n` (the degree list `[d] * n`
+    # of a DegreeSequence is no copy of the graph)
+    wanted = {
+        "experiments.py": {"cycle_counts", "concentrate_experiment"},
+        "config_model.py": {"has_cycle_leq"},
+    }
+    seen = set()
+    found = []
+    for path in SOURCES:
+        names = wanted.get(path.name, set())
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(func, ast.FunctionDef) and func.name in names):
+                continue
+            seen.add(func.name)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("w", "adjacency"):
+                    found.append(f"{func.name}:{node.lineno} .{node.attr}")
+                elif isinstance(node, ast.ListComp) or (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult)
+                    and isinstance(node.left, ast.List)
+                    and not any(isinstance(e, ast.Name) for e in node.left.elts)
+                ):
+                    found.append(f"{func.name}:{node.lineno} list")
+    assert seen == set().union(*wanted.values())
+    assert found == []
