@@ -294,10 +294,6 @@ class Multigraph:
     def weight(self, u, v):
         return 2 * self.loops[u] if u == v else self.adj[u].get(v, 0)
 
-    def adjacency(self):
-        """The stored vertex-indexed adjacency adj itself, as SimpleGraph.adjacency() lists it."""
-        return self.adj
-
 
 def colorblind(G: ColoredMultigraph) -> Multigraph:
     """Forget the colors of G: one pass over its weights writes adj and loops.
@@ -364,7 +360,10 @@ class Configuration:
     Colors come in C_= order, then C_< order.  A diagonal color c holds a
     perfect matching of W_c, in drawn order; a color c of C_< holds every
     half-edge of W_c, in W_c order, with its partner in W_conj(c).  Each
-    pair is one edge of :func:`graph_of`.
+    pair is one edge of :func:`graph_of`.  :func:`sample_configuration`
+    wraps the per-color lists of :func:`_draw_pairs` as they are drawn, a
+    color of C_< reversed: one tuple copy per color, O(half-edges) per
+    sample on top of the draws.
     """
 
     D: DegreeSequence
@@ -385,26 +384,32 @@ def _below(getrandbits, m):
     return r
 
 
-def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
-    """The pairs of a uniform configuration, yielded as (c, a, b) as they are drawn.
+def _draw_pairs(D: DegreeSequence, pools, rng: random.Random, joined=None):
+    """The pairs of a uniform configuration: color -> list of (a, b), in drawn order.
 
     Each diagonal color c is a sequential matching: the least unmatched
     entry of W_c gets a uniform partner among the rest.  Each color c of
     C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
     performs, with the same draws; position i is final once step i is
-    done, and is then yielded as the partner of W_c[i].  `pools` maps each
-    color to its entries in W_c order and is only read: the half-edges of
+    done, and (W_c[i], its entry) is then appended, so the list runs from
+    the last entry of W_c to the first.  `pools` maps each color to its
+    entries in W_c order and is only read: the half-edges of
     DegreeSequence.half_edge_pools, or their owners, DegreeSequence.owners;
     the draws do not depend on which.  Every draw is the stream of
     rng.randrange: one :func:`_below` per bijection step, and the same
     rejection written out in the matching loop, where a one-color D makes
-    all of its draws.
+    all of its draws.  With `joined`, a set of owner pairs (u, v), u < v,
+    each pair's owners are added to it, and the draws stop with None at
+    the first loop or the first pair of owners already joined.  Cost per
+    call: one copy of each pool, then one draw and one append per pair.
     """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
     bits = rng.getrandbits
+    out = {}
     for c in matching_colors(D.L):
         pool = list(pools[c])
+        out[c] = drawn = []
         # pool[lo:end] holds the unmatched entries
         lo, end = 0, len(pool)
         while lo < end:
@@ -414,38 +419,50 @@ def _pair_draws(D: DegreeSequence, pools, rng: random.Random):
             while r >= m:
                 r = bits(k)
             r += lo + 1
-            yield c, pool[lo], pool[r]
+            a, b = pool[lo], pool[r]
+            if joined is not None:
+                key = (a, b) if a < b else (b, a)
+                if a == b or key in joined:
+                    return None
+                joined.add(key)
+            drawn.append((a, b))
             end -= 1
             pool[r] = pool[end]
             lo += 1
     for c in bijection_colors(D.L):
         left = pools[c]
-        perm = list(pools[conj(c)])
-        for i in reversed(range(1, len(perm))):
-            j = _below(bits, i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-            yield c, left[i], perm[i]
-        if perm:
-            yield c, left[0], perm[0]
-
-
-def _configuration(D: DegreeSequence, drawn) -> Configuration:
-    """Group drawn pairs by color; a color of C_< is put in W_c order."""
-    pairs = {c: [] for c in matching_colors(D.L) + bijection_colors(D.L)}
-    for c, a, b in drawn:
-        pairs[c].append((a, b))
-    return Configuration(
-        D, {c: tuple(p if c[0] == c[1] else sorted(p)) for c, p in pairs.items()}
-    )
+        perm = list(pools[_CONJ[c]])
+        out[c] = drawn = []
+        # position i is read once, at its own step, so the swap writes only j
+        for i in range(len(perm) - 1, -1, -1):
+            j = _below(bits, i + 1) if i else 0
+            a, b = left[i], perm[j]
+            perm[j] = perm[i]
+            if joined is not None:
+                key = (a, b) if a < b else (b, a)
+                if a == b or key in joined:
+                    return None
+                joined.add(key)
+            drawn.append((a, b))
+    return out
 
 
 def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration:
     """Uniform configuration: sequential uniform pairing per color.
 
-    Cost: O(n L^2) once per D for its cached half-edge pools, then per
-    sample one copy of each pool and one draw per pair, O(half-edges).
+    The lists of :func:`_draw_pairs` become the pairs as they are, a color
+    of C_< reversed into W_c order.  Cost: O(n L^2) once per D for its
+    cached half-edge pools, then per sample one copy of each pool, one
+    draw and one append per pair, and one tuple copy per color:
+    O(half-edges).
     """
-    return _configuration(D, _pair_draws(D, D.half_edge_pools, rng))
+    return Configuration(
+        D,
+        {
+            c: tuple(p) if c[0] == c[1] else tuple(reversed(p))
+            for c, p in _draw_pairs(D, D.half_edge_pools, rng).items()
+        },
+    )
 
 
 def graph_of(sigma: Configuration) -> ColoredMultigraph:
@@ -507,16 +524,18 @@ def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:
 def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=None):
     """The attempt loop of :func:`sample_G_Dh`: (simple graph, draws, attempts).
 
-    An attempt draws (c, u, v) from the owner pools D.owners in
-    :func:`sample_configuration` order and stops at the first loop, or at
-    the first pair of vertices joined twice over all colors: both are
-    cycles of length <= 2 <= h, so the attempt would be rejected whatever
-    the remaining draws.  A completed attempt is simple; for h >= 3 its
-    girth is tested by :func:`rooted._has_short_cycle`.  The accepted
-    attempt gives SimpleGraph(D.n, its edge set), the colorblind
-    projection, and its draws in order, one (c, u, v) per edge.
-    max_attempts caps the attempts: an int >= 1, or None for 100000;
-    anything else raises ValueError before the first draw.
+    An attempt is :func:`_draw_pairs` over the owner pools D.owners with a
+    fresh `joined` set, so it stops at the first loop, or at the first
+    pair of vertices joined twice over all colors: both are cycles of
+    length <= 2 <= h, so the attempt would be rejected whatever the
+    remaining draws.  A completed attempt is simple; for h >= 3 its girth
+    is tested by :func:`rooted._has_short_cycle`.  The accepted attempt
+    gives SimpleGraph(D.n, its joined set), the colorblind projection, and
+    its draws as :func:`_draw_pairs` lists them: color -> list of owner
+    pairs (u, v), one per edge, in drawn order.  max_attempts caps the
+    attempts: an int >= 1, or None for 100000; anything else raises
+    ValueError before the first draw.  Cost per attempt: that of
+    :func:`_draw_pairs`, one set test and insert per pair included.
     """
     _check_int("h", h, 2)
     cap = 100_000 if max_attempts is None else max_attempts
@@ -524,17 +543,11 @@ def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=N
     pools = D.owners
     for attempt in range(1, cap + 1):
         joined = set()
-        draws = []
-        for c, u, v in _pair_draws(D, pools, rng):
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in joined:
-                break
-            joined.add(key)
-            draws.append((c, u, v))
-        else:
+        drawn = _draw_pairs(D, pools, rng, joined)
+        if drawn is not None:
             G = SimpleGraph(D.n, frozenset(joined))
             if h < 3 or not _has_short_cycle(G.adjacency(), h):
-                return G, draws, attempt
+                return G, drawn, attempt
     raise RejectionExhaustedError(cap)
 
 
@@ -556,8 +569,9 @@ def sample_G_Dh(
     _, draws, attempts = _simple_sample(D, h, rng, max_attempts)
     G = ColoredMultigraph(D.L, D.n)
     add = G.add_edge
-    for c, u, v in draws:
-        add(c, u, v)
+    for c, pairs in draws.items():
+        for u, v in pairs:
+            add(c, u, v)
     return G, attempts
 
 

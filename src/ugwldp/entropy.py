@@ -56,8 +56,17 @@ def entropy_constant(d) -> float:
     return d / 2 - (d / 2) * math.log(d)
 
 
+def _as_float(p) -> float:
+    """float(p), bit for bit: a float as it is, a Fraction or int as numerator / denominator.
+
+    float() of a Fraction runs numbers.Rational.__float__, which is this
+    same true division after two int() calls.
+    """
+    return p if isinstance(p, float) else p.numerator / p.denominator
+
+
 def _xlogx(p) -> float:
-    p = float(p)
+    p = _as_float(p)
     return 0.0 if p == 0 else p * math.log(p)
 
 
@@ -116,7 +125,7 @@ def _log_factorial_term(P: NeighborhoodLaw) -> float:
     total = 0.0
     for cls, p in P.items():
         s = sum(math.lgamma(c + 1) for c in types[cls].values())
-        total += float(p) * s
+        total += _as_float(p) * s
     return total
 
 

@@ -663,7 +663,7 @@ class TestSwitches:
 
         def star_count(sigma):
             bar = colorblind(graph_of(sigma))
-            adj = bar.adjacency()
+            adj = bar.adj
             loops = {u for (u, v), m in bar.w.items() if u == v and m > 0}
             hits = 0
             for v in range(n):

@@ -3,7 +3,8 @@
 The references below are the materialized-pool forms of the lazy
 exploration, the sequential pairing and one rejection attempt: they build
 every half-edge pool up front.  The library versions must return the same result and leave the
-random generator in the same state, on the same seed.
+random generator in the same state, on the same seed; an accepted attempt's
+draws must also come in the reference's drawn order.
 
 A second set keeps a configuration as two containers, a tuple of pairs per
 diagonal color and a dict half-edge -> partner per color of C_<, with the
@@ -26,6 +27,7 @@ from ugwldp.config_model import (
     InvalidDegreeSequenceError,
     Multigraph,
     RejectionExhaustedError,
+    _simple_sample,
     all_colors,
     apply_switch,
     ball_of,
@@ -265,7 +267,7 @@ def reference_apply_switch(sigma, rng):
 
 def reference_ball_of(G, v, depth):
     """Induced ball, one edge per pair of twin weight entries, inverted by hand."""
-    dist = _ball(colorblind(G).adjacency(), v, depth)
+    dist = _ball(colorblind(G).adj, v, depth)
     edges = []
     for (c, a, b), m in sorted(G.w.items()):
         if a not in dist or b not in dist:
@@ -283,11 +285,11 @@ def reference_ball_of(G, v, depth):
 
 
 @st.composite
-def degree_sequences(draw, max_L=3, max_n=12):
+def degree_sequences(draw, max_L=3, max_n=12, max_count=2):
     """Valid sequences: small random counts, then balanced and made even."""
     L = draw(st.integers(1, max_L))
     n = draw(st.integers(1, max_n))
-    flat = draw(st.lists(st.integers(0, 2), min_size=n * L * L, max_size=n * L * L))
+    flat = draw(st.lists(st.integers(0, max_count), min_size=n * L * L, max_size=n * L * L))
     mats = [[flat[(u * L + i) * L : (u * L + i + 1) * L] for i in range(L)] for u in range(n)]
     vertex = st.integers(0, n - 1)
     for i in range(L):
@@ -369,6 +371,37 @@ class TestAgainstReference:
                 break
         assert got == want
         assert rng.getstate() == ref_rng.getstate()
+
+    @SETTINGS
+    @given(D=degree_sequences(max_L=3, max_n=30, max_count=1), seed=st.integers(0, 2**32))
+    def test_accepted_draws_keep_the_drawn_order(self, D, seed):
+        # sparse counts, so that attempts with C_< colors are often accepted;
+        # a color of C_< is drawn from the last entry of W_c to the first
+        rng, ref_rng, colored_rng = (random.Random(seed) for _ in range(3))
+        try:
+            _, got, got_attempts = _simple_sample(D, 2, rng, max_attempts=50)
+            colored, _ = sample_G_Dh(D, 2, colored_rng, max_attempts=50)
+        except RejectionExhaustedError:
+            got = None
+        want = None
+        for attempt in range(1, 51):
+            sigma = reference_attempt(D, ref_rng)
+            if sigma is not None:
+                want = {
+                    c: [(a[1], b[1]) for a, b in (pairs if c[0] == c[1] else reversed(pairs))]
+                    for c, pairs in sigma.pairs.items()
+                }
+                break
+        assert rng.getstate() == ref_rng.getstate()
+        assert got == want
+        if want is not None:
+            assert list(got) == list(want) and got_attempts == attempt
+            reference = ColoredMultigraph(D.L, D.n)
+            for c, pairs in want.items():
+                for u, v in pairs:
+                    reference_add_edge(reference, c, u, v)
+            assert list(colored.w) == list(reference.w)
+            assert colored_rng.getstate() == ref_rng.getstate()
 
     @SETTINGS
     @given(G=multigraphs(), h=st.integers(1, 6))

@@ -247,3 +247,16 @@ def test_multigraph_readers_keep_one_format():
                     found.append(f"{func.name}:{node.lineno} list")
     assert seen == set().union(*wanted.values())
     assert found == []
+
+
+def test_configuration_samplers_share_one_pairing_loop():
+    # sample_configuration and the rejection attempt of _simple_sample both
+    # draw through _draw_pairs, which fills each color's list in one loop:
+    # no generator in between, and no regrouping of the draws afterwards
+    (path,) = [path for path in SOURCES if path.name == "config_model.py"]
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(module))
+    assert not {"_pair_draws", "_configuration"} & set(funcs)
+    for name in ("sample_configuration", "_simple_sample"):
+        assert "_draw_pairs" in [called for called, _ in _called(funcs[name])]
