@@ -128,12 +128,17 @@ def degree_sequence_for_law(P_deg: dict, n: int) -> DegreeSequence:
     """Deterministic single-color degree sequence matching a degree law.
 
     Largest-remainder rounding of n * P(k); if the total is odd, one vertex
-    is moved between two support values of different parity.
+    is moved between two support values of different parity.  Raises
+    ValueError, before any rounding, unless P_deg is a law that
+    NeighborhoodLaw.from_degree_law accepts: int degrees >= 0, weights
+    >= 0 and total mass exactly 1.
     """
     _check_int("n", n, 1)
     for k in P_deg:
-        _check_int("degree", k)
-    items = sorted((k, Fraction(p)) for k, p in P_deg.items() if p)
+        _check_int("degree", k, 0)
+    P = {k: Fraction(p) for k, p in P_deg.items()}
+    NeighborhoodLaw.from_degree_law(P)
+    items = sorted((k, p) for k, p in P.items() if p)
     counts = {k: int(n * p) for k, p in items}
     rem = sorted(
         ((n * p - counts[k], k) for k, p in items), reverse=True

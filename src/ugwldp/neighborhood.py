@@ -290,10 +290,13 @@ def empirical_distribution(G: SimpleGraph, h: int) -> NeighborhoodLaw:
     """Uniform-root law of depth-h neighborhood classes of a finite graph.
 
     The classes come from :func:`rooted.ball_classes` on G's
-    vertex-indexed adjacency: an O(n + m) arc table, O(h * m * d log d)
-    for the tree balls, d the largest degree, O(n + m) for the 2-core, a
-    girth BFS per vertex within distance h of it, and a canonical labeling
-    of each cyclic ball's core, the ball without its pendant trees.
+    vertex-indexed adjacency: an O(n + m) arc table, O(n + m) for the
+    depth-1 messages read off the degrees and O((h - 2) * m * d log d) for
+    the deeper ones, d the largest degree, O(n + m) for the 2-core, one
+    BFS over the larger vertices from each core vertex to find the short
+    cycles from their least vertices, and a girth BFS and a canonical
+    labeling of the core of each ball near one, the ball without its
+    pendant trees.
     """
     if G.n == 0:
         raise ValueError("empirical distribution of an empty vertex set")

@@ -591,14 +591,22 @@ def _messages(adj, k):
     colour refinement.  Where the side is a tree to depth k the unfolding
     is the side itself.  A vertex's key is its sorted tuple of ids; each
     round joins once per distinct key, and within it once per distinct
-    message dropped from it, and reads the classes only then.  Cost O(n +
-    k * m * d log d), d the largest degree, plus the size of each distinct
-    class.
+    message dropped from it, and reads the classes only then.  Round 1
+    needs no key: msg_1(u -> v) is the star with deg(v) - 1 leaves, joined
+    once per distinct degree, in order of first vertex.  Cost O(n + m) for
+    that round, and O(n + (k - 1) * m * d log d), d the largest degree,
+    for the others, plus the size of each distinct class.
     """
     start, to, back = _arcs(adj)
     table = [_tree_class(0, "()")]
     ids = [0] * len(to)
-    for depth in range(1, k + 1):
+    if k:
+        # An isolated vertex is no arc's head, so only degrees >= 1 get an id.
+        index = {}
+        head = [index.setdefault(d, len(index)) if d else 0 for d in map(len, adj)]
+        table = [_tree_class(1, "(" + "()" * (d - 1) + ")") for d in index]
+        ids = [head[w] for w in to]
+    for depth in range(2, k + 1):
         drops = {}
         index = {}  # class -> its id in this round's table
         new = [0] * len(to)
@@ -658,7 +666,8 @@ def _near_core(adj, h):
     adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
     Every cycle lies in the 2-core, the vertices left once those of degree
     <= 1 are peeled off one by one.  The peel is O(n + m), and a
-    multi-source BFS of radius h from the core adds the rest.
+    multi-source BFS of radius h from the core (:func:`_within`) adds the
+    rest.
     """
     deg = [len(nb) for nb in adj]
     stack = [v for v, d in enumerate(deg) if d <= 1]
@@ -670,7 +679,11 @@ def _near_core(adj, h):
                 if deg[w] <= 1:
                     peeled.add(w)
                     stack.append(w)
-    near = {v for v in range(len(adj)) if v not in peeled}
+    return _within(adj, {v for v in range(len(adj)) if v not in peeled}, h)
+
+
+def _within(adj, near, h):
+    """The set near, grown in place to every vertex within distance h of it."""
     frontier = near
     for _ in range(h):
         frontier = {w for v in frontier for w in adj[v] if w not in near}
@@ -678,14 +691,52 @@ def _near_core(adj, h):
     return near
 
 
+def _least_cycle_vertices(adj, g):
+    """Each 2-core vertex x whose BFS over the vertices >= x sees a cycle of length <= g.
+
+    adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
+    The BFS is :func:`_short_cycle_at`'s, kept to the vertices >= x: each
+    x yielded has a cycle of length <= g on them, and each such cycle is
+    found from its least vertex.  Two stamp lists per graph replace a
+    parent dict per BFS (w is seen from x when seen[w] == x).  Lazy, so a
+    caller may stop at the first.  Cost O(n + m) for the 2-core, plus per
+    core vertex a BFS of radius g // 2 over the vertices above it.
+    """
+    seen = [-1] * len(adj)
+    parent = [-1] * len(adj)
+
+    def cycle_above(x):
+        seen[x] = parent[x] = x
+        frontier = [x]
+        d = 0
+        while frontier and 2 * d + 1 <= g:
+            grow = 2 * d + 2 <= g
+            nxt = []
+            for u in frontier:
+                p = parent[u]
+                for w in adj[u]:
+                    if w > x and w != p:
+                        if seen[w] == x:
+                            return True
+                        if grow:
+                            seen[w] = x
+                            parent[w] = u
+                            nxt.append(w)
+            frontier = nxt
+            d += 1
+        return False
+
+    return (x for x in _near_core(adj, 0) if cycle_above(x))
+
+
 def _has_short_cycle(adj, g):
     """Whether the vertex-indexed simple graph adj has a cycle of length <= g.
 
-    adj[v] iterates the neighbours of v, for v in 0..n-1.  One
-    :func:`_short_cycle_at` from each vertex of the 2-core, where every
-    cycle lies: O(n + m) for the core plus a bounded BFS per core vertex.
+    adj[v] iterates the neighbours of v, for v in 0..n-1.  True at the
+    first vertex :func:`_least_cycle_vertices` yields: O(n + m) for the
+    2-core plus a bounded BFS per core vertex over the vertices above it.
     """
-    return any(_short_cycle_at(adj, v, g) for v in _near_core(adj, 0))
+    return next(_least_cycle_vertices(adj, g), None) is not None
 
 
 def tree_classes(adj, h):
@@ -729,17 +780,19 @@ def ball_classes(adj, h):
 
     adj[v] iterates the neighbours of v, for v in 0..n-1.  Each value `is`
     canonical_from_adjacency(adj, v, h).  The classes start from
-    :func:`tree_classes`.  A cycle of B_h(v) lies in the 2-core, so only a
-    vertex within distance h of it (:func:`_near_core`) can hold one; a
-    bounded BFS from each such vertex (:func:`_short_cycle_at`) finds the
-    balls that do, and only their entries are replaced, by
-    canonical_from_adjacency.  Cost: that of tree_classes, plus O(n + m)
-    for the core, the BFS of every ball near it, and a canonical labeling
-    of each cyclic ball's core.
+    :func:`tree_classes`.  A cyclic ball B_h(v) holds a cycle of length
+    <= 2h + 1, so v is within distance h of that cycle's least vertex,
+    which :func:`_least_cycle_vertices` yields; only such vertices get the
+    exact test of :func:`_short_cycle_at`, and only the cyclic balls among
+    them are replaced, by canonical_from_adjacency.  Cost: that of
+    tree_classes, plus O(n + m) for the 2-core, a BFS over the larger
+    vertices from each core vertex, and the BFS and canonical labeling of
+    the few balls near a short cycle.
     """
     out = dict(enumerate(tree_classes(adj, h)))
-    for v in _near_core(adj, h):
-        if _short_cycle_at(adj, v, 2 * h + 1):
+    g = 2 * h + 1
+    for v in _within(adj, set(_least_cycle_vertices(adj, g)), h):
+        if _short_cycle_at(adj, v, g):
             out[v] = canonical_from_adjacency(adj, v, h)
     return out
 

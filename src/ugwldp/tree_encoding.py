@@ -71,8 +71,10 @@ class EncodingContext:
 def neighborhood_vector(G: SimpleGraph, h: int):
     """Depth-h class of every vertex, in vertex order.
 
-    Read from :func:`rooted.ball_classes`: O(h * m * d log d), d the
-    largest degree, plus a canonical labeling of each cyclic ball's core.
+    Read from :func:`rooted.ball_classes`: O(n + m) for the depth-1
+    messages and O((h - 2) * m * d log d) for the deeper ones, d the
+    largest degree, one short-cycle search over the 2-core, and a
+    canonical labeling of each cyclic ball's core.
     """
     classes = ball_classes(G.adjacency(), h)
     return [classes[v] for v in range(G.n)]
@@ -81,7 +83,9 @@ def neighborhood_vector(G: SimpleGraph, h: int):
 def is_h_treelike(G: SimpleGraph, h: int) -> bool:
     """Every depth-h neighborhood is a tree (no cycle of length <= 2h+1).
 
-    One girth BFS per vertex of the 2-core, on G's vertex-indexed adjacency.
+    One short-cycle search on G's vertex-indexed adjacency: a BFS from each
+    2-core vertex over the vertices above it, which stops at the first
+    cycle found.
     Raises ValueError for a depth h that is not an int >= 0.
     """
     _check_int("depth", h, 0)
@@ -131,8 +135,9 @@ def encode(G: SimpleGraph, h: int):
     projection of the output recovers G exactly, and the output has no
     cycle of length <= 2h+1.  The edge sides are the depth-(h-1) messages
     of :func:`rooted._messages`.  Cost: one girth test (a BFS per 2-core
-    vertex), one O(n + h * m * d log d) message pass, d the largest
-    degree, and D and the multigraph built from the arc table in O(n + m).
+    vertex over the vertices above it), one O(n + m + (h - 2) * m * d log
+    d) message pass, d the largest degree, and D and the multigraph built
+    from the arc table in O(n + m).
     """
     (start, to, back), _, col, classes, D = _encoding(G, h)
     ctx = EncodingContext(h, classes, {c: i + 1 for i, c in enumerate(classes)})

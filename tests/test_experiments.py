@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from ugwldp.config_model import (
     DegreeSequence,
     cm_probability,
@@ -66,6 +68,20 @@ class TestDegreeSequenceConstruction:
     def test_regular(self):
         D = degree_sequence_for_law({3: 1}, 10)
         assert all(D.D(u, (1, 1)) == 3 for u in range(10))
+
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ({}, "total mass 0"),
+            ({3: 0}, "total mass 0"),
+            ({3: Fraction(1, 2)}, "total mass 1/2"),
+            ({1: Fraction(3, 2), 2: Fraction(-1, 2)}, "negative weight"),
+            ({1: Fraction(1, 2), 3: Fraction(2, 3)}, "total mass 7/6"),
+        ],
+    )
+    def test_law_outside_the_domain_raises(self, law, message):
+        with pytest.raises(ValueError, match=message):
+            degree_sequence_for_law(law, 10)
 
 
 class TestEnvelope:

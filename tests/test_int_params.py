@@ -169,7 +169,7 @@ ENTRY_POINTS = [
     (
         "degree_sequence_for_law.degree",
         "degree",
-        None,
+        0,
         4,
         lambda x, r: EXP.degree_sequence_for_law({2: HALF, x: HALF}, 10),
     ),
