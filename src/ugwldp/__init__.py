@@ -58,7 +58,6 @@ from .config_model import (
     has_cycle_leq,
     sample_configuration,
     sample_G_Dh,
-    subgraph_count_expectation,
     validate_degree_sequence,
 )
 from .tree_encoding import (

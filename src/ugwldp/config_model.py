@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rooted import SimpleGraph, _ball, _check_int, _has_short_cycle, canonical_labeling
+from .rooted import SimpleGraph, _check_int, _has_short_cycle
 
 Color = tuple  # (i, j), 1-based
 
@@ -71,9 +71,9 @@ class RejectionExhaustedError(RuntimeError):
 class DegreeSequence:
     """Per-vertex L x L count matrices; row sums drive the half-edge sets.
 
-    Per-color totals, nonnegativity, half-edge offsets, half-edge owners and
-    the half-edge pools W_c are derived once, on first use, and reused by
-    every later call on the same sequence.
+    Per-color totals, nonnegativity, half-edge offsets and half-edge owners
+    are derived once, on first use, and reused by every later call on the
+    same sequence.
     """
 
     L: int
@@ -129,11 +129,6 @@ class DegreeSequence:
             )
             for c in all_colors(self.L)
         }
-
-    @cached_property
-    def half_edge_pools(self):
-        """Color -> W_c as a tuple of (c, u, slot), as :func:`half_edges` lists it."""
-        return {c: tuple(half_edges(self, c)) for c in all_colors(self.L)}
 
     @cached_property
     def totals(self):
@@ -347,23 +342,18 @@ def has_cycle_leq(G: Multigraph, h: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def half_edges(D: DegreeSequence, c: Color):
-    """W_c in the fixed order (vertex ascending, slot ascending)."""
-    a, b = c[0] - 1, c[1] - 1
-    return [(c, i, j) for i, mat in enumerate(D.mats) for j in range(1, mat[a][b] + 1)]
-
-
 @dataclass
 class Configuration:
-    """A pairing of every half-edge of D: color -> tuple of (half-edge, half-edge) pairs.
+    """A pairing of every half-edge of D, named by owners: color -> its pairs (u, v).
 
     Colors come in C_= order, then C_< order.  A diagonal color c holds a
-    perfect matching of W_c, in drawn order; a color c of C_< holds every
-    half-edge of W_c, in W_c order, with its partner in W_conj(c).  Each
-    pair is one edge of :func:`graph_of`.  :func:`sample_configuration`
-    wraps the per-color lists of :func:`_draw_pairs` as they are drawn, a
-    color of C_< reversed: one tuple copy per color, O(half-edges) per
-    sample on top of the draws.
+    perfect matching of W_c; a color c of C_< pairs every half-edge of W_c
+    with one of W_conj(c).  In a pair (u, v), u owns the first half-edge
+    and v the second.  Every reader (:func:`graph_of`, :func:`colorblind_of`,
+    :func:`apply_switch`, the oracle's fiber counts) needs only the
+    owners, so a pair holds no slot.  Each pair is one edge of
+    :func:`graph_of`.  :func:`sample_configuration` keeps the lists of
+    :func:`_draw_pairs` in drawn order, one tuple copy per color.
     """
 
     D: DegreeSequence
@@ -384,18 +374,17 @@ def _below(getrandbits, m):
     return r
 
 
-def _draw_pairs(D: DegreeSequence, pools, rng: random.Random, joined=None):
-    """The pairs of a uniform configuration: color -> list of (a, b), in drawn order.
+def _draw_pairs(D: DegreeSequence, rng: random.Random, joined=None):
+    """The owner pairs of a uniform configuration: color -> list of (u, v), in drawn order.
 
-    Each diagonal color c is a sequential matching: the least unmatched
-    entry of W_c gets a uniform partner among the rest.  Each color c of
-    C_< is a Fisher-Yates shuffle of W_conj(c), the one random.shuffle
-    performs, with the same draws; position i is final once step i is
-    done, and (W_c[i], its entry) is then appended, so the list runs from
-    the last entry of W_c to the first.  `pools` maps each color to its
-    entries in W_c order and is only read: the half-edges of
-    DegreeSequence.half_edge_pools, or their owners, DegreeSequence.owners;
-    the draws do not depend on which.  Every draw is the stream of
+    The half-edges of W_c are named by their owners, D.owners[c], in W_c
+    order; only that pool is copied.  Each diagonal color c is a
+    sequential matching: the least unmatched half-edge of W_c gets a
+    uniform partner among the rest.  Each color c of C_< is a Fisher-Yates
+    shuffle of W_conj(c), the one random.shuffle performs, with the same
+    draws; position i is final once step i is done, and (owner of W_c[i],
+    owner of its partner) is then appended, so the list runs from the
+    last half-edge of W_c to the first.  Every draw is the stream of
     rng.randrange: one :func:`_below` per bijection step, and the same
     rejection written out in the matching loop, where a one-color D makes
     all of its draws.  With `joined`, a set of owner pairs (u, v), u < v,
@@ -405,6 +394,7 @@ def _draw_pairs(D: DegreeSequence, pools, rng: random.Random, joined=None):
     """
     if not validate_degree_sequence(D):
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
+    pools = D.owners
     bits = rng.getrandbits
     out = {}
     for c in matching_colors(D.L):
@@ -450,19 +440,13 @@ def _draw_pairs(D: DegreeSequence, pools, rng: random.Random, joined=None):
 def sample_configuration(D: DegreeSequence, rng: random.Random) -> Configuration:
     """Uniform configuration: sequential uniform pairing per color.
 
-    The lists of :func:`_draw_pairs` become the pairs as they are, a color
-    of C_< reversed into W_c order.  Cost: O(n L^2) once per D for its
-    cached half-edge pools, then per sample one copy of each pool, one
-    draw and one append per pair, and one tuple copy per color:
+    The owner pairs of :func:`_draw_pairs`, in drawn order, a color of C_<
+    from the last half-edge of W_c to the first.  Cost: O(n L^2) once per
+    D for its cached owner pools, then per sample one copy of each pool,
+    one draw and one append per pair, and one tuple copy per color:
     O(half-edges).
     """
-    return Configuration(
-        D,
-        {
-            c: tuple(p) if c[0] == c[1] else tuple(reversed(p))
-            for c, p in _draw_pairs(D, D.half_edge_pools, rng).items()
-        },
-    )
+    return Configuration(D, {c: tuple(p) for c, p in _draw_pairs(D, rng).items()})
 
 
 def graph_of(sigma: Configuration) -> ColoredMultigraph:
@@ -471,7 +455,7 @@ def graph_of(sigma: Configuration) -> ColoredMultigraph:
     G = ColoredMultigraph(D.L, D.n)
     add = G.add_edge
     for c, pairs in sigma.pairs.items():
-        for (_, u, _), (_, v, _) in pairs:
+        for u, v in pairs:
             add(c, u, v)
     return G
 
@@ -487,7 +471,7 @@ def colorblind_of(sigma: Configuration) -> Multigraph:
     n = sigma.D.n
     adj = [{} for _ in range(n)]
     loops = [0] * n
-    for (_, u, _), (_, v, _) in itertools.chain(*sigma.pairs.values()):
+    for u, v in itertools.chain(*sigma.pairs.values()):
         if u == v:
             loops[u] += 1
             continue
@@ -524,11 +508,10 @@ def apply_switch(sigma: Configuration, rng: random.Random) -> Configuration:
 def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=None):
     """The attempt loop of :func:`sample_G_Dh`: (simple graph, draws, attempts).
 
-    An attempt is :func:`_draw_pairs` over the owner pools D.owners with a
-    fresh `joined` set, so it stops at the first loop, or at the first
-    pair of vertices joined twice over all colors: both are cycles of
-    length <= 2 <= h, so the attempt would be rejected whatever the
-    remaining draws.  A completed attempt is simple; for h >= 3 its girth
+    An attempt is :func:`_draw_pairs` with a fresh `joined` set, so it
+    stops at the first loop, or at the first pair of vertices joined twice
+    over all colors: both are cycles of length <= 2 <= h, so the attempt
+    would be rejected whatever the remaining draws.  A completed attempt is simple; for h >= 3 its girth
     is tested by :func:`rooted._has_short_cycle`.  The accepted attempt
     gives SimpleGraph(D.n, its joined set), the colorblind projection, and
     its draws as :func:`_draw_pairs` lists them: color -> list of owner
@@ -540,10 +523,9 @@ def _simple_sample(D: DegreeSequence, h: int, rng: random.Random, max_attempts=N
     _check_int("h", h, 2)
     cap = 100_000 if max_attempts is None else max_attempts
     _check_int("max_attempts", cap, 1)
-    pools = D.owners
     for attempt in range(1, cap + 1):
         joined = set()
-        drawn = _draw_pairs(D, pools, rng, joined)
+        drawn = _draw_pairs(D, rng, joined)
         if drawn is not None:
             G = SimpleGraph(D.n, frozenset(joined))
             if h < 3 or not _has_short_cycle(G.adjacency(), h):
@@ -557,9 +539,10 @@ def sample_G_Dh(
     """Rejection sampling of a uniform colored multigraph with no short cycles.
 
     Accepts once the colorblind projection has no cycle of length <= h.
-    Returns (graph, attempts): the graph holds one add_edge(c, u, v) per
-    draw of the accepted attempt of :func:`_simple_sample`, whose simple
-    graph is its colorblind projection.
+    Returns (graph, attempts): the graph is :func:`graph_of` the
+    Configuration of the accepted attempt of :func:`_simple_sample`, its
+    owner pairs in drawn order, and that attempt's simple graph is its
+    colorblind projection.
 
     An attempt stops at its first loop or double edge, so the law of the
     accepted graph is the one of full attempts, but the random stream
@@ -567,12 +550,7 @@ def sample_G_Dh(
     half-edges), plus the 2-core girth test of a completed one for h >= 3.
     """
     _, draws, attempts = _simple_sample(D, h, rng, max_attempts)
-    G = ColoredMultigraph(D.L, D.n)
-    add = G.add_edge
-    for c, pairs in draws.items():
-        for u, v in pairs:
-            add(c, u, v)
-    return G, attempts
+    return graph_of(Configuration(D, draws)), attempts
 
 
 # ---------------------------------------------------------------------------
@@ -624,103 +602,6 @@ def fiber_size(D: DegreeSequence, H: ColoredMultigraph) -> int:
 def cm_probability(D: DegreeSequence, H: ColoredMultigraph) -> Fraction:
     """Probability that the uniform configuration projects to H."""
     return Fraction(fiber_size(D, H), config_space_size(D))
-
-
-def _colored_canon(H: ColoredMultigraph, root=None):
-    """canonical_labeling of H: loops and the root in the vertex colors.
-
-    A vertex's color is (is the root, its sorted loop entries (c, m)); the
-    label of the arc (u, v) is its sorted entries (c, m) of (c, u, v).
-    """
-    loops = [[] for _ in range(H.n)]
-    arcs = {}
-    for (c, u, v), m in H.w.items():
-        (loops[u] if u == v else arcs.setdefault((u, v), [])).append((c, m))
-    colors = [(u == root, tuple(sorted(lp))) for u, lp in enumerate(loops)]
-    return canonical_labeling(
-        H.n, colors, {a: tuple(sorted(e)) for a, e in arcs.items()}
-    )
-
-
-def automorphism_count(H: ColoredMultigraph) -> int:
-    """Vertex permutations preserving every color weight."""
-    return _colored_canon(H)[2]
-
-
-def _falling(x, k):
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
-def _falling_pairs(S, s):
-    """Product (S-1)(S-3)...: one factor per half-edge pair consumed."""
-    if s % 2:
-        raise ValueError(f"a matching consumes half-edges in pairs, got an odd count {s}")
-    out = 1
-    for i in range(1, s // 2 + 1):
-        out *= S - 2 * i + 1
-    return out
-
-
-def subgraph_count_expectation(
-    H: ColoredMultigraph, degrees: DegreeSequence | None = None, limit: dict | None = None
-):
-    """Expected number of embedded copies of a motif.
-
-    Exactly one of `degrees` (finite-sequence mode, exact rational) or
-    `limit` (limit-law mode, the n-free intensity prefactor scaling as
-    n^-excess) must be given.  `limit` maps L x L matrices to weights.
-    The finite-sequence mode sums over all n!/(n-k)! placements of the
-    motif's k vertices.
-    """
-    if (degrees is None) == (limit is None):
-        raise ValueError("give exactly one of degrees= or limit=")
-    a = automorphism_count(H)
-    b = _b_factor(H)
-    dH = degree_sequence_of(H)
-    k = H.n
-    if degrees is not None:
-        D = degrees
-        total = Fraction(0)
-        for tau in itertools.permutations(range(D.n), k):
-            term = Fraction(1)
-            for i in range(k):
-                for c in all_colors(D.L):
-                    need = dH.D(i, c)
-                    if need:
-                        term *= _falling(D.D(tau[i], c), need)
-                if term == 0:
-                    break
-            total += term
-        den = a * b
-        for c in bijection_colors(D.L):
-            den *= _falling(D.S(c), dH.S(c))
-        for c in matching_colors(D.L):
-            den *= _falling_pairs(D.S(c), dH.S(c))
-        return total / den
-    L = H.L
-    num = 1.0
-    for i in range(k):
-        factor = 0.0
-        for M, p in limit.items():
-            term = float(p)
-            for c in all_colors(L):
-                need = dH.D(i, c)
-                if need:
-                    term *= _falling(M[c[0] - 1][c[1] - 1], need)
-            factor += term
-        num *= factor
-    den = float(a * b)
-    for c in all_colors(L):
-        sc = dH.S(c)
-        if sc:
-            ed = sum(float(p) * M[c[0] - 1][c[1] - 1] for M, p in limit.items())
-            if not ed:
-                return 0.0  # no weighted vertex has color c: the numerator is 0
-            den *= ed ** (sc / 2)
-    return num / den
 
 
 def short_cycle_intensity(limit: dict, L: int, h: int) -> float:
@@ -776,15 +657,6 @@ class ExploredNeighborhood:
     edges: list  # (u, v, color) triples with original ids, one entry per edge
     is_tree: bool
 
-    def signature(self):
-        """Canonical key of the rooted colored ball (root-fixing relabelings)."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        L = max((max(c) for _u, _v, c in self.edges), default=1)
-        H = ColoredMultigraph(L, len(index))
-        for u, v, c in self.edges:
-            H.add_edge(c, index[u], index[v])
-        return (H.n, _colored_canon(H, index[self.root])[0])
-
 
 def explore_neighborhood(
     D: DegreeSequence, v: int, depth: int, rng: random.Random
@@ -808,10 +680,10 @@ def explore_neighborhood(
         raise InvalidDegreeSequenceError("degree sequence outside the valid set")
     offsets = D.offsets
     # The unmatched half-edges of color c form a virtual array of size[c]
-    # entries, initially W_c in half_edges order; a half-edge is named by
-    # its position in that initial order.  Removal swaps the last entry
-    # into the hole (sparse Fisher-Yates): at[c] (position -> half-edge)
-    # and pos[c] (half-edge -> position) record only the moved entries.
+    # entries, initially W_c; a half-edge is named by its position in W_c.
+    # Removal swaps the last entry into the hole (sparse Fisher-Yates):
+    # at[c] (position -> half-edge) and pos[c] (half-edge -> position)
+    # record only the moved entries.
     size = dict(D.totals)
     at = {c: {} for c in offsets}
     pos = {c: {} for c in offsets}
@@ -870,22 +742,6 @@ def explore_neighborhood(
                     dist[w] = du + 1
                     order.append(w)
                 edges.append((u, w, c))
-    return ExploredNeighborhood(v, dist, edges, is_tree)
-
-
-def ball_of(G: ColoredMultigraph, v: int, depth: int) -> ExploredNeighborhood:
-    """Induced depth-k ball of v in a realized colored multigraph.
-
-    Produces the same structure as :func:`explore_neighborhood` so the two
-    can be compared by signature.
-    """
-    _check_int("v", v, 0)
-    if v >= G.n:
-        raise ValueError(f"v must be < {G.n}, got {v!r}")
-    _check_int("depth", depth, 0)
-    dist = _ball(colorblind(G).adj, v, depth)
-    edges = [(a, b, c) for c, a, b in G.edges() if a in dist and b in dist]
-    is_tree = len(edges) == len(dist) - 1 and all(u != w for u, w, _ in edges)
     return ExploredNeighborhood(v, dist, edges, is_tree)
 
 

@@ -25,7 +25,6 @@ from .config_model import (
     config_space_size,
     conj,
     graph_of,
-    half_edges,
     matching_colors,
 )
 from .entropy import relative_entropy
@@ -71,8 +70,20 @@ def _all_matchings(points):
             yield ((first, partner),) + sub
 
 
+def half_edges(D: DegreeSequence, c):
+    """W_c in the fixed order (vertex ascending, slot ascending): (c, u, slot) per half-edge."""
+    a, b = c[0] - 1, c[1] - 1
+    return [(c, i, j) for i, mat in enumerate(D.mats) for j in range(1, mat[a][b] + 1)]
+
+
 def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
-    """Every configuration of D exactly once (guarded by the space size)."""
+    """Every half-edge pairing of D exactly once (guarded by the space size).
+
+    The pairings are enumerated over the half-edges of :func:`half_edges`,
+    so two that differ only in slots are both yielded; each is yielded
+    named by its owners, as a Configuration of pairs (u, v).  A graph is
+    then reached once per configuration in its fiber.
+    """
     _count("limit", limit)
     if config_space_size(D) > limit:
         raise ValueError("configuration space beyond the oracle limit")
@@ -85,7 +96,9 @@ def enumerate_configurations(D: DegreeSequence, limit: int = 10**6):
             raise ValueError("unbalanced conjugate colors")
         choices.append([tuple(zip(left, perm)) for perm in itertools.permutations(right)])
     for combo in itertools.product(*choices):
-        yield Configuration(D, dict(zip(colors, combo)))
+        yield Configuration(
+            D, {c: tuple((a[1], b[1]) for a, b in pairs) for c, pairs in zip(colors, combo)}
+        )
 
 
 def exact_cm_law(D: DegreeSequence, limit: int = 10**6):

@@ -558,37 +558,19 @@ def _arcs(adj):
     return start, to, back
 
 
-class _MessageTable:
-    """The messages on the arcs: arc a carries ids[a], an index into table.
-
-    msg[a] is the class table[ids[a]], and iterating msg gives the class
-    of every arc in order; the message passes read ids and table directly.
-    """
-
-    __slots__ = ("ids", "table")
-
-    def __init__(self, ids, table):
-        self.ids = ids
-        self.table = table
-
-    def __getitem__(self, a):
-        return self.table[self.ids[a]]
-
-
 def _messages(adj, k):
     """Depth-k messages on every arc of the vertex-indexed adj, in flat lists.
 
     adj[v] iterates the neighbours of v, for v in 0..n-1 (a simple graph).
-    Returns (start, to, back, msg), the first three the O(n + m) arc table
-    of :func:`_arcs`: the arcs out of v are the a with start[v] <= a <
-    start[v + 1], arc a leads to to[a], and back[a] is its reverse arc.
-    msg is a :class:`_MessageTable`: msg.ids[a] is a small int, the index
-    in msg.table, the distinct depth-k messages in order of first join, of
-    the tree class of the side of to[a] without that edge, unfolded into a
-    tree to depth k.  msg_0 is the single vertex, and msg_k(u -> v) joins
-    the msg_{k-1}(v -> w) over w != u as root subtrees: the
-    tree-isomorphism recursion of Aho, Hopcroft & Ullman (1974) run as
-    colour refinement.  Where the side is a tree to depth k the unfolding
+    Returns (start, to, back, ids, table), the first three the O(n + m)
+    arc table of :func:`_arcs`: the arcs out of v are the a with start[v]
+    <= a < start[v + 1], arc a leads to to[a], and back[a] is its reverse
+    arc.  ids[a] is a small int, the index in table, the distinct depth-k
+    messages in order of first join, of the tree class of the side of
+    to[a] without that edge, unfolded into a tree to depth k.  msg_0 is
+    the single vertex, and msg_k(u -> v) joins the msg_{k-1}(v -> w) over
+    w != u as root subtrees: the tree-isomorphism recursion of Aho,
+    Hopcroft & Ullman (1974) run as colour refinement.  Where the side is a tree to depth k the unfolding
     is the side itself.  A vertex's key is its sorted tuple of ids; each
     round joins once per distinct key, and within it once per distinct
     message dropped from it, and reads the classes only then.  Round 1
@@ -625,7 +607,7 @@ def _messages(adj, k):
                 new[back[a]] = drop[ids[a]]
         table = list(index)
         ids = new
-    return start, to, back, _MessageTable(ids, table)
+    return start, to, back, ids, table
 
 
 def _short_cycle_at(adj, root, g):
@@ -660,14 +642,12 @@ def _short_cycle_at(adj, root, g):
     return False
 
 
-def _near_core(adj, h):
-    """The vertices within distance h of the 2-core of the vertex-indexed adj, as a set.
+def _two_core(adj):
+    """The 2-core of the vertex-indexed adj, as a set: O(n + m).
 
     adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
     Every cycle lies in the 2-core, the vertices left once those of degree
-    <= 1 are peeled off one by one.  The peel is O(n + m), and a
-    multi-source BFS of radius h from the core (:func:`_within`) adds the
-    rest.
+    <= 1 are peeled off one by one.
     """
     deg = [len(nb) for nb in adj]
     stack = [v for v, d in enumerate(deg) if d <= 1]
@@ -679,7 +659,7 @@ def _near_core(adj, h):
                 if deg[w] <= 1:
                     peeled.add(w)
                     stack.append(w)
-    return _within(adj, {v for v in range(len(adj)) if v not in peeled}, h)
+    return {v for v in range(len(adj)) if v not in peeled}
 
 
 def _within(adj, near, h):
@@ -726,7 +706,7 @@ def _least_cycle_vertices(adj, g):
             d += 1
         return False
 
-    return (x for x in _near_core(adj, 0) if cycle_above(x))
+    return (x for x in _two_core(adj) if cycle_above(x))
 
 
 def _has_short_cycle(adj, g):
@@ -751,19 +731,18 @@ def tree_classes(adj, h):
     * d log d), d the largest degree, plus the size of each distinct class.
     """
     _check_int("depth", h, 0)
-    start, _, _, msg = _messages(adj, h - 1)
-    return _join_at_vertices(start, msg, h)
+    start, _, _, ids, table = _messages(adj, h - 1)
+    return _join_at_vertices(start, ids, table, h)
 
 
-def _join_at_vertices(start, msg, h):
-    """Depth-h class of every vertex, joined from the depth-(h-1) messages msg.
+def _join_at_vertices(start, ids, table, h):
+    """Depth-h class of every vertex, joined from the depth-(h-1) messages.
 
-    (start, msg) are those of :func:`_messages`: the arcs out of v are
-    the a with start[v] <= a < start[v + 1], and msg.ids[a] indexes the
-    side of arc a in msg.table.  Joins once per distinct sorted tuple of
-    ids into a vertex.
+    (start, ids, table) are those of :func:`_messages`: the arcs out of v
+    are the a with start[v] <= a < start[v + 1], and ids[a] indexes the
+    side of arc a in table.  Joins once per distinct sorted tuple of ids
+    into a vertex.
     """
-    ids, table = msg.ids, msg.table
     joined = {}
     out = []
     for v in range(len(start) - 1):

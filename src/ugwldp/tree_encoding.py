@@ -97,18 +97,18 @@ def _encoding(G: SimpleGraph, h: int):
 
     Rejects a depth that is not an int >= 1 and a graph that is not
     h-tree-like (:func:`is_h_treelike`), then makes one depth-(h-1)
-    message pass of :func:`rooted._messages`.  Returns ((start, to,
-    back), msg, col, classes, D): the arc table and the messages on it,
-    col[a] the 0-based index of msg[a] in classes, the distinct messages
-    sorted by wire form, and the colored degree sequence.  Arc a out of u
-    adds 1 to D's entry (col[a], col[back[a]]) at u, in one O(n + m) pass;
-    vertices with the same multiset of entries share one matrix.
+    message pass of :func:`rooted._messages`.  Returns ((start, to, back,
+    ids, table), col, classes, D): the arc table and the messages on it,
+    as _messages gives them, col[a] the 0-based index of table[ids[a]] in
+    classes, the distinct messages sorted by wire form, and the colored
+    degree sequence.  Arc a out of u adds 1 to D's entry (col[a],
+    col[back[a]]) at u, in one O(n + m) pass; vertices with the same
+    multiset of entries share one matrix.
     """
     _check_int("depth", h, 1)
     if not is_h_treelike(G, h):
         raise NotTreeLikeError(f"graph has a cycle of length <= {2 * h + 1}")
-    start, to, back, msg = _messages(G.adjacency(), h - 1)
-    ids, table = msg.ids, msg.table
+    start, to, back, ids, table = _messages(G.adjacency(), h - 1)
     used = sorted(set(ids), key=lambda i: table[i].wire())
     classes = tuple(table[i] for i in used)
     L = len(classes)
@@ -125,7 +125,7 @@ def _encoding(G: SimpleGraph, h: int):
                 grid[x // L][x % L] += 1
             mat = mats[key] = tuple(map(tuple, grid))
         rows.append(mat)
-    return (start, to, back), msg, col, classes, DegreeSequence(L, tuple(rows))
+    return (start, to, back, ids, table), col, classes, DegreeSequence(L, tuple(rows))
 
 
 def encode(G: SimpleGraph, h: int):
@@ -139,7 +139,7 @@ def encode(G: SimpleGraph, h: int):
     d) message pass, d the largest degree, and D and the multigraph built
     from the arc table in O(n + m).
     """
-    (start, to, back), _, col, classes, D = _encoding(G, h)
+    (start, to, back, _, _), col, classes, D = _encoding(G, h)
     ctx = EncodingContext(h, classes, {c: i + 1 for i, c in enumerate(classes)})
     out = ColoredMultigraph(ctx.L, G.n)
     for u in range(G.n):
@@ -165,8 +165,8 @@ def verify_neighborhood_preservation(
     message pass per sample.
     """
     _check_int("samples", samples, 1)
-    (start, _, _), msg, _, _, D = _encoding(G, h)
-    want = Counter(_join_at_vertices(start, msg, h))
+    (start, _, _, ids, table), _, _, D = _encoding(G, h)
+    want = Counter(_join_at_vertices(start, ids, table, h))
     for _ in range(samples):
         sample, _, _ = _simple_sample(D, 2 * h + 1, rng)
         if Counter(tree_classes(sample.adjacency(), h)) != want:

@@ -468,12 +468,23 @@ def _mat_add(M, c, delta):
 
 @dataclass(frozen=True)
 class ColoredOffspringLaw:
-    """Offspring law on L x L count matrices with conjugate-balanced means."""
+    """Offspring law on L x L count matrices with conjugate-balanced means.
+
+    L is an int >= 1, and every matrix is a tuple of L rows of L ints >= 0;
+    anything else raises ValueError, before the weights are read.
+    """
 
     L: int
     base: dict  # matrix -> weight >= 0; mass 1, within 1e-12 if any weight is a float
 
     def __post_init__(self):
+        _check_int("L", self.L, 1)
+        for M in self.base:
+            if len(M) != self.L or any(len(row) != self.L for row in M):
+                raise ValueError(f"offspring matrix {M!r} is not {self.L} x {self.L}")
+            for row in M:
+                for x in row:
+                    _check_int("degree", x, 0)
         weights = self.base.values()
         exact = all(isinstance(p, (int, Fraction)) for p in weights)
         if any(p < 0 for p in weights):
@@ -545,8 +556,11 @@ def _bipartite_law(P1, P2) -> ColoredOffspringLaw:
     P1(k), a type-2 vertex k across (2, 1) with probability P2(k), and the
     root is type 1 or 2 with odds (d2, d1) / (d1 + d2), where d1, d2 > 0
     are the means of P1, P2.  The branch laws across (1, 2) and (2, 1) are
-    then the size-biased laws of P2 and P1.
+    then the size-biased laws of P2 and P1.  Every degree is an int >= 0,
+    else ValueError.
     """
+    for k in (*P1, *P2):
+        _check_int("degree", k, 0)
     # summed from Fraction(0), int and Fraction weights stay exact
     d1 = sum((k * p for k, p in P1.items()), Fraction(0))
     d2 = sum((k * p for k, p in P2.items()), Fraction(0))

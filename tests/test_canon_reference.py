@@ -7,31 +7,39 @@ only run on small inputs.  The library answers every colored-isomorphism
 question with one search, :func:`ugwldp.rooted.canonical_labeling`; it
 must induce the same partition into classes, count the same
 automorphisms, and also handle inputs the references cannot.
+
+Colored multigraphs and explored balls go through that search by
+:func:`_colored_canon` below, which the library itself does not need.
+With it, :func:`signature` keys a ball by its rooted colored class, and
+:func:`subgraph_count_expectation` gives the expected count of a motif,
+the sum that the closed form :func:`short_cycle_intensity` is checked
+against.
 """
 
 import itertools
 import math
 import random
 from collections import defaultdict
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_pairing_reference import reference_ball_of
 from ugwldp.config_model import (
     ColoredMultigraph,
     DegreeSequence,
     ExploredNeighborhood,
-    _colored_canon,
+    _b_factor,
     all_colors,
-    automorphism_count,
-    ball_of,
+    bijection_colors,
     conj,
     degree_sequence_of,
     explore_neighborhood,
     graph_of,
+    matching_colors,
     sample_configuration,
     short_cycle_intensity,
-    subgraph_count_expectation,
 )
 from ugwldp.rooted import (
     GENERAL,
@@ -44,6 +52,113 @@ from ugwldp.rooted import (
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
 _MAX_LABELINGS = 2_000_000
+
+
+def _colored_canon(H: ColoredMultigraph, root=None):
+    """canonical_labeling of H: loops and the root in the vertex colors.
+
+    A vertex's color is (is the root, its sorted loop entries (c, m)); the
+    label of the arc (u, v) is its sorted entries (c, m) of (c, u, v).
+    """
+    loops = [[] for _ in range(H.n)]
+    arcs = {}
+    for (c, u, v), m in H.w.items():
+        (loops[u] if u == v else arcs.setdefault((u, v), [])).append((c, m))
+    colors = [(u == root, tuple(sorted(lp))) for u, lp in enumerate(loops)]
+    return canonical_labeling(
+        H.n, colors, {a: tuple(sorted(e)) for a, e in arcs.items()}
+    )
+
+
+def automorphism_count(H: ColoredMultigraph) -> int:
+    """Vertex permutations preserving every color weight."""
+    return _colored_canon(H)[2]
+
+
+def signature(ball: ExploredNeighborhood):
+    """Canonical key of the rooted colored ball (root-fixing relabelings)."""
+    index = {v: i for i, v in enumerate(ball.vertices)}
+    L = max((max(c) for _u, _v, c in ball.edges), default=1)
+    H = ColoredMultigraph(L, len(index))
+    for u, v, c in ball.edges:
+        H.add_edge(c, index[u], index[v])
+    return (H.n, _colored_canon(H, index[ball.root])[0])
+
+
+def _falling(x, k):
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out
+
+
+def _falling_pairs(S, s):
+    """Product (S-1)(S-3)...: one factor per half-edge pair consumed."""
+    if s % 2:
+        raise ValueError(f"a matching consumes half-edges in pairs, got an odd count {s}")
+    out = 1
+    for i in range(1, s // 2 + 1):
+        out *= S - 2 * i + 1
+    return out
+
+
+def subgraph_count_expectation(
+    H: ColoredMultigraph, degrees: DegreeSequence | None = None, limit: dict | None = None
+):
+    """Expected number of embedded copies of a motif.
+
+    Exactly one of `degrees` (finite-sequence mode, exact rational) or
+    `limit` (limit-law mode, the n-free intensity prefactor scaling as
+    n^-excess) must be given.  `limit` maps L x L matrices to weights.
+    The finite-sequence mode sums over all n!/(n-k)! placements of the
+    motif's k vertices.
+    """
+    if (degrees is None) == (limit is None):
+        raise ValueError("give exactly one of degrees= or limit=")
+    a = automorphism_count(H)
+    b = _b_factor(H)
+    dH = degree_sequence_of(H)
+    k = H.n
+    if degrees is not None:
+        D = degrees
+        total = Fraction(0)
+        for tau in itertools.permutations(range(D.n), k):
+            term = Fraction(1)
+            for i in range(k):
+                for c in all_colors(D.L):
+                    need = dH.D(i, c)
+                    if need:
+                        term *= _falling(D.D(tau[i], c), need)
+                if term == 0:
+                    break
+            total += term
+        den = a * b
+        for c in bijection_colors(D.L):
+            den *= _falling(D.S(c), dH.S(c))
+        for c in matching_colors(D.L):
+            den *= _falling_pairs(D.S(c), dH.S(c))
+        return total / den
+    L = H.L
+    num = 1.0
+    for i in range(k):
+        factor = 0.0
+        for M, p in limit.items():
+            term = float(p)
+            for c in all_colors(L):
+                need = dH.D(i, c)
+                if need:
+                    term *= _falling(M[c[0] - 1][c[1] - 1], need)
+            factor += term
+        num *= factor
+    den = float(a * b)
+    for c in all_colors(L):
+        sc = dH.S(c)
+        if sc:
+            ed = sum(float(p) * M[c[0] - 1][c[1] - 1] for M, p in limit.items())
+            if not ed:
+                return 0.0  # no weighted vertex has color c: the numerator is 0
+            den *= ed ** (sc / 2)
+    return num / den
 
 
 def _tree_paren(adj_sets, root):
@@ -441,7 +556,7 @@ def explored_balls():
             for depth in (1, 2, 3):
                 for _ in range(15):
                     yield explore_neighborhood(D, v, depth, rng)
-                    yield ball_of(graph_of(sample_configuration(D, rng)), v, depth)
+                    yield reference_ball_of(graph_of(sample_configuration(D, rng)), v, depth)
 
 
 class TestSignature:
@@ -449,9 +564,7 @@ class TestSignature:
         balls = [b for b in explored_balls() if len(b.vertices) <= 9]
         assert len(balls) > 1000
         assert len({reference_signature(b) for b in balls}) > 50
-        assert same_partition(
-            balls, ExploredNeighborhood.signature, reference_signature
-        )
+        assert same_partition(balls, signature, reference_signature)
 
     def test_large_ball(self):
         # On 2000 vertices a depth-3 ball of a 3-regular graph is nearly
@@ -462,7 +575,7 @@ class TestSignature:
         for v in range(12):
             ball = explore_neighborhood(D, v, 3, rng)
             assert len(ball.vertices) > 9
-            by_sig[ball.signature()].append(ball)
+            by_sig[signature(ball)].append(ball)
         assert max(map(len, by_sig.values())) > 1
         ball = next(iter(by_sig.values()))[0]
         perm = list(range(2000))
@@ -473,4 +586,4 @@ class TestSignature:
             [(perm[u], perm[v], conj(c)) for v, u, c in ball.edges],
             ball.is_tree,
         )
-        assert moved.signature() == ball.signature()
+        assert signature(moved) == signature(ball)

@@ -55,9 +55,9 @@ EXACT_SPACE = 5000  # exact mode enumerates every configuration
 def ref_split_classes(adj, k):
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    start, to, _, msg = _messages(adj, k)
+    start, to, _, ids, table = _messages(adj, k)
     return {
-        (u, to[a]): msg[a]
+        (u, to[a]): table[ids[a]]
         for u in range(len(adj))
         for a in range(start[u], start[u + 1])
     }

@@ -19,7 +19,6 @@ from ugwldp.config_model import (
     DegreeSequence,
     _simple_sample,
     acceptance_estimate,
-    ball_of,
     colorblind,
     explore_neighborhood,
     has_cycle_leq,
@@ -120,8 +119,6 @@ ENTRY_POINTS = [
     ("acceptance_estimate.h", "h", 1, 1, lambda x, r: acceptance_estimate(LIMIT, 1, x)),
     ("explore_neighborhood.v", "v", 0, 0, lambda x, r: explore_neighborhood(D3, x, 1, r)),
     ("explore_neighborhood.depth", "depth", 0, 0, lambda x, r: explore_neighborhood(D3, 0, x, r)),
-    ("ball_of.v", "v", 0, 0, lambda x, r: ball_of(SAMPLED, x, 1)),
-    ("ball_of.depth", "depth", 0, 0, lambda x, r: ball_of(SAMPLED, 0, x)),
     ("single_color", "degree", None, 0, lambda x, r: DegreeSequence.single_color([2, x])),
     ("from_rows.L", "L", 1, 1, lambda x, r: DegreeSequence.from_rows(x, [[1], [1]])),
     ("from_rows.entry", "degree", None, 1, lambda x, r: DegreeSequence.from_rows(1, [[1], [x]])),
@@ -185,6 +182,21 @@ ENTRY_POINTS = [
         0,
         lambda x, r: sample_ugw_bipartite({2: 1}, {3: 1}, x, r),
     ),
+    ("ColoredOffspringLaw.L", "L", 1, 1, lambda x, r: ColoredOffspringLaw(x, {((2,),): 1})),
+    (
+        "ColoredOffspringLaw.entry",
+        "degree",
+        0,
+        0,
+        lambda x, r: ColoredOffspringLaw(1, {((x,),): 1}),
+    ),
+    (
+        "sample_ugw_bipartite.degree",
+        "degree",
+        0,
+        0,
+        lambda x, r: sample_ugw_bipartite({x: HALF, 3: HALF}, {2: 1}, 2, r),
+    ),
 ]
 IDS = [entry[0] for entry in ENTRY_POINTS]
 
@@ -244,6 +256,24 @@ HOLES = [
     ),
     (lambda: edge_type_table(DEEP_STAR, 1.5), "depth must be an int, got 1.5"),
     (lambda: experiments.degree_sequence_for_law({2.5: 1}, 10), "degree must be an int, got 2.5"),
+    # a bool L used to be read as L = 1
+    (lambda: ColoredOffspringLaw(True, {((2,),): 1}), "L must be an int, got True"),
+    # a 2 x 2 matrix under L = 1 used to be accepted, and its entries ignored
+    (
+        lambda: ColoredOffspringLaw(1, {((1, 1), (1, 1)): 1}),
+        "offspring matrix ((1, 1), (1, 1)) is not 1 x 1",
+    ),
+    (lambda: ColoredOffspringLaw(1, {((-1,),): 1}), "degree must be >= 0, got -1"),
+    # a negative degree used to be sampled, as a tree of 13 vertices at depth 3
+    (
+        lambda: sample_ugw_bipartite({-1: HALF, 3: HALF}, {2: 1}, 3, random.Random(0)),
+        "degree must be >= 0, got -1",
+    ),
+    # a float degree used to raise TypeError
+    (
+        lambda: sample_ugw_bipartite({1.5: 1}, {2: 1}, 3, random.Random(0)),
+        "degree must be an int, got 1.5",
+    ),
 ]
 
 

@@ -47,12 +47,12 @@ def reference_messages(adj, k):
 
 
 def assert_same_messages(adj, k):
-    start, to, back, msg = _messages(adj, k)
+    start, to, back, ids, table = _messages(adj, k)
     r_start, r_to, r_back, r_ids, r_table = reference_messages(adj, k)
     assert (start, to, back) == (r_start, r_to, r_back)
-    assert msg.ids == r_ids
-    assert len(msg.table) == len(r_table)
-    assert all(c is r for c, r in zip(msg.table, r_table))
+    assert ids == r_ids
+    assert len(table) == len(r_table)
+    assert all(c is r for c, r in zip(table, r_table))
 
 
 @st.composite

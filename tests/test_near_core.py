@@ -7,8 +7,9 @@ from ugwldp.config_model import Multigraph, has_cycle_leq
 from ugwldp.rooted import (
     SimpleGraph,
     _has_short_cycle,
-    _near_core,
     _short_cycle_at,
+    _two_core,
+    _within,
     ball_classes,
     canonical_from_adjacency,
 )
@@ -61,13 +62,13 @@ def test_ball_class_is_canonical_class(G, h):
 def test_near_core_is_the_ball_of_the_core(G, h):
     adj = G.adjacency()
     core = _core_by_definition(adj)
-    assert _near_core(adj, 0) == core
+    assert _two_core(adj) == core
     dist = {v: 0 for v in core}
     frontier = list(core)
     for d in range(1, h + 1):
         frontier = [w for v in frontier for w in adj[v] if w not in dist]
         dist.update(dict.fromkeys(frontier, d))
-    assert _near_core(adj, h) == set(dist)
+    assert _within(adj, set(core), h) == set(dist)
     # a cyclic ball lies within distance h of the core
     for v in set(range(len(adj))) - set(dist):
         assert not _short_cycle_at(adj, v, 2 * h + 1)
@@ -86,8 +87,8 @@ def test_pendant_paths_on_a_triangle():
     tail = [(2, 3), (3, 4), (4, 5), (5, 6)]
     G = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 0)] + tail)
     adj = G.adjacency()
-    assert _near_core(adj, 0) == {0, 1, 2}
-    assert _near_core(adj, 2) == {0, 1, 2, 3, 4}
+    assert _two_core(adj) == {0, 1, 2}
+    assert _within(adj, _two_core(adj), 2) == {0, 1, 2, 3, 4}
     for h in range(4):
         classes = ball_classes(adj, h)
         for v in range(7):

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ugwldp.config_model import DegreeSequence, config_space_size, validate_degree_sequence
+from ugwldp.config_model import (
+    DegreeSequence,
+    config_space_size,
+    degree_sequence_of,
+    graph_of,
+    validate_degree_sequence,
+)
 from ugwldp.neighborhood import NeighborhoodLaw
 from ugwldp.oracle import (
     brute_ugw_marginal,
@@ -16,6 +22,7 @@ from ugwldp.oracle import (
     exact_equivalent_count,
 )
 from ugwldp.rooted import SimpleGraph
+from ugwldp.verify import tiny_degree_grid
 
 HALF = Fraction(1, 2)
 
@@ -54,6 +61,15 @@ class TestEnumerateConfigurations:
     def test_matching_color_small(self):
         D = DegreeSequence.single_color([2, 2])
         assert sum(1 for _ in enumerate_configurations(D)) == 3
+
+    def test_owner_pairs_keep_the_degrees(self):
+        # each half-edge pairing, named by owners, projects to a graph of degrees D
+        for D in tiny_degree_grid(40):
+            count = 0
+            for sigma in enumerate_configurations(D):
+                assert degree_sequence_of(graph_of(sigma)) == D
+                count += 1
+            assert count == config_space_size(D)
 
 
 class TestExactLaw:

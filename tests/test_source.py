@@ -260,3 +260,47 @@ def test_configuration_samplers_share_one_pairing_loop():
     assert not {"_pair_draws", "_configuration"} & set(funcs)
     for name in ("sample_configuration", "_simple_sample"):
         assert "_draw_pairs" in [called for called, _ in _called(funcs[name])]
+
+
+def test_configurations_reach_graphs_through_graph_of():
+    # a Configuration holds owner pairs, and graph_of is the one loop that
+    # turns pairs into weights: no other function of config_model reaches
+    # add_edge, and sample_G_Dh hands its accepted draws to graph_of whole
+    (path,) = [path for path in SOURCES if path.name == "config_model.py"]
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+    users = {
+        name
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "add_edge"
+    }
+    assert users == {"graph_of"}
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(funcs["sample_G_Dh"]))
+    assert "graph_of" in [called for called, _ in _called(funcs["sample_G_Dh"])]
+
+
+def test_unreached_api_stays_out_of_the_library():
+    # the half-edge pools, the induced ball of a realized graph and the
+    # colored motif counter are test references now; the half-edge list
+    # W_c is the brute-force oracle's alone
+    gone = {
+        "half_edge_pools",
+        "ball_of",
+        "subgraph_count_expectation",
+        "automorphism_count",
+        "_colored_canon",
+        "_falling",
+        "_falling_pairs",
+        "_MessageTable",
+    }
+    defined = {
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {name for _, name in defined} & gone == set()
+    assert {path for path, name in defined if name == "half_edges"} == {"oracle.py"}
+    assert not gone & set(dir(ugwldp))
