@@ -34,7 +34,6 @@ from .rooted import (
     SimpleGraph,
     canonical_from_adjacency,
     canonicalize,
-    children_subtrees,
     declare_depth,
     drop_root_child,
     edge_type_count,
@@ -197,7 +196,7 @@ def _oracle_branch_law(P: NeighborhoodLaw, t, t_prime):
         raise ValueError(f"zero intensity for {(t, t_prime)}")
     candidates = set()
     for S in P:
-        for sub in set(children_subtrees(S)):
+        for sub in set(S.children):
             if sub is t_prime:
                 tau = drop_root_child(S, sub)
                 if truncate(tau, h - 1) is t:
@@ -205,7 +204,7 @@ def _oracle_branch_law(P: NeighborhoodLaw, t, t_prime):
     out = {}
     for tau in candidates:
         joined = join_at_root(tau, t_prime)
-        mult = 1 + children_subtrees(tau).count(t_prime)
+        mult = 1 + tau.children.count(t_prime)
         w = P.prob(joined) * mult
         if w:
             out[tau] = Fraction(w) / e
@@ -257,7 +256,7 @@ def brute_ugw_marginal(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
 
     def _extend(tau, t_prime, j):
         """Depth-j refinements of the depth-h subtree tau at a (., t') vertex."""
-        kids = children_subtrees(tau)
+        kids = tau.children
         parent_stub = truncate(t_prime, h - 2) if h >= 2 else None
         options = []
         for s in kids:
@@ -278,7 +277,7 @@ def brute_ugw_marginal(P: NeighborhoodLaw, k: int) -> NeighborhoodLaw:
 
     out = {}
     for g, p in P.items():
-        kids = children_subtrees(g)
+        kids = g.children
         options = []
         for s in kids:
             look = truncate(drop_root_child(g, s), h - 1)

@@ -137,7 +137,8 @@ class SimpleGraph:
 
         This vertex-indexed list is the adjacency that the class and girth
         code (:func:`tree_classes`, :func:`ball_classes`, :func:`_messages`,
-        :func:`_has_short_cycle`) takes.  O(n + m).
+        :func:`_has_short_cycle`) takes; the girth BFS indexes its stamp
+        lists by these vertices 0..n-1.  O(n + m).
         """
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -435,18 +436,25 @@ def _join(depth, kids):
 def _decode_general(encoding):
     """The rep of a general encoding: n, then bit i * n + j of each edge, i < j.
 
-    Reads the set bits byte by byte; rows come in order, so lists are sorted.
+    The layout is the one canonical_from_adjacency writes: n >= 1 in two
+    little-endian bytes, then exactly max((n * n + 7) // 8, 1) bytes of
+    bits, with no bit set at i >= j.  Any other encoding raises ValueError.
+    Reads the set bits byte by byte; rows come in order, so lists are
+    sorted.
     """
     n = int.from_bytes(encoding[:2], "little")
+    if n < 1 or len(encoding) != 2 + max((n * n + 7) // 8, 1):
+        raise ValueError("malformed general encoding")
     adj = [[] for _ in range(n)]
-    for k, byte in enumerate(encoding[2:] if n else b""):
+    for k, byte in enumerate(encoding[2:]):
         while byte:
             low = byte & -byte
             byte ^= low
             i, j = divmod(8 * k + low.bit_length() - 1, n)
-            if i < j:
-                adj[i].append(j)
-                adj[j].append(i)
+            if i >= j:
+                raise ValueError("malformed general encoding")
+            adj[i].append(j)
+            adj[j].append(i)
     return tuple(map(tuple, adj))
 
 
@@ -610,20 +618,26 @@ def _messages(adj, k):
     return start, to, back, ids, table
 
 
-def _short_cycle_at(adj, root, g):
-    """Whether a BFS from root, keeping parents only, sees a cycle of length <= g.
+def _short_cycle_at(adj, x, g, above=-1, seen=None, parent=None):
+    """Whether a BFS from x over the vertices > above sees a cycle of length <= g.
 
+    adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
     While layer d (the vertices at distance d) is expanded, a seen
     neighbour other than the parent lies within distance d + 1 and closes
-    a cycle of length <= 2d + 2 through paths from the root; within
-    distance d, once no vertices are added, <= 2d + 1.  So the layers with
-    2d + 2 <= g add vertices, and the next one only looks for seen
-    neighbours.  Every cycle of length <= g through root is found, and the
-    induced depth-h ball of root is a tree exactly when g = 2h + 1 finds
-    none.  Cost O(size of the ball of radius g // 2).
+    a cycle of length <= 2d + 2 through paths from x; within distance d,
+    once no vertices are added, <= 2d + 1.  So the layers with 2d + 2 <= g
+    add vertices, and the next one only looks for seen neighbours.  Every
+    cycle of length <= g through x on x and the vertices > above is found;
+    with above = -1, the induced depth-h ball of x is a tree exactly when
+    g = 2h + 1 finds none.  seen and parent are stamp lists of length n (w
+    is seen from x when seen[w] == x), so one pair serves a pass of BFS
+    from distinct roots; None makes a fresh pair.  Cost O(size of the ball
+    of radius g // 2), plus O(n) for a fresh pair.
     """
-    parent = {root: None}
-    frontier = [root]
+    if seen is None:
+        seen, parent = [-1] * len(adj), [-1] * len(adj)
+    seen[x] = parent[x] = x
+    frontier = [x]
     d = 0
     while frontier and 2 * d + 1 <= g:
         grow = 2 * d + 2 <= g
@@ -631,10 +645,11 @@ def _short_cycle_at(adj, root, g):
         for u in frontier:
             p = parent[u]
             for w in adj[u]:
-                if w != p:
-                    if w in parent:
+                if w > above and w != p:
+                    if seen[w] == x:
                         return True
                     if grow:
+                        seen[w] = x
                         parent[w] = u
                         nxt.append(w)
         frontier = nxt
@@ -675,38 +690,15 @@ def _least_cycle_vertices(adj, g):
     """Each 2-core vertex x whose BFS over the vertices >= x sees a cycle of length <= g.
 
     adj[v] iterates the neighbours of v, for v in 0..n-1, with no loop.
-    The BFS is :func:`_short_cycle_at`'s, kept to the vertices >= x: each
-    x yielded has a cycle of length <= g on them, and each such cycle is
-    found from its least vertex.  Two stamp lists per graph replace a
-    parent dict per BFS (w is seen from x when seen[w] == x).  Lazy, so a
-    caller may stop at the first.  Cost O(n + m) for the 2-core, plus per
-    core vertex a BFS of radius g // 2 over the vertices above it.
+    Each x yielded has a cycle of length <= g on the vertices >= x, and
+    each such cycle is found from its least vertex, by
+    :func:`_short_cycle_at` with the floor x, on one stamp pair per
+    graph.  Lazy, so a caller may stop at the first.  Cost O(n + m) for
+    the 2-core, plus per core vertex a BFS of radius g // 2 over the
+    vertices above it.
     """
-    seen = [-1] * len(adj)
-    parent = [-1] * len(adj)
-
-    def cycle_above(x):
-        seen[x] = parent[x] = x
-        frontier = [x]
-        d = 0
-        while frontier and 2 * d + 1 <= g:
-            grow = 2 * d + 2 <= g
-            nxt = []
-            for u in frontier:
-                p = parent[u]
-                for w in adj[u]:
-                    if w > x and w != p:
-                        if seen[w] == x:
-                            return True
-                        if grow:
-                            seen[w] = x
-                            parent[w] = u
-                            nxt.append(w)
-            frontier = nxt
-            d += 1
-        return False
-
-    return (x for x in _two_core(adj) if cycle_above(x))
+    seen, parent = [-1] * len(adj), [-1] * len(adj)
+    return (x for x in _two_core(adj) if _short_cycle_at(adj, x, g, x, seen, parent))
 
 
 def _has_short_cycle(adj, g):
@@ -762,16 +754,17 @@ def ball_classes(adj, h):
     :func:`tree_classes`.  A cyclic ball B_h(v) holds a cycle of length
     <= 2h + 1, so v is within distance h of that cycle's least vertex,
     which :func:`_least_cycle_vertices` yields; only such vertices get the
-    exact test of :func:`_short_cycle_at`, and only the cyclic balls among
-    them are replaced, by canonical_from_adjacency.  Cost: that of
-    tree_classes, plus O(n + m) for the 2-core, a BFS over the larger
-    vertices from each core vertex, and the BFS and canonical labeling of
-    the few balls near a short cycle.
+    exact test of :func:`_short_cycle_at`, on a stamp pair of their own,
+    and only the cyclic balls among them are replaced, by
+    canonical_from_adjacency.  Cost: that of tree_classes, plus O(n + m)
+    for the 2-core, a BFS over the larger vertices from each core vertex,
+    and the BFS and canonical labeling of the few balls near a short cycle.
     """
     out = dict(enumerate(tree_classes(adj, h)))
     g = 2 * h + 1
+    seen, parent = [-1] * len(adj), [-1] * len(adj)
     for v in _within(adj, set(_least_cycle_vertices(adj, g)), h):
-        if _short_cycle_at(adj, v, g):
+        if _short_cycle_at(adj, v, g, -1, seen, parent):
             out[v] = canonical_from_adjacency(adj, v, h)
     return out
 
@@ -802,7 +795,10 @@ def parse_class(wire: str, depth: int | None = None) -> CanonicalClass:
         d = int(head[1:])
         if depth is not None and depth != d:
             raise ValueError(f"depth mismatch: {depth} vs {wire!r}")
-        rep = _decode_general(bytes.fromhex(hexpart))
+        try:
+            rep = _decode_general(bytes.fromhex(hexpart))
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {wire!r}") from None
         if len(_ball(rep, 0, d)) != len(rep):
             raise ValueError(f"encoding not connected within depth {d}: {wire!r}")
     else:
@@ -892,15 +888,6 @@ def join_at_root(tau: CanonicalClass, t_prime: CanonicalClass) -> CanonicalClass
 
 def root_degree(g: CanonicalClass) -> int:
     return len(g.rep[0])
-
-
-def children_subtrees(g: CanonicalClass) -> list[CanonicalClass]:
-    """For a tree class: the subtree class hanging at each root child.
-
-    Each subtree is declared at depth(g) - 1 (its natural bound), in
-    g.rep[0] order.  Read off the parenthesis encoding once per class.
-    """
-    return list(g.children)
 
 
 def drop_root_child(g: CanonicalClass, subtree: CanonicalClass) -> CanonicalClass:

@@ -459,6 +459,15 @@ class TestCyclicLaws:
         assert code == 0
         assert json.loads(out)["value"] == "+inf"
 
+    def test_malformed_general_wire_exit3(self, capsys, tmp_path):
+        # the star with two leaves, plus loop bits and a below-diagonal bit
+        path = tmp_path / "bad.json"
+        law = {"depth": 1, "mode": "rational", "support": [{"class": "G1:03001f00", "p": "1"}]}
+        path.write_text(json.dumps(law), encoding="utf-8")
+        code, out, err = run(capsys, "jh", "--law", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("invalid law: ") and "G1:03001f00" in err
+
     def test_sample_ugw_exit3(self, capsys, triangle_law):
         code, out, err = run(capsys, "sample-ugw", "--law", triangle_law, "--depth", "3")
         assert code == 3 and out == ""

@@ -6,7 +6,9 @@ from each 2-core vertex over the vertices above it
 (_short_cycle_at at 2h + 1) sees a cycle must lie within distance h of a
 vertex that search yields, and both answers must be those of the
 per-vertex rule at every vertex, not only on the 2-core.  The search
-depends on the vertex labels, so relabeling must change nothing.
+depends on the vertex labels, so relabeling must change nothing.  One
+girth BFS serves the search and the exact test, each pass on a stamp pair
+of its own, so no stamp left by one pass may read as a cycle in the other.
 """
 
 import random
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_near_core import core_graphs
+from test_split_reference import reference_cycle_from, sparse_graphs
 from ugwldp import rooted
 from ugwldp.config_model import DegreeSequence, _simple_sample
 from ugwldp.rooted import (
@@ -156,13 +160,41 @@ def test_least_vertex_at_distance_h_from_the_root(h):
     assert_matches_every_vertex(adj, h)
 
 
+@SETTINGS
+@given(
+    adj=st.one_of(sparse_graphs(), core_graphs().map(SimpleGraph.adjacency)),
+    g=st.integers(1, 8),
+    data=st.data(),
+)
+def test_one_stamp_pair_serves_a_pass_of_roots(adj, g, data):
+    """The girth BFS on one stamp pair per pass, roots in any order, against the reference.
+
+    Without a floor it is the per-vertex rule; with the floor x it is the
+    rule on the subgraph induced by the vertices >= x.  Each pass has its
+    own pair, as ball_classes and _least_cycle_vertices have.
+    """
+    n = len(adj)
+    order = data.draw(st.permutations(range(n)))
+    seen, parent = [-1] * n, [-1] * n
+    for v in order:
+        assert _short_cycle_at(adj, v, g, -1, seen, parent) == reference_cycle_from(adj, v, g)
+    seen, parent = [-1] * n, [-1] * n
+    for x in order:
+        above = {v: [w for w in adj[v] if w >= x] for v in range(x, n)}
+        want = reference_cycle_from(above, x, g)
+        assert _short_cycle_at(adj, x, g, x, seen, parent) == want, x
+
+
 def count_short_cycle_at(monkeypatch):
+    """Record (x, answer) of each exact test, the calls with no floor (above < 0)."""
     calls = []
     inner = rooted._short_cycle_at
 
-    def counting(adj, root, g):
-        calls.append(root)
-        return inner(adj, root, g)
+    def counting(adj, x, g, above=-1, seen=None, parent=None):
+        got = inner(adj, x, g, above, seen, parent)
+        if above < 0:
+            calls.append((x, got))
+        return got
 
     monkeypatch.setattr(rooted, "_short_cycle_at", counting)
     return calls
@@ -176,7 +208,21 @@ def test_cubic_ball_classes_test_few_vertices(monkeypatch, seed):
     classes = ball_classes(adj, 2)
     assert 0 < len(calls) < n / 10
     cyclic = {v for v, c in classes.items() if c.kind == GENERAL}
-    assert cyclic <= set(calls)
+    # the exact test answers True exactly where the ball is cyclic
+    assert {x for x, got in calls if got} == cyclic
+
+
+@pytest.mark.parametrize("seed", [2911, 2912, 2913])
+def test_pendant_trees_keep_no_stamp_for_the_exact_test(monkeypatch, seed):
+    # the least-vertex search stamps pendant vertices that no later root
+    # restamps; an exact test on that stamp pair would answer True there
+    D = DegreeSequence.single_color([1, 2, 3, 3] * 200)
+    adj = _simple_sample(D, 2, random.Random(seed))[0].adjacency()
+    calls = count_short_cycle_at(monkeypatch)
+    classes = ball_classes(adj, 2)
+    cyclic = {v for v, c in classes.items() if c.kind == GENERAL}
+    assert cyclic and len(rooted._two_core(adj)) < len(adj)
+    assert {x for x, got in calls if got} == cyclic
 
 
 def test_forest_ball_classes_test_no_vertex(monkeypatch):

@@ -161,6 +161,26 @@ class TestCanonicalize:
         assert got.wire() == "((())())"
         assert got is join_at_root(star(1, 2), star(1, 1))
 
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            "G2:",  # no header
+            "G1:",
+            "G1:03",  # one header byte
+            "G1:0000",  # n = 0
+            "G1:0100",  # n = 1 with no bit byte
+            "G2:030026",  # one bit byte short
+            "G2:0300260000",  # a trailing byte
+            "G1:03001f00",  # loops (0, 0) and (1, 1), the below-diagonal bit (1, 0)
+            "G2:03002601",  # the loop (2, 2) in the last byte
+            "G1:020012",  # bit 4 >= n * n = 4
+        ],
+    )
+    def test_malformed_general_wire_raises(self, wire):
+        with pytest.raises(ValueError, match="malformed general encoding") as info:
+            parse_class(wire)
+        assert wire in str(info.value)
+
 
 class TestTruncate:
     def test_depth2_path_to_single_child(self):

@@ -304,3 +304,36 @@ def test_unreached_api_stays_out_of_the_library():
     assert {name for _, name in defined} & gone == set()
     assert {path for path, name in defined if name == "half_edges"} == {"oracle.py"}
     assert not gone & set(dir(ugwldp))
+
+
+def test_one_girth_layer_loop():
+    # _short_cycle_at, with a floor and stamp lists, is the only BFS that
+    # runs the girth layer rule: the least-vertex search and the exact ball
+    # test call it, and neither the search nor ball_classes keeps a closure
+    (rooted,) = [path for path in SOURCES if path.name == "rooted.py"]
+    module = ast.parse(rooted.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_least_cycle_vertices", "ball_classes"):
+        nested = [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(funcs[name])
+            if node is not funcs[name]
+            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        assert nested == []
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"cycle_above", "children_subtrees"}
+    layer_tests = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and ast.unparse(node) == "2 * d + 1 <= g"
+    ]
+    girth = funcs["_short_cycle_at"]
+    ((name, line),) = layer_tests
+    assert name == "rooted.py" and girth.lineno <= line <= girth.end_lineno

@@ -30,7 +30,6 @@ from ugwldp.rooted import (
     _short_cycle_at,
     canonical_from_adjacency,
     canonicalize,
-    children_subtrees,
     drop_root_child,
     edge_type_table,
     join_at_root,
@@ -302,7 +301,7 @@ class TestTreeSplits:
             want_subs = [
                 reference_split_class(adj, 0, v, block.depth - 1) for v in block.rep[0]
             ]
-            got_subs = children_subtrees(block)
+            got_subs = block.children
             assert len(got_subs) == len(want_subs)
             assert all(g is w for g, w in zip(got_subs, want_subs))
             for s in set(want_subs):
@@ -378,7 +377,7 @@ class TestTreeAlgebra:
         for block in blocks:
             for h in range(block.depth + 1):
                 assert truncate(block, h) is reference_truncate(block, h)
-            hung = set(children_subtrees(block))
+            hung = set(block.children)
             hung.add(truncate(block, block.depth - 1))
             for t in hung:
                 assert join_at_root(block, t) is reference_join_at_root(block, t)

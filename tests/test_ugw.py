@@ -203,7 +203,7 @@ class TestMarginal:
         # the class is the 3-regular tree of depth 2
         assert cls is parse_class("((()())(()())(()()))", 2)
         assert root_degree(cls) == 3
-        assert all(t is star(2, 1) for t in _child_classes(cls))
+        assert all(t is star(2, 1) for t in cls.children)
 
     def test_uniform12_depth2_frozen(self):
         # hand-derived exact law: branch law is 1/3 on no child, 2/3 on one
@@ -355,12 +355,6 @@ class TestMarginal:
         chain = canonicalize(LabeledRootedGraph([(0, 1), (1, 2)], root=0), 2)
         with pytest.raises(ValueError):
             edge_law_identity(NeighborhoodLaw(chain.depth, {chain: 1}))
-
-
-def _child_classes(cls):
-    from ugwldp.rooted import children_subtrees
-
-    return children_subtrees(cls)
 
 
 class TestSampler:

@@ -40,7 +40,6 @@ from ugwldp.rooted import (
     LabeledRootedGraph,
     SimpleGraph,
     canonicalize,
-    children_subtrees,
     drop_root_child,
     edge_type_table,
     root_sides,
@@ -486,7 +485,7 @@ def reference_branching_table(P):
     h = P.depth
     acc = {}
     for S, p in P.items():
-        subs = children_subtrees(S)
+        subs = S.children
         seen = set()
         for sub in subs:
             if sub in seen:
